@@ -5,13 +5,19 @@ as applicable) together with a gradient buffer of the same shape, parent
 references and a backward rule, forming an acyclic computation graph.
 ``backward`` walks the graph in reverse topological order; gradients
 accumulate across calls, so callers must ``zero_grads`` between optimizer
-steps.
+steps.  Gradient buffers are allocated lazily: leaves created with
+``requires_grad`` get one up front, every other node on its first backward
+flow or when ``.grad`` is first read, so a forward-only graph allocates none.
 
 The operator set is exactly what the attention and temporal-convolution
-heads need.  Reductions over the time axis in the attention path
-(``softmax_sharp`` denominator, ``weighted_row_sum``) sum their addends in
-sorted order, which makes the forward pass bit-identical under any
-permutation of the input frames.
+heads need.  The attention ops are batched: ``row_dot`` scores
+[B x T x D] frames against [H x D] head vectors, ``softmax_sharp`` and
+``l2_normalize`` act over the last axis at any rank, and
+``weighted_row_sum`` pools [B x T x D] with [B x H x T] weights.
+Reductions over the time axis in the attention path (``softmax_sharp``
+denominator, ``weighted_row_sum``) sum their addends in sorted order, which
+makes the forward pass bit-identical under any permutation of the input
+frames.
 
 Everything is computed in 64-bit so central finite differences at step 1e-3
 are a meaningful oracle; ``fd_check`` is the verification harness.
@@ -44,7 +50,8 @@ def rng(*seeds: int) -> np.random.Generator:
 class Value:
     """Node in the differentiation graph: data, grad, backward rule."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_op", "_kink_margin")
+    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_grad_fn", "_op", "_kink_margin",
+                 "_kink_side")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -53,12 +60,13 @@ class Value:
         if arr.size == 0:
             raise ShapeError("all extents must be >= 1")
         self.data = arr
-        self.grad = np.zeros_like(arr)
+        self._grad = np.zeros_like(arr) if requires_grad else None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Value, ...] = ()
         self._grad_fn: GradFn | None = None
         self._op = "leaf"
         self._kink_margin = np.inf
+        self._kink_side = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -68,8 +76,15 @@ class Value:
     def ndim(self) -> int:
         return self.data.ndim
 
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def backward(self) -> None:
         backward(self)
@@ -98,7 +113,8 @@ def _lift(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
 
 
-def _node(data, parents: Sequence[Value], grad_fn: GradFn, op: str, kink_margin=np.inf) -> Value:
+def _node(data, parents: Sequence[Value], grad_fn: GradFn, op: str, kink_margin=np.inf,
+          kink_side=None) -> Value:
     out = Value(data)
     out.requires_grad = any(p.requires_grad for p in parents)
     out._parents = tuple(parents)
@@ -106,6 +122,8 @@ def _node(data, parents: Sequence[Value], grad_fn: GradFn, op: str, kink_margin=
     out._op = op
     # kinks in constant subtrees cannot be crossed by perturbing parameters
     out._kink_margin = float(kink_margin) if out.requires_grad else np.inf
+    # which side of its kinks the node sits on: relu masks, argmax indices
+    out._kink_side = kink_side if out.requires_grad else None
     return out
 
 
@@ -152,7 +170,10 @@ def backward(root: Value) -> None:
         g = flows.pop(id(node), None)
         if g is None:
             continue
-        node.grad += g
+        if node._grad is None:
+            node._grad = np.array(g, dtype=np.float64)  # a copy: flows may alias
+        else:
+            node._grad += g
         if node._grad_fn is None:
             continue
         for parent, pg in zip(node._parents, node._grad_fn(g)):
@@ -162,9 +183,8 @@ def backward(root: Value) -> None:
             flows[id(parent)] = pg if acc is None else acc + pg
 
 
-def min_kink_margin(root: Value) -> float:
-    """Smallest distance to a ReLU/max kink recorded anywhere in the graph."""
-    margin = np.inf
+def _walk(root: Value):
+    """Every node reachable from root, once each, in a fixed order."""
     visited: set[int] = set()
     stack = [root]
     while stack:
@@ -172,9 +192,26 @@ def min_kink_margin(root: Value) -> float:
         if id(node) in visited:
             continue
         visited.add(id(node))
-        margin = min(margin, node._kink_margin)
+        yield node
         stack.extend(node._parents)
-    return margin
+
+
+def min_kink_margin(root: Value) -> float:
+    """Smallest distance to a ReLU/max kink recorded anywhere in the graph."""
+    return min((node._kink_margin for node in _walk(root)), default=np.inf)
+
+
+def _kink_sides(root: Value) -> list[np.ndarray]:
+    """The side of its kinks each trainable ReLU/max/clamp node sits on.
+
+    Two graphs built by the same code sit on the same side of every kink
+    exactly when their lists are equal element by element.
+    """
+    return [node._kink_side for node in _walk(root) if node._kink_side is not None]
+
+
+def _same_sides(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -236,7 +273,7 @@ def relu(x) -> Value:
         return (g * mask,)
 
     return _node(np.where(mask, x.data, 0.0), (x,), grad_fn, "relu",
-                 kink_margin=np.abs(x.data).min())
+                 kink_margin=np.abs(x.data).min(), kink_side=mask)
 
 
 def transpose(x) -> Value:
@@ -279,6 +316,40 @@ def concat(values: Sequence, axis: int = 0) -> Value:
     return _node(out, vals, grad_fn, "concat")
 
 
+def stack(values: Sequence, axis: int = 0) -> Value:
+    """Join values of equal shape along a new axis (numpy.stack)."""
+    vals = [_lift(v) for v in values]
+    if not vals:
+        raise ConfigError("stack requires at least one value")
+    ref = vals[0].data.shape
+    for v in vals[1:]:
+        if v.data.shape != ref:
+            raise ShapeError(f"stack shapes disagree: {ref} vs {v.data.shape}")
+    out = np.stack([v.data for v in vals], axis=axis)
+
+    def grad_fn(g):
+        return tuple(np.moveaxis(g, axis, 0))
+
+    return _node(out, vals, grad_fn, "stack")
+
+
+def take_rows(x, index) -> Value:
+    """Rows of x picked along axis 0: out[i] = x[index[i]]."""
+    x = _lift(x)
+    index = np.asarray(index, dtype=np.intp)
+    if x.data.ndim < 1 or index.ndim != 1 or index.size == 0:
+        raise ShapeError("take_rows expects a value of rank >= 1 and a non-empty index vector")
+    if index.min() < 0 or index.max() >= x.data.shape[0]:
+        raise ShapeError(f"take_rows index out of range for {x.data.shape[0]} rows")
+
+    def grad_fn(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, index, g)
+        return (gx,)
+
+    return _node(x.data[index], (x,), grad_fn, "take_rows")
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -308,39 +379,58 @@ def affine(x, w, b) -> Value:
 
 
 def row_dot(x, w) -> Value:
-    """Dot product of every row of x [T x D] with w [D], giving [T]."""
+    """Score every frame against every head vector.
+
+    x [B x T x D] . w [H x D] -> [B x H x T]; the unbatched form
+    x [T x D] . w [D] -> [T] is the B = H = 1 case.  Each score is its own
+    sum over D, so it never depends on the other frames or heads.
+    """
     x, w = _lift(x), _lift(w)
-    if x.data.ndim != 2 or w.data.ndim != 1 or x.data.shape[1] != w.data.shape[0]:
+    batched = x.data.ndim == 3 and w.data.ndim == 2
+    if not (batched or (x.data.ndim == 2 and w.data.ndim == 1)) \
+            or x.data.shape[-1] != w.data.shape[-1]:
         raise ShapeError(f"row_dot shapes disagree: {x.data.shape} x {w.data.shape}")
-    out = np.sum(x.data * w.data, axis=1)
+    xs = x.data if batched else x.data[None]
+    ws = w.data if batched else w.data[None]
+    out = np.sum(xs[:, None, :, :] * ws[None, :, None, :], axis=-1)
 
     def grad_fn(g):
-        return g[:, None] * w.data[None, :], x.data.T @ g
+        gs = g if batched else g[None, None]
+        gx = np.matmul(gs.transpose(0, 2, 1), ws)
+        gw = np.matmul(gs, xs).sum(axis=0)
+        return gx.reshape(x.data.shape), gw.reshape(w.data.shape)
 
-    return _node(out, (x, w), grad_fn, "row_dot")
+    return _node(out.reshape(x.data.shape[:-2] + w.data.shape[:-1] + x.data.shape[-2:-1]),
+                 (x, w), grad_fn, "row_dot")
 
 
 def weighted_row_sum(weights, x) -> Value:
-    """sum_t weights[t] * x[t, :] with order-canonical summation over t."""
+    """Pool frames with per-head weights, summing over t in canonical order.
+
+    weights [B x H x T], x [B x T x D] -> [B x H x D], where
+    out[b, h] = sum_t weights[b, h, t] * x[b, t]; the unbatched form
+    weights [T], x [T x D] -> [D] is the B = H = 1 case.
+    """
     weights, x = _lift(weights), _lift(x)
-    if weights.data.ndim != 1 or x.data.ndim != 2 or weights.data.shape[0] != x.data.shape[0]:
-        raise ShapeError(f"weighted_row_sum shapes disagree: {weights.data.shape} x {x.data.shape}")
-    out = _ordersum(x.data * weights.data[:, None], axis=0)
+    wd, xd = weights.data, x.data
+    batched = wd.ndim == 3 and xd.ndim == 3
+    if batched:
+        ok = wd.shape[0] == xd.shape[0] and wd.shape[2] == xd.shape[1]
+    else:
+        ok = wd.ndim == 1 and xd.ndim == 2 and wd.shape[0] == xd.shape[0]
+    if not ok:
+        raise ShapeError(f"weighted_row_sum shapes disagree: {wd.shape} x {xd.shape}")
+    ws = wd if batched else wd[None, None]
+    xs = xd if batched else xd[None]
+    out = _ordersum(xs[:, None, :, :] * ws[..., None], axis=-2)
 
     def grad_fn(g):
-        return x.data @ g, weights.data[:, None] * g[None, :]
+        gs = g if batched else g[None, None]
+        gw = np.matmul(gs, xs.transpose(0, 2, 1))
+        gx = np.matmul(ws.transpose(0, 2, 1), gs)
+        return gw.reshape(wd.shape), gx.reshape(xd.shape)
 
-    return _node(out, (weights, x), grad_fn, "weighted_row_sum")
-
-
-def stack_rows(values: Sequence[Value]) -> Value:
-    """Stack rank-1 values of equal length into a rank-2 batch."""
-    return concat([reshape(v, (1, v.data.shape[0])) for v in values], axis=0)
-
-
-def stack_mats(values: Sequence[Value]) -> Value:
-    """Stack rank-2 values of equal shape into a rank-3 batch."""
-    return concat([reshape(v, (1,) + v.data.shape) for v in values], axis=0)
+    return _node(out if batched else out[0, 0], (weights, x), grad_fn, "weighted_row_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -349,44 +439,48 @@ def stack_mats(values: Sequence[Value]) -> Value:
 
 
 def softmax_sharp(logits, alpha: float) -> Value:
-    """softmax(alpha * logits) for a rank-1 input, with max-subtraction.
+    """softmax(alpha * logits) over the last axis, with max-subtraction.
 
-    alpha scales how peaked the distribution is.  The normalizer sums its
+    Any rank >= 1; every leading index is its own distribution.  alpha
+    scales how peaked the distribution is.  The normalizer sums its
     exponentials in sorted order, so permuting the logits permutes the
     output bit-exactly.
     """
     logits = _lift(logits)
-    if logits.data.ndim != 1:
-        raise ShapeError("softmax_sharp expects a rank-1 value")
+    if logits.data.ndim == 0:
+        raise ShapeError("softmax_sharp expects a value of rank >= 1")
     if not alpha > 0.0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
     if not np.all(np.isfinite(logits.data)):
         raise NumericError("softmax_sharp input contains non-finite entries")
-    z = alpha * (logits.data - logits.data.max())
+    z = alpha * (logits.data - logits.data.max(axis=-1, keepdims=True))
     e = np.exp(z)
-    y = e / _ordersum(e, axis=0)
+    y = e / _ordersum(e, axis=-1)[..., None]
 
     def grad_fn(g):
-        return (alpha * y * (g - float(np.dot(g, y))),)
+        return (alpha * y * (g - np.sum(g * y, axis=-1, keepdims=True)),)
 
     return _node(y, (logits,), grad_fn, "softmax_sharp")
 
 
 def l2_normalize(v) -> Value:
-    """v / max(||v||_2, 1e-12); the clamp is treated as constant in backward."""
+    """v / max(||v||_2, 1e-12) over the last axis, at any rank >= 1.
+
+    The clamp is treated as constant in backward.
+    """
     v = _lift(v)
-    if v.data.ndim != 1:
-        raise ShapeError("l2_normalize expects a rank-1 value")
-    norm = float(np.sqrt(np.sum(v.data * v.data)))
-    denom = max(norm, EPS_NORM)
+    if v.data.ndim == 0:
+        raise ShapeError("l2_normalize expects a value of rank >= 1")
+    norm = np.sqrt(np.sum(v.data * v.data, axis=-1, keepdims=True))
+    denom = np.maximum(norm, EPS_NORM)
     y = v.data / denom
 
     def grad_fn(g):
-        if norm < EPS_NORM:
-            return (g / denom,)
-        return ((g - y * float(np.dot(g, y))) / denom,)
+        tangent = (g - y * np.sum(g * y, axis=-1, keepdims=True)) / denom
+        return (np.where(norm < EPS_NORM, g / denom, tangent),)
 
-    return _node(y, (v,), grad_fn, "l2_normalize", kink_margin=abs(norm - EPS_NORM))
+    return _node(y, (v,), grad_fn, "l2_normalize",
+                 kink_margin=np.abs(norm - EPS_NORM).min(), kink_side=norm < EPS_NORM)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +549,8 @@ def adaptive_max_pool1d(x, n: int) -> Value:
                               g[..., i:i + 1, :], axis=-2)
         return (gx,)
 
-    return _node(out, (x,), grad_fn, "adaptive_max_pool1d", kink_margin=margin)
+    return _node(out, (x,), grad_fn, "adaptive_max_pool1d", kink_margin=margin,
+                 kink_side=np.stack(argmax))
 
 
 def global_max_pool_time(x) -> Value:
@@ -479,7 +574,8 @@ def global_max_pool_time(x) -> Value:
         np.put_along_axis(gx, idx[..., None, :], g[..., None, :], axis=-2)
         return (gx,)
 
-    return _node(out, (x,), grad_fn, "global_max_pool_time", kink_margin=margin)
+    return _node(out, (x,), grad_fn, "global_max_pool_time", kink_margin=margin,
+                 kink_side=idx)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +751,9 @@ class FdReport:
     passed: bool
     coords_checked: int
     worst_param: str
+    # every failing coordinate is explained by the step, not the gradient:
+    # it crossed a kink, or the central difference had not converged
+    step_unfit: bool = False
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -669,12 +768,18 @@ def fd_check(f: Callable[[], Value], params, step: float = 1e-3, tol: float = 1e
     are perturbed in place, one coordinate at a time, and restored.  Errors
     are normalized by the largest gradient magnitude seen (floored at 1e-6)
     so near-zero coordinates do not divide by noise.
+
+    Failing coordinates are probed again (``_step_explains``): when each
+    one's step crossed a kink or was too coarse for the local curvature,
+    the report says ``step_unfit`` and central differences at this step are
+    no oracle for the sample.
     """
     if not step > 0.0:
         raise ConfigError("finite-difference step must be positive")
     named = [p if isinstance(p, tuple) else (f"param{i}", p) for i, p in enumerate(params)]
     zero_grads(v for _, v in named)
-    backward(f())
+    root = f()
+    backward(root)
     analytic = [v.grad.copy() for _, v in named]
 
     numeric = []
@@ -696,11 +801,43 @@ def fd_check(f: Callable[[], Value], params, step: float = 1e-3, tol: float = 1e
     max_rel = 0.0
     worst = named[0][0] if named else ""
     coords = 0
-    for (name, _), a, n in zip(named, analytic, numeric):
+    failing = []
+    for (name, v), a, n in zip(named, analytic, numeric):
         coords += a.size
-        rel = float(np.abs(a - n).max()) / scale
+        err = np.abs(a - n)
+        rel = float(err.max()) / scale
         if rel >= max_rel:
             max_rel = rel
             worst = name
+        failing += [(v, i, a.flat[i], n.flat[i]) for i in np.flatnonzero(err > tol * scale)]
+    base = _kink_sides(root)
+    unfit = bool(failing) and all(_step_explains(f, v, i, slope, fd_slope, step, base)
+                                  for v, i, slope, fd_slope in failing)
     return FdReport(max_rel_error=max_rel, tol=tol, passed=max_rel <= tol,
-                    coords_checked=coords, worst_param=worst)
+                    coords_checked=coords, worst_param=worst, step_unfit=unfit)
+
+
+def _step_explains(f, v: Value, i: int, analytic: float, numeric: float, step: float,
+                   base: list[np.ndarray]) -> bool:
+    """Whether coordinate i's central-difference error comes from the step.
+
+    Either a probe at +-step or +-step/2 sits on another side of some kink
+    than the unperturbed graph, or halving the step at least halves the
+    error and keeps its sign: central differences converge at O(step^2) to
+    the true slope, so an error that shrinks like that is truncation, not a
+    wrong gradient, whose error would stay put.
+    """
+    flat = v.data.reshape(-1)
+    orig = flat[i]
+    values = {}
+    try:
+        for delta in (step, -step, step / 2, -step / 2):
+            flat[i] = orig + delta
+            out = f()
+            if not _same_sides(_kink_sides(out), base):
+                return True
+            values[delta] = float(out.data)
+    finally:
+        flat[i] = orig
+    err, err_half = numeric - analytic, (values[step / 2] - values[-step / 2]) / step - analytic
+    return err * err_half > 0.0 and abs(err_half) <= abs(err) / 2

@@ -5,8 +5,9 @@ Subcommands: ``synthgen`` (write a synthetic planted-signal dataset),
 a dataset with a checkpoint), ``fuse`` (combine score tables), and
 ``gradcheck`` (finite-difference verification of the gradient engine).
 
-Exit codes: 0 success, 2 configuration or usage problem, 3 I/O or file
-format problem, 4 gradient verification failure.
+Exit codes: 0 success, 2 configuration, usage or data problem (data that
+lacks a modality the model needs included), 3 I/O or file format problem,
+4 gradient verification failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import sys
 
 from .data import read_labels, read_mmf, synth_generate, write_labels, write_mmf, SynthConfig
-from .errors import ConfigError, DataError, FormatError, NumericError, UsageError
+from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError, UsageError
 from .fusion import ScoreTable, late_fuse, read_scores, top_k_accuracy, write_scores
 from .gradcheck import case_names, run_cases
 from .training import TrainConfig, evaluate, load_model, save_model, train_from_files
@@ -247,7 +248,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, UsageError, DataError) as exc:
+    except (ConfigError, UsageError, DataError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FormatError, OSError) as exc:

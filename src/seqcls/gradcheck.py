@@ -4,7 +4,13 @@ Each case builds a small random instance, reduces it to a scalar with a
 fixed random cotangent, and compares analytic gradients against central
 differences.  Cases whose sampled instance sits too close to a ReLU or
 max-pool kink (where one-sided derivatives disagree) are redrawn from the
-next substream until the margin clears a safety threshold.
+next substream: before the check, until the recorded margin clears a
+safety threshold, and after it, when every failing coordinate is explained
+by the finite-difference step rather than the gradient (``FdReport``'s
+``step_unfit``).  A step in a weight can move a pre-activation by more than
+the step itself, for instance through batch norm, and so cross a kink the
+margin check cleared, or meet curvature that central differences at that
+step cannot resolve.
 """
 
 from __future__ import annotations
@@ -92,27 +98,28 @@ def _case_affine(gen):
 
 
 def _case_row_dot(gen):
-    x, w = _param(gen, 6, 3), _param(gen, 3)
+    x, w = _param(gen, 2, 2, 3), _param(gen, 2, 3)
     return _scalarized(gen, lambda: ad.row_dot(x, w)), [("x", x), ("w", w)]
 
 
 def _case_weighted_row_sum(gen):
-    wts, x = _param(gen, 6), _param(gen, 6, 3)
+    wts, x = _param(gen, 2, 2, 3), _param(gen, 2, 3, 2)
     return _scalarized(gen, lambda: ad.weighted_row_sum(wts, x)), [("wts", wts), ("x", x)]
 
 
-def _case_stack_rows(gen):
-    rows = [_param(gen, 4) for _ in range(3)]
-    return _scalarized(gen, lambda: ad.stack_rows(rows)), [(f"r{i}", r) for i, r in enumerate(rows)]
+def _case_stack(gen):
+    parts = [_param(gen, 2, 2) for _ in range(3)]
+    return (_scalarized(gen, lambda: ad.stack(parts, axis=1)),
+            [(f"p{i}", p) for i, p in enumerate(parts)])
 
 
 def _case_softmax_sharp(gen):
-    x = _param(gen, 6)
+    x = _param(gen, 2, 1, 3)
     return _scalarized(gen, lambda: ad.softmax_sharp(x, alpha=1.7)), [("x", x)]
 
 
 def _case_l2_normalize(gen):
-    v = _param(gen, 5)
+    v = _param(gen, 1, 1, 5)
     return _scalarized(gen, lambda: ad.l2_normalize(v)), [("v", v)]
 
 
@@ -224,7 +231,7 @@ CASES = {
     "affine": _case_affine,
     "row_dot": _case_row_dot,
     "weighted_row_sum": _case_weighted_row_sum,
-    "stack_rows": _case_stack_rows,
+    "stack": _case_stack,
     "softmax_sharp": _case_softmax_sharp,
     "l2_normalize": _case_l2_normalize,
     "zero_pad_time": _case_zero_pad_time,
@@ -264,9 +271,11 @@ def run_case(name: str, seed: int, step: float = 1e-3, tol: float = 1e-4) -> Cas
         raise ConfigError(f"unknown gradcheck case {name!r}; known: {', '.join(case_names())}")
     for attempt in range(MAX_RESAMPLE):
         f, params = builder(rng(seed, attempt))
-        if min_kink_margin(f()) >= MARGIN_MIN:
-            return CaseResult(name=name, seed=seed, attempts=attempt + 1,
-                              report=ad.fd_check(f, params, step=step, tol=tol))
+        if min_kink_margin(f()) < MARGIN_MIN:
+            continue
+        report = ad.fd_check(f, params, step=step, tol=tol)
+        if not report.step_unfit:
+            return CaseResult(name=name, seed=seed, attempts=attempt + 1, report=report)
     raise NumericError(f"case {name!r}: no kink-safe sample in {MAX_RESAMPLE} draws")
 
 

@@ -11,6 +11,17 @@ head's output scale-free so heads can be concatenated safely.  A modality
 group runs several heads over the same sequence and unit-normalizes their
 concatenation; the network concatenates all groups and applies an affine
 classifier.
+
+Everything runs as one batched path.  Per modality, the H heads' vectors
+are stacked into w [H x D] and their scalars into a, b [H x 1]; a block of
+B videos with T frames each, x [B x T x D], then takes a handful of ops:
+scores [B x H x T], attention weights [B x H x T], pooled heads
+[B x H x D], and the group representation [B x H*D].  Videos of a batch may
+differ in length: ``satt_representations`` groups the videos whose
+per-modality frame counts agree, runs each group as one block without any
+padding or mask, and puts the rows back in input order.  The single-head
+and single-video entry points are B = 1 (and H = 1) calls of the same path,
+so the per-video numbers equal the batched ones bit for bit.
 """
 
 from __future__ import annotations
@@ -43,16 +54,41 @@ class SattHeadParams:
         return [self.w, self.a, self.b]
 
 
+def _stack_heads(heads: list[SattHeadParams]) -> tuple[Value, Value, Value]:
+    """The heads' vectors as w [H x D] and their scalars as a, b [H x 1]."""
+    n = len(heads)
+    return (ad.stack([h.w for h in heads]),
+            ad.reshape(ad.stack([h.a for h in heads]), (n, 1)),
+            ad.reshape(ad.stack([h.b for h in heads]), (n, 1)))
+
+
+def _pool_heads(x: Value, w: Value, a: Value, b: Value, alpha: float) -> Value:
+    """Unit head outputs [B x H x D] for a block of sequences x [B x T x D]."""
+    weights = ad.softmax_sharp(ad.row_dot(x, w), alpha)
+    pooled = ad.weighted_row_sum(weights, x)
+    return ad.l2_normalize(ad.add(ad.mul(pooled, a), b))
+
+
+def _group_block(x: Value, heads: tuple[Value, Value, Value], alpha: float) -> Value:
+    """Unit group representations [B x H*D]: the heads concatenated, normalized."""
+    out = _pool_heads(x, *heads, alpha)
+    b, h, d = out.data.shape
+    return ad.l2_normalize(ad.reshape(out, (b, h * d)))
+
+
+def _check_sequence(x: Value, dim: int, what: str) -> None:
+    if x.data.ndim != 2:
+        raise ShapeError(f"{what} expects a rank-2 sequence [T x D]")
+    if x.data.shape[1] != dim:
+        raise ShapeError(f"sequence dim {x.data.shape[1]} does not match {what} dim {dim}")
+
+
 def satt_head_forward(params: SattHeadParams, x: Value, alpha: float) -> Value:
     """Attention-pool one sequence x [T x D] to a unit vector [D]."""
-    if x.data.ndim != 2:
-        raise ShapeError("satt head expects a rank-2 sequence [T x D]")
-    if x.data.shape[1] != params.w.data.shape[0]:
-        raise ShapeError(
-            f"sequence dim {x.data.shape[1]} does not match head dim {params.w.data.shape[0]}")
-    weights = ad.softmax_sharp(ad.row_dot(x, params.w), alpha)
-    pooled = ad.weighted_row_sum(weights, x)
-    return ad.l2_normalize(ad.add(ad.mul(pooled, params.a), params.b))
+    _check_sequence(x, params.w.data.shape[0], "satt head")
+    t, d = x.data.shape
+    out = _pool_heads(ad.reshape(x, (1, t, d)), *_stack_heads([params]), alpha)
+    return ad.reshape(out, (d,))
 
 
 @dataclass
@@ -92,10 +128,11 @@ class AttentionGroupParams:
 
 
 def attention_group_forward(params: AttentionGroupParams, x: Value) -> Value:
-    """Concatenate the group's head outputs and unit-normalize the result."""
+    """Concatenate the group's head outputs for one sequence and unit-normalize them."""
     cfg = params.config
-    outs = [satt_head_forward(h, x, cfg.alpha) for h in params.heads]
-    return ad.l2_normalize(ad.concat(outs, axis=0))
+    _check_sequence(x, cfg.feature_dim, f"group {cfg.modality!r}")
+    out = _group_block(ad.reshape(x, (1,) + x.data.shape), _stack_heads(params.heads), cfg.alpha)
+    return ad.reshape(out, (params.output_dim,))
 
 
 @dataclass
@@ -135,12 +172,47 @@ class SattNetParams:
         return named
 
 
-def satt_net_forward(params: SattNetParams, sequences: dict[str, Value]) -> Value:
-    """Logits [K] for one video given its per-modality sequences [T x D]."""
-    reps = []
+def _frame_counts(params: SattNetParams, sequences: dict[str, Value]) -> tuple[int, ...]:
+    counts = []
     for g in params.groups:
         name = g.config.modality
         if name not in sequences:
             raise ShapeError(f"missing sequence for modality {name!r}")
-        reps.append(attention_group_forward(g, sequences[name]))
-    return ad.affine(ad.concat(reps, axis=0), params.classifier_w, params.classifier_b)
+        _check_sequence(sequences[name], g.config.feature_dim, f"group {name!r}")
+        counts.append(sequences[name].data.shape[0])
+    return tuple(counts)
+
+
+def satt_representations(params: SattNetParams, batch: list[dict[str, Value]]) -> Value:
+    """Concatenated group representations [B x R] of a batch, in input order.
+
+    Videos whose per-modality frame counts agree form one block; each
+    block runs every group once on its stacked sequences [Bg x T x D].
+    """
+    if not batch:
+        raise ShapeError("satt needs at least one video")
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for i, sequences in enumerate(batch):
+        blocks.setdefault(_frame_counts(params, sequences), []).append(i)
+    heads = [_stack_heads(g.heads) for g in params.groups]
+    reps = []
+    for rows in blocks.values():
+        groups = [_group_block(ad.stack([batch[i][g.config.modality] for i in rows]),
+                               stacked, g.config.alpha)
+                  for g, stacked in zip(params.groups, heads)]
+        reps.append(ad.concat(groups, axis=1))
+    if len(reps) == 1:
+        return reps[0]
+    order = [i for rows in blocks.values() for i in rows]
+    return ad.take_rows(ad.concat(reps, axis=0), np.argsort(order))
+
+
+def satt_forward_batch(params: SattNetParams, batch: list[dict[str, Value]]) -> Value:
+    """Logits [B x K] for a batch of videos given per-modality sequences [T x D]."""
+    return ad.affine(satt_representations(params, batch), params.classifier_w,
+                     params.classifier_b)
+
+
+def satt_net_forward(params: SattNetParams, sequences: dict[str, Value]) -> Value:
+    """Logits [K] for one video given its per-modality sequences [T x D]."""
+    return ad.reshape(satt_forward_batch(params, [sequences]), (params.num_classes,))

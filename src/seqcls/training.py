@@ -31,11 +31,14 @@ from .data import (
 )
 from .errors import ConfigError, DataError
 from .fusion import MeanPoolParams, ScoreTable, mean_pool_forward, softmax_scores, top_k_accuracy
-from .satt import AttentionGroupConfig, SattNetParams, satt_net_forward
-from .txn import TxnParams, TxnStreamConfig, txn_forward, txn_forward_batch
+from .satt import AttentionGroupConfig, SattNetParams, satt_forward_batch
+from .txn import TxnParams, TxnStreamConfig, txn_forward_batch
 
 MODELS = ("satt", "txn", "meanpool")
 OPTIMIZERS = ("sgd", "adam")
+# videos per forward graph in evaluate: near the training batch size, which
+# amortizes per-op overhead while keeping the chunk's arrays small
+EVAL_CHUNK = 16
 
 
 @dataclass
@@ -177,22 +180,20 @@ def build_model(model: str, modalities: list[tuple[str, int]], num_classes: int,
     raise ConfigError(f"unknown model {model!r}")
 
 
-def model_forward(model: str, params, sequences: dict[str, Value], mode: str) -> Value:
-    if model == "satt":
-        return satt_net_forward(params, sequences)
-    if model == "txn":
-        return txn_forward(params, sequences, mode=mode)
-    if model == "meanpool":
-        return mean_pool_forward(params, sequences)
-    raise ConfigError(f"unknown model {model!r}")
-
-
 def batch_logits(model: str, params, batch: list[VideoSample], mode: str) -> Value:
-    """Logits [B x K]; txn runs batched so BN statistics span the batch."""
+    """Logits [B x K] in batch order, from one forward graph for the batch.
+
+    satt runs each group of equal-length videos as one block; txn runs the
+    padded batch so BN statistics span it; meanpool stacks per-video logits.
+    """
     seqs = [{m: Value(f) for m, f in s.by_modality().items()} for s in batch]
+    if model == "satt":
+        return satt_forward_batch(params, seqs)
     if model == "txn":
         return txn_forward_batch(params, seqs, mode)
-    return ad.stack_rows([model_forward(model, params, s, mode) for s in seqs])
+    if model == "meanpool":
+        return ad.stack([mean_pool_forward(params, s) for s in seqs])
+    raise ConfigError(f"unknown model {model!r}")
 
 
 def snapshot_arrays(params) -> dict[str, np.ndarray]:
@@ -266,26 +267,27 @@ def _model_modalities(model: str, params) -> list[list]:
 def evaluate(model: str, params, samples: list[VideoSample], threads: int = 1) -> ScoreTable:
     """Score every sample in infer mode; threading never changes the bytes.
 
-    Workers score disjoint samples against read-only parameters and results
-    are gathered in dataset order, so the table is identical for any thread
-    count.
+    Samples are scored in fixed chunks of EVAL_CHUNK in dataset order, one
+    forward graph per chunk.  Workers score disjoint chunks against
+    read-only parameters and results are gathered in dataset order, so the
+    table is identical for any thread count.
     """
     if not samples:
         raise DataError("nothing to evaluate")
+    chunks = [samples[i:i + EVAL_CHUNK] for i in range(0, len(samples), EVAL_CHUNK)]
 
-    def score(sample: VideoSample) -> np.ndarray:
-        seqs = {m: Value(f) for m, f in sample.by_modality().items()}
-        logits = model_forward(model, params, seqs, mode="infer")
-        return softmax_scores(logits.data)
+    def score(chunk: list[VideoSample]) -> np.ndarray:
+        return batch_logits(model, params, chunk, "infer").data
 
     if threads <= 1:
-        probs = [score(s) for s in samples]
+        logits = [score(c) for c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            probs = list(pool.map(score, samples))
+            logits = list(pool.map(score, chunks))
     table = ScoreTable(num_classes=params.num_classes)
-    for s, p in zip(samples, probs):
-        table.add(s.video_id, p)
+    for chunk, rows in zip(chunks, logits):
+        for s, row in zip(chunk, rows):
+            table.add(s.video_id, softmax_scores(row))
     return table
 
 

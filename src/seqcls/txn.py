@@ -230,5 +230,5 @@ def txn_forward_batch(params: TxnParams, batch: list[dict[str, Value]],
             if name not in sequences:
                 raise ShapeError(f"missing sequence for modality {name!r}")
             padded.append(ad.zero_pad_time(sequences[name], s.config.pad_len))
-        reps.append(txn_stream_forward(s, ad.stack_mats(padded), mode))
+        reps.append(txn_stream_forward(s, ad.stack(padded), mode))
     return ad.affine(ad.concat(reps, axis=1), params.classifier_w, params.classifier_b)

@@ -90,6 +90,28 @@ class TestBackward:
         with pytest.raises(UsageError):
             backward(ad.mul(x, x))
 
+    def test_forward_only_graph_allocates_no_intermediate_grads(self):
+        """Only requires_grad leaves own a buffer until backward or a read."""
+        gen = np.random.default_rng(42)
+        w = Value(gen.normal(size=(2, 3)), requires_grad=True)
+        x = Value(gen.normal(size=(4, 5, 3)))
+        out = ad.l2_normalize(ad.weighted_row_sum(ad.softmax_sharp(ad.row_dot(x, w), 1.0), x))
+        nodes = list(ad._walk(out))
+        assert len(nodes) == 6
+        for node in nodes:
+            assert (node._grad is not None) == (node is w), node
+        assert_array_equal(out.grad, np.zeros((4, 2, 3)))
+        assert_array_equal(x.grad, np.zeros((4, 5, 3)))
+
+    def test_backward_stores_private_copies_of_flows(self):
+        """Intermediate grads never alias one another or the flows they came from."""
+        x = Value(np.ones(3), requires_grad=True)
+        y = ad.add(x, 0.0)
+        backward(ad.sum_all(y))
+        assert_array_equal(y.grad, np.ones(3))
+        y.grad[...] = 7.0
+        assert_array_equal(x.grad, np.ones(3))
+
     def test_broadcast_bias_gradient_sums_rows(self):
         """Gradient of a broadcast addend reduces over the broadcast axis."""
         x = Value(np.ones((4, 3)), requires_grad=True)
@@ -121,12 +143,39 @@ class TestStructuralOps:
         with pytest.raises(ShapeError):
             ad.concat([Value(np.ones((2, 3))), Value(np.ones((2, 4)))], axis=0)
 
-    def test_stack_rows_and_mats(self):
+    def test_stack_matches_numpy_and_splits_gradient(self):
+        """stack joins along any new axis; each input gets its own slice of the flow."""
         gen = np.random.default_rng(42)
         rows = [gen.normal(size=4) for _ in range(3)]
-        assert_array_equal(ad.stack_rows([Value(r) for r in rows]).data, np.stack(rows))
-        mats = [gen.normal(size=(2, 4)) for _ in range(3)]
-        assert_array_equal(ad.stack_mats([Value(m) for m in mats]).data, np.stack(mats))
+        assert_array_equal(ad.stack([Value(r) for r in rows]).data, np.stack(rows))
+        mats = [Value(gen.normal(size=(2, 4)), requires_grad=True) for _ in range(3)]
+        for axis in (0, 1, 2, -1):
+            out = ad.stack(mats, axis=axis)
+            assert_array_equal(out.data, np.stack([m.data for m in mats], axis=axis))
+        c = Value(gen.normal(size=(2, 3, 4)))
+        backward(ad.sum_all(ad.mul(ad.stack(mats, axis=1), c)))
+        for i, m in enumerate(mats):
+            assert_array_equal(m.grad, c.data[:, i, :])
+
+    def test_stack_rejects_mismatched_or_empty_input(self):
+        with pytest.raises(ShapeError):
+            ad.stack([Value(np.ones(3)), Value(np.ones(4))])
+        with pytest.raises(ConfigError):
+            ad.stack([])
+        with pytest.raises(ShapeError):  # the result would exceed rank 3
+            ad.stack([Value(np.ones((2, 2, 2)))])
+
+    def test_take_rows_reorders_and_routes_gradient_back(self):
+        gen = np.random.default_rng(42)
+        x = Value(gen.normal(size=(4, 3)), requires_grad=True)
+        order = [2, 0, 3, 1]
+        out = ad.take_rows(x, order)
+        assert_array_equal(out.data, x.data[order])
+        c = Value(gen.normal(size=(4, 3)))
+        backward(ad.sum_all(ad.mul(out, c)))
+        assert_array_equal(x.grad[order], c.data)
+        with pytest.raises(ShapeError):
+            ad.take_rows(x, [4])
 
 
 class TestLinearOps:
@@ -165,6 +214,64 @@ class TestLinearOps:
             assert_array_equal(permuted, base)
 
 
+class TestBatchedAttentionOps:
+    """Rank-3 attention ops reproduce every (video, head) of the rank-1/2 forms bitwise."""
+
+    def test_row_dot_batched_matches_per_row_bitwise(self):
+        gen = np.random.default_rng(42)
+        x, w = gen.normal(size=(3, 7, 17)), gen.normal(size=(4, 17))
+        out = ad.row_dot(Value(x), Value(w)).data
+        assert out.shape == (3, 4, 7)
+        for b in range(3):
+            for h in range(4):
+                assert_array_equal(out[b, h], ad.row_dot(Value(x[b]), Value(w[h])).data)
+
+    def test_weighted_row_sum_batched_matches_per_row_bitwise(self):
+        gen = np.random.default_rng(42)
+        wts, x = gen.normal(size=(3, 4, 7)), gen.normal(size=(3, 7, 5))
+        out = ad.weighted_row_sum(Value(wts), Value(x)).data
+        assert out.shape == (3, 4, 5)
+        for b in range(3):
+            for h in range(4):
+                assert_array_equal(out[b, h], ad.weighted_row_sum(Value(wts[b, h]), Value(x[b])).data)
+
+    def test_last_axis_ops_match_per_row_bitwise(self):
+        gen = np.random.default_rng(42)
+        s = gen.normal(size=(3, 4, 9))
+        soft = ad.softmax_sharp(Value(s), 1.7).data
+        norm = ad.l2_normalize(Value(s)).data
+        for b in range(3):
+            for h in range(4):
+                assert_array_equal(soft[b, h], ad.softmax_sharp(Value(s[b, h]), 1.7).data)
+                assert_array_equal(norm[b, h], ad.l2_normalize(Value(s[b, h])).data)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ShapeError):
+            ad.row_dot(Value(np.ones((2, 3, 4))), Value(np.ones(4)))
+        with pytest.raises(ShapeError):
+            ad.row_dot(Value(np.ones((2, 3, 4))), Value(np.ones((2, 5))))
+        with pytest.raises(ShapeError):
+            ad.weighted_row_sum(Value(np.ones((2, 2, 3))), Value(np.ones((2, 4, 5))))
+        with pytest.raises(ShapeError):
+            ad.weighted_row_sum(Value(np.ones((3, 2, 3))), Value(np.ones((2, 3, 5))))
+        with pytest.raises(ShapeError):
+            ad.l2_normalize(Value(np.float64(2.0)))
+
+    def test_rank3_gradients_match_finite_differences(self):
+        """Multi-row gradients of every batched attention op, composed like a satt group."""
+        gen = rng(42)
+        x = leaf(gen, 2, 4, 3)
+        w = leaf(gen, 3, 3)
+        cot = Value(gen.normal(size=(2, 3, 3)))
+
+        def f():
+            weights = ad.softmax_sharp(ad.row_dot(x, w), 1.3)
+            return ad.sum_all(ad.mul(ad.l2_normalize(ad.weighted_row_sum(weights, x)), cot))
+
+        report = fd_check(f, [("x", x), ("w", w)])
+        assert report.passed, report.summary()
+
+
 class TestSoftmaxSharp:
     def test_matches_direct_formula(self):
         gen = np.random.default_rng(42)
@@ -193,7 +300,7 @@ class TestSoftmaxSharp:
         with pytest.raises(NumericError):
             ad.softmax_sharp(Value(np.array([1.0, np.inf])), 1.0)
         with pytest.raises(ShapeError):
-            ad.softmax_sharp(Value(np.ones((2, 2))), 1.0)
+            ad.softmax_sharp(Value(np.float64(1.0)), 1.0)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -453,6 +560,31 @@ class TestFdCheck:
         x = Value(np.array([2e-4]), requires_grad=True)
         report = fd_check(lambda: ad.sum_all(ad.relu(x)), [("x", x)], step=1e-3)
         assert not report.passed
+
+    def test_kink_crossing_marks_the_step_unfit(self):
+        """A step over a relu kink is the step's fault, so the sample is unfit."""
+        x = Value(np.array([2e-4, 0.5]), requires_grad=True)
+        report = fd_check(lambda: ad.sum_all(ad.relu(x)), [("x", x)], step=1e-3)
+        assert not report.passed
+        assert report.step_unfit
+
+    def test_truncation_error_marks_the_step_unfit(self):
+        """Strong curvature defeats central differences at this step, not the gradient."""
+        x = Value(np.array([0.01]), requires_grad=True)
+        report = fd_check(lambda: ad.sum_all(ad.mul(ad.mul(x, x), x)), [("x", x)], step=1e-3)
+        assert not report.passed
+        assert report.step_unfit
+
+    def test_wrong_gradient_is_not_blamed_on_the_step(self):
+        """A backward rule that is off by 1% fails, curvature and kinks or not."""
+        def bad_cube(v):
+            return ad._node(v.data ** 3, (v,), lambda g: (g * 3.03 * v.data ** 2,), "bad_cube")
+
+        for start in ([0.01], [0.7, -1.3]):
+            x = Value(np.array(start), requires_grad=True)
+            report = fd_check(lambda: ad.sum_all(bad_cube(x)), [("x", x)])
+            assert not report.passed
+            assert not report.step_unfit
 
     def test_restores_parameters_after_probing(self):
         x = Value(np.array([1.0, 2.0]), requires_grad=True)

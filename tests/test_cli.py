@@ -34,6 +34,24 @@ def workspace(tmp_path_factory):
     return {"root": root, "data": data, "run": run}
 
 
+@pytest.fixture(scope="module")
+def two_modality_runs(tmp_path_factory):
+    """One checkpoint per model trained on rgb+flow, plus an rgb-only dataset."""
+    root = tmp_path_factory.mktemp("two_modalities")
+    gen = SMALL_GEN[:SMALL_GEN.index("--modalities")]
+    assert main(["synthgen", "--out", str(root / "data"), *gen,
+                 "--modalities", "rgb:4,flow:3"]) == EXIT_OK
+    assert main(["synthgen", "--out", str(root / "rgb_only"), *gen,
+                 "--modalities", "rgb:4"]) == EXIT_OK
+    for model in ("satt", "txn", "meanpool"):
+        assert main(["train", "--train", str(root / "data" / "train.mmf"),
+                     "--val", str(root / "data" / "val.mmf"), "--out", str(root / model),
+                     "--model", model, "--epochs", "1", "--batch-size", "4",
+                     "--satt-heads", "2", "--txn-pad-len", "6", "--txn-segments", "3",
+                     "--txn-channels", "4", "--quiet"]) == EXIT_OK
+    return root
+
+
 class TestSynthgen:
     def test_writes_all_four_files(self, workspace, capsys):
         data = workspace["data"]
@@ -156,6 +174,16 @@ class TestEvalCommand:
         assert main(base + ["--out", str(single), "--threads", "1"]) == EXIT_OK
         assert main(base + ["--out", str(pooled), "--threads", "4"]) == EXIT_OK
         assert single.read_bytes() == pooled.read_bytes()
+
+    @pytest.mark.parametrize("model", ["satt", "txn", "meanpool"])
+    def test_data_missing_a_modality_exits_config(self, two_modality_runs, model, capsys):
+        """A checkpoint needing flow, scored on rgb-only data: exit 2, one line, no traceback."""
+        code = main(["eval", "--checkpoint", str(two_modality_runs / model / "checkpoint.ckpt"),
+                     "--data", str(two_modality_runs / "rgb_only" / "val.mmf")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("error:") and "flow" in err
+        assert "Traceback" not in err
 
     def test_missing_checkpoint_exits_io(self, workspace, tmp_path):
         data = workspace["data"]

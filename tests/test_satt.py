@@ -15,8 +15,10 @@ from seqcls.satt import (
     SattHeadParams,
     SattNetParams,
     attention_group_forward,
+    satt_forward_batch,
     satt_head_forward,
     satt_net_forward,
+    satt_representations,
 )
 
 
@@ -200,7 +202,7 @@ class TestSattNet:
         gen = rng(42)
         net = self.make_net(gen)
         seqs = self.seqs(rng(7))
-        f = lambda: ad.cross_entropy(ad.stack_rows([satt_net_forward(net, seqs)]), [1])
+        f = lambda: ad.cross_entropy(ad.stack([satt_net_forward(net, seqs)]), [1])
         report = fd_check(f, net.parameters())
         assert report.passed, report.summary()
 
@@ -221,6 +223,101 @@ class TestSattNet:
             for h in g.heads:
                 h.b.data[...] = gen.normal()
         seqs = self.seqs(rng(3))
-        backward(ad.cross_entropy(ad.stack_rows([satt_net_forward(net, seqs)]), [0]))
+        backward(ad.cross_entropy(ad.stack([satt_net_forward(net, seqs)]), [0]))
         for name, p in net.parameters():
             assert np.abs(p.grad).max() > 0.0, name
+
+
+def net_oracle(net, sequences):
+    """Plain-numpy logits for one video: heads, groups, classifier."""
+    reps = []
+    for g in net.groups:
+        x = sequences[g.config.modality]
+        heads = [head_oracle(x, h.w.data, float(h.a.data), float(h.b.data), g.config.alpha)[0]
+                 for h in g.heads]
+        v = np.concatenate(heads)
+        reps.append(v / max(np.linalg.norm(v), 1e-12))
+    return np.concatenate(reps) @ net.classifier_w.data + net.classifier_b.data
+
+
+class TestBatchedPath:
+    def make_net(self, gen):
+        configs = [AttentionGroupConfig(modality="rgb", feature_dim=4, num_heads=3, alpha=1.5),
+                   AttentionGroupConfig(modality="flow", feature_dim=3, num_heads=2, alpha=0.7)]
+        net = SattNetParams.init(configs, 5, gen)
+        for g in net.groups:
+            for h in g.heads:
+                h.a.data[...] = gen.uniform(0.5, 2.0)
+                h.b.data[...] = gen.normal()
+        net.classifier_b.data[...] = gen.normal(size=5)
+        return net
+
+    def ragged_batch(self, gen, n=9):
+        """Videos whose per-modality frame counts repeat out of order."""
+        batch = []
+        for _ in range(n):
+            t_rgb, t_flow = int(gen.choice([3, 6])), int(gen.choice([4, 7]))
+            batch.append({"rgb": gen.normal(size=(t_rgb, 4)), "flow": gen.normal(size=(t_flow, 3))})
+        return batch
+
+    @staticmethod
+    def values(sequences):
+        return {m: Value(x) for m, x in sequences.items()}
+
+    def test_ragged_representations_equal_per_video_bitwise(self):
+        """Grouping by frame counts changes no bit of any video's representation."""
+        gen = rng(42)
+        net = self.make_net(gen)
+        batch = self.ragged_batch(gen)
+        assert len({(s["rgb"].shape[0], s["flow"].shape[0]) for s in batch}) > 1
+        reps = satt_representations(net, [self.values(s) for s in batch]).data
+        for i, s in enumerate(batch):
+            single = satt_representations(net, [self.values(s)]).data
+            assert_array_equal(reps[i], single[0])
+
+    def test_group_rows_match_attention_group_forward_bitwise(self):
+        gen = rng(7)
+        net = self.make_net(gen)
+        batch = self.ragged_batch(gen, n=5)
+        reps = satt_representations(net, [self.values(s) for s in batch]).data
+        for i, s in enumerate(batch):
+            expected = np.concatenate([attention_group_forward(g, Value(s[g.config.modality])).data
+                                       for g in net.groups])
+            assert_array_equal(reps[i], expected)
+
+    def test_logits_match_numpy_oracle(self):
+        gen = rng(42)
+        for _ in range(5):
+            net = self.make_net(gen)
+            batch = self.ragged_batch(gen)
+            logits = satt_forward_batch(net, [self.values(s) for s in batch]).data
+            assert logits.shape == (len(batch), 5)
+            for i, s in enumerate(batch):
+                assert_allclose(logits[i], net_oracle(net, s), rtol=1e-12, atol=1e-12)
+
+    def test_single_video_is_a_batch_of_one(self):
+        gen = rng(3)
+        net = self.make_net(gen)
+        s = self.values(self.ragged_batch(gen, n=1)[0])
+        assert_array_equal(satt_net_forward(net, s).data, satt_forward_batch(net, [s]).data[0])
+
+    def test_ragged_batch_gradients_match_finite_differences(self):
+        """The regrouped rows route their gradients back to the right videos."""
+        gen = rng(11)
+        net = self.make_net(gen)
+        batch = [self.values(s) for s in self.ragged_batch(gen, n=5)]
+        labels = [int(v) for v in gen.integers(0, 5, size=5)]
+        f = lambda: ad.cross_entropy(satt_forward_batch(net, batch), labels)
+        report = fd_check(f, net.parameters())
+        assert report.passed, report.summary()
+
+    def test_missing_modality_or_bad_dim_rejected(self):
+        gen = rng(42)
+        net = self.make_net(gen)
+        good = self.values(self.ragged_batch(gen, n=1)[0])
+        with pytest.raises(ShapeError):
+            satt_forward_batch(net, [good, {"rgb": good["rgb"]}])
+        with pytest.raises(ShapeError):
+            satt_forward_batch(net, [{"rgb": good["rgb"], "flow": Value(np.ones((4, 5)))}])
+        with pytest.raises(ShapeError):
+            satt_forward_batch(net, [])

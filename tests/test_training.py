@@ -7,9 +7,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from seqcls.autodiff import Value, cross_entropy, rng, zero_grads
-from seqcls.data import SynthConfig, modality_dims, synth_generate, write_mmf
+from seqcls.data import FeatureSequence, SynthConfig, VideoSample, modality_dims, synth_generate, write_mmf
 from seqcls.errors import ConfigError, DataError
+from seqcls.fusion import softmax_scores, write_scores
+from seqcls.satt import satt_net_forward
 from seqcls.training import (
+    EVAL_CHUNK,
     MODELS,
     Adam,
     SgdMomentum,
@@ -235,6 +238,39 @@ class TestEvaluate:
         pooled = evaluate(model, params, val, threads=4)
         for vid in single.rows:
             assert_array_equal(pooled.rows[vid], single.rows[vid])
+
+    @staticmethod
+    def ragged_set(count):
+        """Two-modality videos whose frame counts vary independently."""
+        gen = rng(99)
+        return [VideoSample(f"v{i:03d}", i % 3,
+                            [FeatureSequence("rgb", gen.normal(size=(int(gen.integers(2, 6)), 4))),
+                             FeatureSequence("flow", gen.normal(size=(int(gen.integers(3, 5)), 3)))])
+                for i in range(count)]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_ragged_chunks_are_byte_identical_across_threads(self, model, tmp_path):
+        """A set that is not a whole number of chunks scores the same at 1 and 3 threads."""
+        samples = self.ragged_set(2 * EVAL_CHUNK + 5)
+        cfg = small_cfg(model=model, txn_pad_len=5, txn_segments=2)
+        params = build_model(model, [("rgb", 4), ("flow", 3)], 3, model_kwargs(cfg), rng(8))
+        paths = []
+        for threads in (1, 3):
+            paths.append(tmp_path / f"t{threads}.csv")
+            write_scores(paths[-1], evaluate(model, params, samples, threads=threads))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(paths[0].read_text().splitlines()) == len(samples) + 1
+
+    def test_satt_chunks_agree_with_per_video_scores(self):
+        samples = self.ragged_set(EVAL_CHUNK + 3)
+        params = build_model("satt", [("rgb", 4), ("flow", 3)], 3,
+                             model_kwargs(small_cfg()), rng(8))
+        table = evaluate("satt", params, samples)
+        assert list(table.rows) == [s.video_id for s in samples]
+        for s in samples:
+            logits = satt_net_forward(params, {m: Value(f) for m, f in s.by_modality().items()})
+            assert_allclose(table.rows[s.video_id], softmax_scores(logits.data),
+                            rtol=1e-12, atol=1e-15)
 
     def test_empty_input_rejected(self):
         params = build_model("meanpool", [("m", 4)], 3, {}, rng(0))

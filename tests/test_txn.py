@@ -203,8 +203,8 @@ class TestTxnNet:
         batch = [self.seqs(rng(i)) for i in range(3)]
         txn_forward_batch(net, batch, mode="train")
         for s in net.streams:
-            stacked = ad.stack_mats([ad.zero_pad_time(seqs[s.config.modality], s.config.pad_len)
-                                     for seqs in batch])
+            stacked = ad.stack([ad.zero_pad_time(seqs[s.config.modality], s.config.pad_len)
+                                for seqs in batch])
             h = ad.adaptive_max_pool1d(stacked, s.config.num_segments)
             h = ad.pointwise_conv1d(h, s.entry_w, s.entry_b)
             layer = s.blocks[0].layers[0]
