@@ -69,14 +69,6 @@ class Value:
         self._kink_side = None
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
@@ -85,28 +77,6 @@ class Value:
     def zero_grad(self) -> None:
         if self._grad is not None:
             self._grad[...] = 0.0
-
-    def backward(self) -> None:
-        backward(self)
-
-    def __repr__(self) -> str:
-        return f"Value(op={self._op}, shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_lift(other), -1.0))
 
 
 def _lift(x) -> Value:
@@ -276,17 +246,6 @@ def relu(x) -> Value:
                  kink_margin=np.abs(x.data).min(), kink_side=mask)
 
 
-def transpose(x) -> Value:
-    x = _lift(x)
-    if x.data.ndim != 2:
-        raise ShapeError("transpose expects a rank-2 value")
-
-    def grad_fn(g):
-        return (g.T.copy(),)
-
-    return _node(x.data.T.copy(), (x,), grad_fn, "transpose")
-
-
 def reshape(x, shape: tuple[int, ...]) -> Value:
     x = _lift(x)
     if int(np.prod(shape)) != x.data.size:
@@ -369,68 +328,47 @@ def matmul(a, b) -> Value:
 
 
 def affine(x, w, b) -> Value:
-    """x @ w + b for a single vector (rank 1) or a batch of rows (rank 2)."""
-    x = _lift(x)
-    if x.data.ndim == 1:
-        w = _lift(w)
-        row = reshape(x, (1, x.data.shape[0]))
-        return add(reshape(matmul(row, w), (w.data.shape[1],)), b)
+    """x @ w + b for a batch of rows x [B x D_in]."""
     return add(matmul(x, w), b)
 
 
 def row_dot(x, w) -> Value:
     """Score every frame against every head vector.
 
-    x [B x T x D] . w [H x D] -> [B x H x T]; the unbatched form
-    x [T x D] . w [D] -> [T] is the B = H = 1 case.  Each score is its own
-    sum over D, so it never depends on the other frames or heads.
+    x [B x T x D] . w [H x D] -> [B x H x T].  Each score is its own sum
+    over D, so it never depends on the other frames or heads.  One sequence
+    against one vector, x [T x D] . w [D] -> [T], is the B = H = 1 case.
     """
     x, w = _lift(x), _lift(w)
-    batched = x.data.ndim == 3 and w.data.ndim == 2
-    if not (batched or (x.data.ndim == 2 and w.data.ndim == 1)) \
-            or x.data.shape[-1] != w.data.shape[-1]:
+    if x.data.ndim == 2 and w.data.ndim == 1:
+        t, d = x.data.shape
+        return reshape(row_dot(reshape(x, (1, t, d)), reshape(w, (1, d))), (t,))
+    if x.data.ndim != 3 or w.data.ndim != 2 or x.data.shape[2] != w.data.shape[1]:
         raise ShapeError(f"row_dot shapes disagree: {x.data.shape} x {w.data.shape}")
-    xs = x.data if batched else x.data[None]
-    ws = w.data if batched else w.data[None]
-    out = np.sum(xs[:, None, :, :] * ws[None, :, None, :], axis=-1)
+    out = np.sum(x.data[:, None, :, :] * w.data[None, :, None, :], axis=-1)
 
     def grad_fn(g):
-        gs = g if batched else g[None, None]
-        gx = np.matmul(gs.transpose(0, 2, 1), ws)
-        gw = np.matmul(gs, xs).sum(axis=0)
-        return gx.reshape(x.data.shape), gw.reshape(w.data.shape)
+        return np.matmul(g.transpose(0, 2, 1), w.data), np.matmul(g, x.data).sum(axis=0)
 
-    return _node(out.reshape(x.data.shape[:-2] + w.data.shape[:-1] + x.data.shape[-2:-1]),
-                 (x, w), grad_fn, "row_dot")
+    return _node(out, (x, w), grad_fn, "row_dot")
 
 
 def weighted_row_sum(weights, x) -> Value:
     """Pool frames with per-head weights, summing over t in canonical order.
 
     weights [B x H x T], x [B x T x D] -> [B x H x D], where
-    out[b, h] = sum_t weights[b, h, t] * x[b, t]; the unbatched form
-    weights [T], x [T x D] -> [D] is the B = H = 1 case.
+    out[b, h] = sum_t weights[b, h, t] * x[b, t].
     """
     weights, x = _lift(weights), _lift(x)
     wd, xd = weights.data, x.data
-    batched = wd.ndim == 3 and xd.ndim == 3
-    if batched:
-        ok = wd.shape[0] == xd.shape[0] and wd.shape[2] == xd.shape[1]
-    else:
-        ok = wd.ndim == 1 and xd.ndim == 2 and wd.shape[0] == xd.shape[0]
-    if not ok:
+    if wd.ndim != 3 or xd.ndim != 3 or wd.shape[0] != xd.shape[0] or wd.shape[2] != xd.shape[1]:
         raise ShapeError(f"weighted_row_sum shapes disagree: {wd.shape} x {xd.shape}")
-    ws = wd if batched else wd[None, None]
-    xs = xd if batched else xd[None]
-    out = _ordersum(xs[:, None, :, :] * ws[..., None], axis=-2)
+    out = _ordersum(xd[:, None, :, :] * wd[..., None], axis=-2)
 
     def grad_fn(g):
-        gs = g if batched else g[None, None]
-        gw = np.matmul(gs, xs.transpose(0, 2, 1))
-        gx = np.matmul(ws.transpose(0, 2, 1), gs)
-        return gw.reshape(wd.shape), gx.reshape(xd.shape)
+        return np.matmul(g, xd.transpose(0, 2, 1)), np.matmul(wd.transpose(0, 2, 1), g)
 
-    return _node(out if batched else out[0, 0], (weights, x), grad_fn, "weighted_row_sum")
+    return _node(out, (weights, x), grad_fn, "weighted_row_sum")
 
 
 # ---------------------------------------------------------------------------

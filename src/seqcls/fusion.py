@@ -5,6 +5,9 @@ Late fusion combines the tables of several models with convex weights; it
 is written in delta form, ``p0 + sum_i w_i * (p_i - p0)``, which equals
 the weighted average exactly in real arithmetic and returns a table
 unchanged, bit for bit, when every input table agrees.
+
+The mean-pool baseline has the heads' model interface (``training.MODELS``);
+it takes frame means in NumPy and scores a batch with one affine map.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, ShapeError
 
 WEIGHT_SUM_TOL = 1e-9
 PROB_SUM_TOL = 1e-6
@@ -33,6 +36,8 @@ class ScoreTable:
         if probs.shape != (self.num_classes,):
             raise DataError(
                 f"video {video_id!r}: expected {self.num_classes} scores, got {probs.shape}")
+        if not np.all(np.isfinite(probs)):
+            raise DataError(f"video {video_id!r}: scores must be finite")
         if probs.min() < 0.0 or probs.max() > 1.0:
             raise DataError(f"video {video_id!r}: scores must lie in [0, 1]")
         if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
@@ -81,14 +86,6 @@ def late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
             p += w * (t.rows[vid] - first.rows[vid])
         fused.rows[vid] = np.clip(p, 0.0, 1.0)
     return fused
-
-
-def ensemble(tables: list[ScoreTable]) -> ScoreTable:
-    """Uniformly weighted late fusion."""
-    if not tables:
-        raise ConfigError("ensemble requires at least one table")
-    n = len(tables)
-    return late_fuse(tables, [1.0 / n] * n)
 
 
 def top_k_accuracy(table: ScoreTable, labels: dict[str, int], k: int) -> float:
@@ -170,6 +167,9 @@ class MeanPoolParams:
     classifier_b: Value
     num_classes: int
 
+    # the baseline has no architecture knobs
+    CONFIG_FIELDS = {}
+
     @classmethod
     def init(cls, modalities: list[tuple[str, int]], num_classes: int,
              gen: np.random.Generator) -> "MeanPoolParams":
@@ -184,20 +184,37 @@ class MeanPoolParams:
                    classifier_b=Value(np.zeros(num_classes), requires_grad=True),
                    num_classes=num_classes)
 
+    @classmethod
+    def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,
+                    gen: np.random.Generator) -> "MeanPoolParams":
+        return cls.init(modalities, num_classes, gen)
+
+    def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
+        """Logits [B x K]; the baseline has no train-only behaviour, so mode is unused."""
+        return mean_pool_forward(self, batch)
+
     def parameters(self) -> list[tuple[str, Value]]:
         return [("classifier.w", self.classifier_w), ("classifier.b", self.classifier_b)]
 
+    def buffers(self) -> list[tuple[str, np.ndarray]]:
+        return []
 
-def mean_pool_forward(params: MeanPoolParams, sequences: dict[str, Value]) -> Value:
-    """Logits [K] from the per-modality frame means of one video."""
-    reps = []
-    for name, dim in params.modalities:
-        if name not in sequences:
-            raise DataError(f"missing sequence for modality {name!r}")
-        x = sequences[name]
-        if x.data.shape[1] != dim:
-            raise DataError(f"modality {name!r} dim {x.data.shape[1]}, expected {dim}")
-        t = x.data.shape[0]
-        uniform = Value(np.full(t, 1.0 / t))
-        reps.append(ad.weighted_row_sum(uniform, x))
-    return ad.affine(ad.concat(reps, axis=0), params.classifier_w, params.classifier_b)
+
+def mean_pool_forward(params: MeanPoolParams, batch: list[dict[str, Value]]) -> Value:
+    """Logits [B x K] from the concatenated per-modality frame means of each video.
+
+    The sequences are graph constants, so the means are NumPy; each sums the
+    1/T-scaled frames in sorted order, bit-identical under frame reordering.
+    """
+    rows = []
+    for sequences in batch:
+        means = []
+        for name, dim in params.modalities:
+            if name not in sequences:
+                raise ShapeError(f"missing sequence for modality {name!r}")
+            x = sequences[name].data
+            if x.ndim != 2 or x.shape[1] != dim:
+                raise ShapeError(f"modality {name!r} sequence shape {x.shape}, expected [T x {dim}]")
+            means.append(np.sort(x * (1.0 / x.shape[0]), axis=0).sum(axis=0))
+        rows.append(np.concatenate(means))
+    return ad.affine(Value(np.stack(rows)), params.classifier_w, params.classifier_b)

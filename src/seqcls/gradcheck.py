@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import BnState, FdReport, Value, min_kink_margin, rng
 from .errors import ConfigError, NumericError
 from .satt import AttentionGroupConfig, SattHeadParams, SattNetParams, satt_head_forward, satt_net_forward
-from .txn import TxnBlockParams, TxnParams, TxnStreamConfig, txn_block_forward, txn_forward
+from .txn import TxnBlockParams, TxnParams, TxnStreamConfig, named_parameters, txn_block_forward, txn_forward
 
 MARGIN_MIN = 1e-3
 MAX_RESAMPLE = 200
@@ -72,11 +72,6 @@ def _case_relu(gen):
     return _scalarized(gen, lambda: ad.relu(x)), [("x", x)]
 
 
-def _case_transpose(gen):
-    x = _param(gen, 3, 4)
-    return _scalarized(gen, lambda: ad.transpose(x)), [("x", x)]
-
-
 def _case_reshape(gen):
     x = _param(gen, 2, 6)
     return _scalarized(gen, lambda: ad.reshape(x, (3, 4))), [("x", x)]
@@ -93,7 +88,7 @@ def _case_matmul(gen):
 
 
 def _case_affine(gen):
-    x, w, b = _param(gen, 5), _param(gen, 5, 3), _param(gen, 3)
+    x, w, b = _param(gen, 2, 5), _param(gen, 5, 3), _param(gen, 3)
     return _scalarized(gen, lambda: ad.affine(x, w, b)), [("x", x), ("w", w), ("b", b)]
 
 
@@ -198,14 +193,7 @@ def _case_txn_block(gen):
     block = TxnBlockParams.init(channels=4, kernel_size=3, gen=gen)
     x = _param(gen, 6, 4)
     fwd = _scalarized(gen, lambda: txn_block_forward(block, x, mode="train"))
-    named = [("x", x)]
-    for li, layer in enumerate(block.layers):
-        named += [(f"layer{li}.depthwise", layer.depthwise),
-                  (f"layer{li}.pointwise_w", layer.pointwise_w),
-                  (f"layer{li}.pointwise_b", layer.pointwise_b),
-                  (f"layer{li}.bn_gamma", layer.bn_gamma),
-                  (f"layer{li}.bn_beta", layer.bn_beta)]
-    return fwd, named
+    return fwd, [("x", x)] + named_parameters(block)
 
 
 def _case_txn_net(gen):
@@ -219,34 +207,9 @@ def _case_txn_net(gen):
     return _scalarized(gen, lambda: txn_forward(net, seqs, mode="infer")), net.parameters()
 
 
-CASES = {
-    "add": _case_add,
-    "mul": _case_mul,
-    "sum_all": _case_sum_all,
-    "relu": _case_relu,
-    "transpose": _case_transpose,
-    "reshape": _case_reshape,
-    "concat": _case_concat,
-    "matmul": _case_matmul,
-    "affine": _case_affine,
-    "row_dot": _case_row_dot,
-    "weighted_row_sum": _case_weighted_row_sum,
-    "stack": _case_stack,
-    "softmax_sharp": _case_softmax_sharp,
-    "l2_normalize": _case_l2_normalize,
-    "zero_pad_time": _case_zero_pad_time,
-    "adaptive_max_pool1d": _case_adaptive_max_pool1d,
-    "global_max_pool_time": _case_global_max_pool_time,
-    "depthwise_conv1d": _case_depthwise_conv1d,
-    "pointwise_conv1d": _case_pointwise_conv1d,
-    "batch_norm_train": _case_batch_norm_train,
-    "batch_norm_infer": _case_batch_norm_infer,
-    "cross_entropy": _case_cross_entropy,
-    "satt_head": _case_satt_head,
-    "satt_net": _case_satt_net,
-    "txn_block": _case_txn_block,
-    "txn_net": _case_txn_net,
-}
+# every _case_<name> builder above, under <name>
+CASES = {name.removeprefix("_case_"): build for name, build in globals().items()
+         if name.startswith("_case_")}
 
 
 def case_names() -> list[str]:

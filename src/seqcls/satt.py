@@ -50,9 +50,6 @@ class SattHeadParams:
                    a=Value(1.0, requires_grad=True),
                    b=Value(0.0, requires_grad=True))
 
-    def parameters(self) -> list[Value]:
-        return [self.w, self.a, self.b]
-
 
 def _stack_heads(heads: list[SattHeadParams]) -> tuple[Value, Value, Value]:
     """The heads' vectors as w [H x D] and their scalars as a, b [H x 1]."""
@@ -119,20 +116,9 @@ class AttentionGroupParams:
         heads = [SattHeadParams.init(config.feature_dim, gen) for _ in range(config.num_heads)]
         return cls(config=config, heads=heads)
 
-    def parameters(self) -> list[Value]:
-        return [p for h in self.heads for p in h.parameters()]
-
     @property
     def output_dim(self) -> int:
         return self.config.num_heads * self.config.feature_dim
-
-
-def attention_group_forward(params: AttentionGroupParams, x: Value) -> Value:
-    """Concatenate the group's head outputs for one sequence and unit-normalize them."""
-    cfg = params.config
-    _check_sequence(x, cfg.feature_dim, f"group {cfg.modality!r}")
-    out = _group_block(ad.reshape(x, (1,) + x.data.shape), _stack_heads(params.heads), cfg.alpha)
-    return ad.reshape(out, (params.output_dim,))
 
 
 @dataclass
@@ -143,6 +129,10 @@ class SattNetParams:
     classifier_w: Value
     classifier_b: Value
     num_classes: int
+
+    # checkpoint model_kwargs key -> the training config field it is taken
+    # from; unannotated, so a class attribute rather than a dataclass field
+    CONFIG_FIELDS = {"num_heads": "satt_heads", "alpha": "satt_alpha"}
 
     @classmethod
     def init(cls, group_configs: list[AttentionGroupConfig], num_classes: int,
@@ -162,6 +152,16 @@ class SattNetParams:
                    classifier_b=Value(np.zeros(num_classes), requires_grad=True),
                    num_classes=num_classes)
 
+    @classmethod
+    def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,
+                    gen: np.random.Generator) -> "SattNetParams":
+        return cls.init([AttentionGroupConfig(m, d, int(kwargs["num_heads"]), float(kwargs["alpha"]))
+                         for m, d in modalities], num_classes, gen)
+
+    def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
+        """Logits [B x K]; attention has no train-only behaviour, so mode is unused."""
+        return satt_forward_batch(self, batch)
+
     def parameters(self) -> list[tuple[str, Value]]:
         named: list[tuple[str, Value]] = []
         for g in self.groups:
@@ -170,6 +170,13 @@ class SattNetParams:
                 named += [(f"{base}.w", h.w), (f"{base}.a", h.a), (f"{base}.b", h.b)]
         named += [("classifier.w", self.classifier_w), ("classifier.b", self.classifier_b)]
         return named
+
+    def buffers(self) -> list[tuple[str, np.ndarray]]:
+        return []
+
+    @property
+    def modalities(self) -> list[tuple[str, int]]:
+        return [(g.config.modality, g.config.feature_dim) for g in self.groups]
 
 
 def _frame_counts(params: SattNetParams, sequences: dict[str, Value]) -> tuple[int, ...]:

@@ -7,6 +7,13 @@ the parameters of the best top-1 epoch (earliest epoch wins ties).  All
 randomness flows through explicit integer seeds, so reruns of the same
 configuration produce byte-identical metrics, scores, and checkpoints.
 
+Models are reached only through ``MODELS``, a table from model name to
+parameter class; a new head is one new entry.  Each class provides
+``CONFIG_FIELDS`` (checkpoint ``model_kwargs`` key -> ``TrainConfig``
+field), ``from_kwargs``, ``forward_batch`` (sequence dicts [B] -> logits
+[B x K], one graph), named ``parameters()`` and ``buffers()`` (only txn has
+buffers: its batch-norm statistics), and its ``(modality, dim)`` list.
+
 Wall-clock time is reported on the in-memory result only; it never enters
 any serialized artifact.
 """
@@ -30,11 +37,11 @@ from .data import (
     write_checkpoint,
 )
 from .errors import ConfigError, DataError
-from .fusion import MeanPoolParams, ScoreTable, mean_pool_forward, softmax_scores, top_k_accuracy
-from .satt import AttentionGroupConfig, SattNetParams, satt_forward_batch
-from .txn import TxnParams, TxnStreamConfig, txn_forward_batch
+from .fusion import MeanPoolParams, ScoreTable, softmax_scores, top_k_accuracy
+from .satt import SattNetParams
+from .txn import TxnParams
 
-MODELS = ("satt", "txn", "meanpool")
+MODELS = {"satt": SattNetParams, "txn": TxnParams, "meanpool": MeanPoolParams}
 OPTIMIZERS = ("sgd", "adam")
 # videos per forward graph in evaluate: near the training batch size, which
 # amortizes per-op overhead while keeping the chunk's arrays small
@@ -67,7 +74,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
+            raise ConfigError(f"unknown model {self.model!r}, expected one of {tuple(MODELS)}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
         if self.lr < 0.0:
@@ -143,92 +150,63 @@ def make_optimizer(cfg: TrainConfig):
 
 
 # ---------------------------------------------------------------------------
-# model dispatch
+# models
 # ---------------------------------------------------------------------------
 
 
 def model_kwargs(cfg: TrainConfig) -> dict:
     """The architecture knobs that must survive a checkpoint round trip."""
-    if cfg.model == "satt":
-        return {"num_heads": cfg.satt_heads, "alpha": cfg.satt_alpha}
-    if cfg.model == "txn":
-        return {"pad_len": cfg.txn_pad_len, "num_segments": cfg.txn_segments,
-                "kernel_size": cfg.txn_kernel, "block_channels": cfg.txn_channels,
-                "num_blocks": cfg.txn_blocks}
-    return {}
+    return {key: getattr(cfg, field_name)
+            for key, field_name in MODELS[cfg.model].CONFIG_FIELDS.items()}
 
 
 def build_model(model: str, modalities: list[tuple[str, int]], num_classes: int,
                 kwargs: dict, gen: np.random.Generator):
-    if model == "satt":
-        configs = [AttentionGroupConfig(modality=m, feature_dim=d,
-                                        num_heads=int(kwargs["num_heads"]),
-                                        alpha=float(kwargs["alpha"]))
-                   for m, d in modalities]
-        return SattNetParams.init(configs, num_classes, gen)
-    if model == "txn":
-        configs = [TxnStreamConfig(modality=m, feature_dim=d,
-                                   pad_len=int(kwargs["pad_len"]),
-                                   num_segments=int(kwargs["num_segments"]),
-                                   kernel_size=int(kwargs["kernel_size"]),
-                                   block_channels=int(kwargs["block_channels"]),
-                                   num_blocks=int(kwargs["num_blocks"]))
-                   for m, d in modalities]
-        return TxnParams.init(configs, num_classes, gen)
-    if model == "meanpool":
-        return MeanPoolParams.init(modalities, num_classes, gen)
-    raise ConfigError(f"unknown model {model!r}")
+    cls = MODELS.get(model)
+    if cls is None:
+        raise ConfigError(f"unknown model {model!r}, expected one of {tuple(MODELS)}")
+    missing = sorted(set(cls.CONFIG_FIELDS) - set(kwargs))
+    unknown = sorted(set(kwargs) - set(cls.CONFIG_FIELDS))
+    if missing or unknown:
+        raise DataError(f"{model} model_kwargs: missing {missing}, unknown {unknown}")
+    if not all(isinstance(v, (int, float)) for v in kwargs.values()):
+        raise DataError(f"{model} model_kwargs must be numbers, got {kwargs}")
+    return cls.from_kwargs(modalities, num_classes, kwargs, gen)
 
 
 def batch_logits(model: str, params, batch: list[VideoSample], mode: str) -> Value:
-    """Logits [B x K] in batch order, from one forward graph for the batch.
-
-    satt runs each group of equal-length videos as one block; txn runs the
-    padded batch so BN statistics span it; meanpool stacks per-video logits.
-    """
+    """Logits [B x K] in batch order, from one forward graph for the batch."""
     seqs = [{m: Value(f) for m, f in s.by_modality().items()} for s in batch]
-    if model == "satt":
-        return satt_forward_batch(params, seqs)
-    if model == "txn":
-        return txn_forward_batch(params, seqs, mode)
-    if model == "meanpool":
-        return ad.stack([mean_pool_forward(params, s) for s in seqs])
-    raise ConfigError(f"unknown model {model!r}")
+    return MODELS[model].forward_batch(params, seqs, mode)
 
 
 def snapshot_arrays(params) -> dict[str, np.ndarray]:
     arrays = {name: v.data.copy() for name, v in params.parameters()}
-    if hasattr(params, "buffers"):
-        arrays.update({name: buf.copy() for name, buf in params.buffers()})
+    arrays.update({name: buf.copy() for name, buf in params.buffers()})
     return arrays
 
 
 def restore_arrays(params, arrays: dict[str, np.ndarray]) -> None:
-    expected = [name for name, _ in params.parameters()]
-    if hasattr(params, "buffers"):
-        expected += [name for name, _ in params.buffers()]
+    targets = [(name, v.data) for name, v in params.parameters()] + params.buffers()
+    expected = [name for name, _ in targets]
     missing = [n for n in expected if n not in arrays]
     extra = [n for n in arrays if n not in expected]
     if missing or extra:
         raise DataError(f"checkpoint arrays mismatch: missing={missing} extra={extra}")
-    targets = dict(params.parameters())
-    for name, v in targets.items():
-        if arrays[name].shape != v.data.shape:
+    for name, target in targets:
+        if arrays[name].shape != target.shape:
             raise DataError(f"array {name!r} shape {arrays[name].shape}, "
-                            f"expected {v.data.shape}")
-        v.data[...] = arrays[name]
-    if hasattr(params, "buffers"):
-        for name, buf in params.buffers():
-            if arrays[name].shape != buf.shape:
-                raise DataError(f"buffer {name!r} shape {arrays[name].shape}, "
-                                f"expected {buf.shape}")
-            buf[...] = arrays[name]
+                            f"expected {target.shape}")
+        if not np.all(np.isfinite(arrays[name])):
+            raise DataError(f"array {name!r} holds non-finite values")
+    for name, target in targets:
+        target[...] = arrays[name]
 
 
 def save_model(path, model: str, params, kwargs: dict, meta_extra: dict | None = None) -> None:
     meta = {"model": model,
             "num_classes": params.num_classes,
-            "modalities": _model_modalities(model, params),
+            "modalities": params.modalities,
             "model_kwargs": kwargs}
     if meta_extra:
         meta.update(meta_extra)
@@ -249,14 +227,6 @@ def load_model(path):
                          meta["model_kwargs"], rng(0))
     restore_arrays(params, arrays)
     return model, params, meta
-
-
-def _model_modalities(model: str, params) -> list[list]:
-    if model == "satt":
-        return [[g.config.modality, g.config.feature_dim] for g in params.groups]
-    if model == "txn":
-        return [[s.config.modality, s.config.feature_dim] for s in params.streams]
-    return [[m, d] for m, d in params.modalities]
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +312,6 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 
 
-def _labels_of(samples: list[VideoSample]) -> dict[str, int]:
-    return {s.video_id: s.label for s in samples}
-
-
 def train(cfg: TrainConfig, train_samples: list[VideoSample],
           val_samples: list[VideoSample], progress=None) -> TrainResult:
     started = time.perf_counter()
@@ -364,7 +330,7 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
     params = build_model(cfg.model, modalities, num_classes, kwargs, rng(cfg.seed))
     named = params.parameters()
     optimizer = make_optimizer(cfg)
-    val_labels = _labels_of(val_samples)
+    val_labels = {s.video_id: s.label for s in val_samples}
     top_k = min(5, num_classes)
 
     history: list[EpochMetrics] = []

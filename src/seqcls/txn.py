@@ -7,10 +7,12 @@ temporal conv, pointwise channel mix, batch norm, relu).  A global
 temporal max pool reduces each stream to a vector; streams are
 concatenated and classified with an affine map.
 
-Batch norm statistics pool every position the layer sees: the segment axis
-for a single video, batch x segments for a batched forward.  Training goes
-through ``txn_forward_batch`` so each optimizer step folds exactly one
-batch-level statistic into the running averages.
+Every forward is batched: ``txn_forward_batch`` pads each video to the
+clip length and runs each stream once over the stacked [B x T x D] batch,
+so batch norm pools every batch x segment position and each training step
+folds exactly one batch statistic into the running averages.
+``txn_forward`` is its B = 1 call.  One walker names the parameters and
+batch-norm buffers, in checkpoint order.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BnState, Value
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass
@@ -74,9 +76,6 @@ class SepConvParams:
                    bn_beta=Value(np.zeros(channels), requires_grad=True),
                    bn_state=BnState.fresh(channels))
 
-    def parameters(self) -> list[Value]:
-        return [self.depthwise, self.pointwise_w, self.pointwise_b, self.bn_gamma, self.bn_beta]
-
 
 def sep_conv_forward(params: SepConvParams, x: Value, mode: str) -> Value:
     h = ad.depthwise_conv1d(x, params.depthwise)
@@ -94,9 +93,6 @@ class TxnBlockParams:
     @classmethod
     def init(cls, channels: int, kernel_size: int, gen: np.random.Generator) -> "TxnBlockParams":
         return cls(layers=[SepConvParams.init(channels, kernel_size, gen) for _ in range(2)])
-
-    def parameters(self) -> list[Value]:
-        return [p for layer in self.layers for p in layer.parameters()]
 
 
 def txn_block_forward(params: TxnBlockParams, x: Value, mode: str) -> Value:
@@ -124,23 +120,15 @@ class TxnStreamParams:
                    entry_b=Value(np.zeros(config.block_channels), requires_grad=True),
                    blocks=blocks)
 
-    def parameters(self) -> list[Value]:
-        return [self.entry_w, self.entry_b] + [p for b in self.blocks for p in b.parameters()]
-
-    def bn_states(self) -> list[BnState]:
-        return [layer.bn_state for b in self.blocks for layer in b.layers]
-
 
 def txn_stream_forward(params: TxnStreamParams, x: Value, mode: str) -> Value:
-    """Reduce sequences to stream vectors: [T x D] -> [C], [B x T x D] -> [B x C]."""
+    """Reduce a batch of sequences [B x T x D] to stream vectors [B x C]."""
     cfg = params.config
-    if x.data.ndim not in (2, 3):
-        raise ShapeError("txn stream expects [T x D] or [B x T x D] sequences")
-    if x.data.shape[-1] != cfg.feature_dim:
+    if x.data.ndim != 3:
+        raise ShapeError("txn stream expects a batch of sequences [B x T x D]")
+    if x.data.shape[2] != cfg.feature_dim:
         raise ShapeError(
-            f"sequence dim {x.data.shape[-1]} does not match stream dim {cfg.feature_dim}")
-    if x.data.shape[-2] < 1:
-        raise DataError("txn stream needs at least one frame")
+            f"sequence dim {x.data.shape[2]} does not match stream dim {cfg.feature_dim}")
     h = ad.zero_pad_time(x, cfg.pad_len)
     h = ad.adaptive_max_pool1d(h, cfg.num_segments)
     h = ad.pointwise_conv1d(h, params.entry_w, params.entry_b)
@@ -157,6 +145,11 @@ class TxnParams:
     classifier_w: Value
     classifier_b: Value
     num_classes: int
+
+    # checkpoint model_kwargs key -> the training config field it is taken from
+    CONFIG_FIELDS = {
+        "pad_len": "txn_pad_len", "num_segments": "txn_segments", "kernel_size": "txn_kernel",
+        "block_channels": "txn_channels", "num_blocks": "txn_blocks"}
 
     @classmethod
     def init(cls, stream_configs: list[TxnStreamConfig], num_classes: int,
@@ -176,43 +169,56 @@ class TxnParams:
                    classifier_b=Value(np.zeros(num_classes), requires_grad=True),
                    num_classes=num_classes)
 
+    @classmethod
+    def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,
+                    gen: np.random.Generator) -> "TxnParams":
+        shape = {key: int(kwargs[key]) for key in cls.CONFIG_FIELDS}
+        return cls.init([TxnStreamConfig(modality=m, feature_dim=d, **shape)
+                         for m, d in modalities], num_classes, gen)
+
+    def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
+        return txn_forward_batch(self, batch, mode)
+
     def parameters(self) -> list[tuple[str, Value]]:
-        named: list[tuple[str, Value]] = []
-        for s in self.streams:
-            base = f"stream.{s.config.modality}"
-            named += [(f"{base}.entry_w", s.entry_w), (f"{base}.entry_b", s.entry_b)]
-            for bi, block in enumerate(s.blocks):
-                for li, layer in enumerate(block.layers):
-                    lbase = f"{base}.block{bi}.layer{li}"
-                    named += [(f"{lbase}.depthwise", layer.depthwise),
-                              (f"{lbase}.pointwise_w", layer.pointwise_w),
-                              (f"{lbase}.pointwise_b", layer.pointwise_b),
-                              (f"{lbase}.bn_gamma", layer.bn_gamma),
-                              (f"{lbase}.bn_beta", layer.bn_beta)]
-        named += [("classifier.w", self.classifier_w), ("classifier.b", self.classifier_b)]
-        return named
+        return named_parameters(self)
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
         """Non-trainable state (batch-norm running statistics), by name."""
-        named: list[tuple[str, np.ndarray]] = []
-        for s in self.streams:
-            for bi, block in enumerate(s.blocks):
-                for li, layer in enumerate(block.layers):
-                    base = f"stream.{s.config.modality}.block{bi}.layer{li}.bn"
-                    named += [(f"{base}.mean", layer.bn_state.mean),
-                              (f"{base}.var", layer.bn_state.var)]
-        return named
+        return [(f"{name}.{stat}", getattr(state, stat)) for name, state in _named_leaves(self)
+                if isinstance(state, BnState) for stat in ("mean", "var")]
+
+    @property
+    def modalities(self) -> list[tuple[str, int]]:
+        return [(s.config.modality, s.config.feature_dim) for s in self.streams]
+
+
+_LAYER_PARAMS = ("depthwise", "pointwise_w", "pointwise_b", "bn_gamma", "bn_beta")
+
+
+def _named_leaves(node, prefix: str = "") -> list[tuple[str, Value | BnState]]:
+    """Parameters and batch-norm states under a txn net, stream, block or layer, by name."""
+    if isinstance(node, SepConvParams):
+        return ([(prefix + f, getattr(node, f)) for f in _LAYER_PARAMS]
+                + [(prefix + "bn", node.bn_state)])
+    if isinstance(node, TxnBlockParams):
+        return [leaf for i, layer in enumerate(node.layers)
+                for leaf in _named_leaves(layer, f"{prefix}layer{i}.")]
+    if isinstance(node, TxnStreamParams):
+        return ([(prefix + "entry_w", node.entry_w), (prefix + "entry_b", node.entry_b)]
+                + [leaf for i, block in enumerate(node.blocks)
+                   for leaf in _named_leaves(block, f"{prefix}block{i}.")])
+    return ([leaf for s in node.streams for leaf in _named_leaves(s, f"stream.{s.config.modality}.")]
+            + [("classifier.w", node.classifier_w), ("classifier.b", node.classifier_b)])
+
+
+def named_parameters(node) -> list[tuple[str, Value]]:
+    """The trainable Values under a txn net, stream, block or layer, by name."""
+    return [(name, v) for name, v in _named_leaves(node) if isinstance(v, Value)]
 
 
 def txn_forward(params: TxnParams, sequences: dict[str, Value], mode: str = "train") -> Value:
-    """Logits [K] for one video given its per-modality sequences [T x D]."""
-    reps = []
-    for s in params.streams:
-        name = s.config.modality
-        if name not in sequences:
-            raise ShapeError(f"missing sequence for modality {name!r}")
-        reps.append(txn_stream_forward(s, sequences[name], mode))
-    return ad.affine(ad.concat(reps, axis=0), params.classifier_w, params.classifier_b)
+    """Logits [K] for one video: a batch of one through ``txn_forward_batch``."""
+    return ad.reshape(txn_forward_batch(params, [sequences], mode), (params.num_classes,))
 
 
 def txn_forward_batch(params: TxnParams, batch: list[dict[str, Value]],

@@ -35,17 +35,6 @@ class TestValue:
         with pytest.raises(ShapeError):
             Value(np.zeros((0, 3)))
 
-    def test_operator_sugar_matches_numpy(self):
-        """+, *, unary -, - delegate to the engine ops."""
-        gen = np.random.default_rng(42)
-        a, b = gen.normal(size=4), gen.normal(size=4)
-        va, vb = Value(a), Value(b)
-        assert_allclose((va + vb).data, a + b)
-        assert_allclose((va * vb).data, a * b)
-        assert_allclose((-va).data, -a)
-        assert_allclose((va - vb).data, a - b)
-        assert_allclose((2.0 * va).data, 2.0 * a)
-
 
 class TestBackward:
     def test_chain_rule_through_product(self):
@@ -121,10 +110,9 @@ class TestBackward:
 
 
 class TestStructuralOps:
-    def test_transpose_and_reshape_round_trip(self):
+    def test_reshape_round_trip(self):
         gen = np.random.default_rng(42)
         x = gen.normal(size=(3, 4))
-        assert_array_equal(ad.transpose(Value(x)).data, x.T)
         assert_array_equal(ad.reshape(Value(x), (4, 3)).data, x.reshape(4, 3))
         with pytest.raises(ShapeError):
             ad.reshape(Value(x), (5, 3))
@@ -186,36 +174,45 @@ class TestLinearOps:
         with pytest.raises(ShapeError):
             ad.matmul(Value(a), Value(a))
 
-    def test_affine_handles_vector_and_batch(self):
+    def test_affine_takes_a_batch_of_rows(self):
         gen = np.random.default_rng(42)
         w, b = gen.normal(size=(4, 2)), gen.normal(size=2)
-        x1, x2 = gen.normal(size=4), gen.normal(size=(3, 4))
-        assert_allclose(ad.affine(Value(x1), Value(w), Value(b)).data, x1 @ w + b)
-        assert_allclose(ad.affine(Value(x2), Value(w), Value(b)).data, x2 @ w + b)
+        x = gen.normal(size=(3, 4))
+        assert_allclose(ad.affine(Value(x), Value(w), Value(b)).data, x @ w + b)
+        with pytest.raises(ShapeError):
+            ad.affine(Value(x[0]), Value(w), Value(b))
 
     def test_row_dot_matches_matvec(self):
         gen = np.random.default_rng(42)
-        x, w = gen.normal(size=(5, 3)), gen.normal(size=3)
-        assert_allclose(ad.row_dot(Value(x), Value(w)).data, x @ w)
+        x, w = gen.normal(size=(2, 5, 3)), gen.normal(size=(4, 3))
+        out = ad.row_dot(Value(x), Value(w)).data
+        for b in range(2):
+            for h in range(4):
+                assert_allclose(out[b, h], x[b] @ w[h])
+        # one sequence against one vector is the B = H = 1 case
+        assert_allclose(ad.row_dot(Value(x[0]), Value(w[0])).data, x[0] @ w[0])
 
     def test_weighted_row_sum_matches_matvec(self):
         gen = np.random.default_rng(42)
-        w, x = gen.normal(size=5), gen.normal(size=(5, 3))
-        assert_allclose(ad.weighted_row_sum(Value(w), Value(x)).data, w @ x, rtol=1e-12)
+        w, x = gen.normal(size=(2, 4, 5)), gen.normal(size=(2, 5, 3))
+        out = ad.weighted_row_sum(Value(w), Value(x)).data
+        for b in range(2):
+            for h in range(4):
+                assert_allclose(out[b, h], w[b, h] @ x[b], rtol=1e-12)
 
     def test_weighted_row_sum_permutation_invariant_bitwise(self):
         """Reordering frames and weights together cannot change a single bit."""
         gen = np.random.default_rng(42)
-        w, x = gen.normal(size=7), gen.normal(size=(7, 4))
+        w, x = gen.normal(size=(1, 2, 7)), gen.normal(size=(1, 7, 4))
         base = ad.weighted_row_sum(Value(w), Value(x)).data
         for _ in range(20):
             perm = gen.permutation(7)
-            permuted = ad.weighted_row_sum(Value(w[perm]), Value(x[perm])).data
+            permuted = ad.weighted_row_sum(Value(w[:, :, perm]), Value(x[:, perm])).data
             assert_array_equal(permuted, base)
 
 
 class TestBatchedAttentionOps:
-    """Rank-3 attention ops reproduce every (video, head) of the rank-1/2 forms bitwise."""
+    """Rank-3 attention ops reproduce a per-(video, head) NumPy oracle bitwise."""
 
     def test_row_dot_batched_matches_per_row_bitwise(self):
         gen = np.random.default_rng(42)
@@ -224,7 +221,7 @@ class TestBatchedAttentionOps:
         assert out.shape == (3, 4, 7)
         for b in range(3):
             for h in range(4):
-                assert_array_equal(out[b, h], ad.row_dot(Value(x[b]), Value(w[h])).data)
+                assert_array_equal(out[b, h], np.sum(x[b] * w[h], axis=-1))
 
     def test_weighted_row_sum_batched_matches_per_row_bitwise(self):
         gen = np.random.default_rng(42)
@@ -233,7 +230,9 @@ class TestBatchedAttentionOps:
         assert out.shape == (3, 4, 5)
         for b in range(3):
             for h in range(4):
-                assert_array_equal(out[b, h], ad.weighted_row_sum(Value(wts[b, h]), Value(x[b])).data)
+                # addends sorted along time before summing, as the op documents
+                expected = np.sort(wts[b, h][:, None] * x[b], axis=0).sum(axis=0)
+                assert_array_equal(out[b, h], expected)
 
     def test_last_axis_ops_match_per_row_bitwise(self):
         gen = np.random.default_rng(42)
@@ -254,6 +253,8 @@ class TestBatchedAttentionOps:
             ad.weighted_row_sum(Value(np.ones((2, 2, 3))), Value(np.ones((2, 4, 5))))
         with pytest.raises(ShapeError):
             ad.weighted_row_sum(Value(np.ones((3, 2, 3))), Value(np.ones((2, 3, 5))))
+        with pytest.raises(ShapeError):  # one unbatched sequence is a batch of one
+            ad.weighted_row_sum(Value(np.ones(3)), Value(np.ones((3, 5))))
         with pytest.raises(ShapeError):
             ad.l2_normalize(Value(np.float64(2.0)))
 
@@ -549,7 +550,7 @@ class TestFdCheck:
         x = leaf(gen, 4, 3)
         w = leaf(gen, 3)
         cot = Value(gen.normal(size=4))
-        f = lambda: ad.sum_all(ad.softmax_sharp(ad.row_dot(x, w), 2.0) * cot)
+        f = lambda: ad.sum_all(ad.mul(ad.softmax_sharp(ad.row_dot(x, w), 2.0), cot))
         report = fd_check(f, [("x", x), ("w", w)])
         assert report.passed
         assert report.max_rel_error < 1e-4

@@ -13,7 +13,7 @@ from seqcls.cli import (
     make_train_config,
     parse_config_file,
 )
-from seqcls.data import read_labels, read_mmf
+from seqcls.data import read_checkpoint, read_labels, read_mmf, write_checkpoint
 from seqcls.errors import ConfigError
 from seqcls.fusion import read_scores
 
@@ -185,6 +185,45 @@ class TestEvalCommand:
         assert err.count("\n") == 1 and err.startswith("error:") and "flow" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def eval_rewritten(runs, model, tmp_path, edit) -> int:
+        """Score a copy of a model's checkpoint after edit(arrays, meta)."""
+        arrays, meta = read_checkpoint(runs / model / "checkpoint.ckpt")
+        edit(arrays, meta)
+        path = tmp_path / "edited.ckpt"
+        write_checkpoint(path, arrays, meta)
+        return main(["eval", "--checkpoint", str(path),
+                     "--data", str(runs / "data" / "val.mmf")])
+
+    @pytest.mark.parametrize("model, key, drop", [
+        ("satt", "alpha", True), ("txn", "block_channels", True),
+        ("satt", "kernel_size", False), ("meanpool", "num_heads", False)])
+    def test_bad_model_kwargs_exit_config(self, two_modality_runs, tmp_path, capsys,
+                                          model, key, drop):
+        """A missing or unknown model_kwargs key: exit 2, one line naming it."""
+        def edit(arrays, meta):
+            if drop:
+                del meta["model_kwargs"][key]
+            else:
+                meta["model_kwargs"][key] = 3
+
+        code = self.eval_rewritten(two_modality_runs, model, tmp_path, edit)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("model", ["satt", "txn", "meanpool"])
+    def test_non_finite_checkpoint_exits_config(self, two_modality_runs, tmp_path, capsys,
+                                                model):
+        def edit(arrays, meta):
+            for arr in arrays.values():
+                arr[...] = float("nan")
+
+        code = self.eval_rewritten(two_modality_runs, model, tmp_path, edit)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "non-finite" in err
+
     def test_missing_checkpoint_exits_io(self, workspace, tmp_path):
         data = workspace["data"]
         code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
@@ -227,9 +266,10 @@ class TestFuseCommand:
 
     def test_unreadable_scores_exit_io(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("no header\n")
-        assert main(["fuse", "--scores", str(bad), "--out",
-                     str(tmp_path / "f.csv")]) == EXIT_IO
+        for text in ("no header\n", "#classes=2\nv0,nan,nan\n"):
+            bad.write_text(text)
+            assert main(["fuse", "--scores", str(bad), "--out",
+                         str(tmp_path / "f.csv")]) == EXIT_IO
 
 
 class TestGradcheckCommand:

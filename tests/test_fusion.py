@@ -7,11 +7,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from seqcls.autodiff import Value, rng
-from seqcls.errors import ConfigError, DataError, FormatError
+from seqcls.errors import ConfigError, DataError, FormatError, ShapeError
 from seqcls.fusion import (
     MeanPoolParams,
     ScoreTable,
-    ensemble,
     late_fuse,
     mean_pool_forward,
     read_scores,
@@ -46,6 +45,12 @@ class TestScoreTable:
         with pytest.raises(DataError):
             ScoreTable(num_classes=2).add("v0", [0.6, 0.6])
 
+    @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 0.5], [np.inf, 0.0]])
+    def test_rejects_non_finite(self, probs):
+        """NaN fails every range comparison, so it needs its own check."""
+        with pytest.raises(DataError, match="finite"):
+            ScoreTable(num_classes=2).add("v0", probs)
+
     def test_rejects_duplicate_id(self):
         t = ScoreTable(num_classes=2)
         t.add("v0", [0.5, 0.5])
@@ -77,15 +82,6 @@ class TestLateFuse:
         fused = late_fuse([table, table, table], [1 / 3, 1 / 3, 1 / 3])
         for vid, row in table.rows.items():
             assert_array_equal(fused.rows[vid], row)
-
-    def test_ensemble_is_uniform_fusion(self):
-        gen = rng(42)
-        ids = ["a", "b"]
-        tables = [random_table(gen, ids) for _ in range(4)]
-        uniform = late_fuse(tables, [0.25] * 4)
-        fused = ensemble(tables)
-        for vid in ids:
-            assert_array_equal(fused.rows[vid], uniform.rows[vid])
 
     def test_weight_validation(self):
         gen = rng(42)
@@ -199,26 +195,47 @@ class TestScoreFiles:
         with pytest.raises(FormatError, match="line 2"):
             read_scores(path)
 
+    def test_nan_scores_rejected(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("#classes=2\nv0,0.5,0.5\nv1,nan,nan\n")
+        with pytest.raises(FormatError, match="line 3"):
+            read_scores(path)
+
 
 class TestMeanPoolBaseline:
     def test_matches_concat_of_means_oracle(self):
+        """A ragged batch scores each video as concat(frame means) @ W + b."""
         gen = rng(42)
         params = MeanPoolParams.init([("rgb", 3), ("flow", 2)], num_classes=4, gen=gen)
-        x_rgb, x_flow = gen.normal(size=(6, 3)), gen.normal(size=(4, 2))
-        out = mean_pool_forward(params, {"rgb": Value(x_rgb), "flow": Value(x_flow)})
-        rep = np.concatenate([x_rgb.mean(axis=0), x_flow.mean(axis=0)])
-        assert_allclose(out.data, rep @ params.classifier_w.data + params.classifier_b.data,
-                        rtol=1e-12)
+        params.classifier_b.data[...] = gen.normal(size=4)
+        batch = [{"rgb": gen.normal(size=(int(gen.integers(1, 9)), 3)),
+                  "flow": gen.normal(size=(int(gen.integers(1, 9)), 2))} for _ in range(7)]
+        assert len({x["rgb"].shape[0] for x in batch}) > 1
+        out = mean_pool_forward(params, [{m: Value(x) for m, x in s.items()} for s in batch])
+        assert out.data.shape == (7, 4)
+        for row, s in zip(out.data, batch):
+            rep = np.concatenate([s["rgb"].mean(axis=0), s["flow"].mean(axis=0)])
+            assert_allclose(row, rep @ params.classifier_w.data + params.classifier_b.data,
+                            rtol=1e-12, atol=1e-12)
+
+    def test_frame_order_changes_no_bit(self):
+        gen = rng(42)
+        params = MeanPoolParams.init([("rgb", 3)], num_classes=2, gen=gen)
+        x = gen.normal(size=(9, 3))
+        base = mean_pool_forward(params, [{"rgb": Value(x)}]).data
+        for _ in range(10):
+            shuffled = mean_pool_forward(params, [{"rgb": Value(x[gen.permutation(9)])}]).data
+            assert_array_equal(shuffled, base)
 
     def test_missing_modality_rejected(self):
         params = MeanPoolParams.init([("rgb", 3)], num_classes=2, gen=rng(42))
-        with pytest.raises(DataError):
-            mean_pool_forward(params, {})
+        with pytest.raises(ShapeError):
+            mean_pool_forward(params, [{}])
 
     def test_dim_mismatch_rejected(self):
         params = MeanPoolParams.init([("rgb", 3)], num_classes=2, gen=rng(42))
-        with pytest.raises(DataError):
-            mean_pool_forward(params, {"rgb": Value(np.ones((4, 5)))})
+        with pytest.raises(ShapeError):
+            mean_pool_forward(params, [{"rgb": Value(np.ones((4, 5)))}])
 
     def test_init_validation(self):
         with pytest.raises(ConfigError):

@@ -23,16 +23,16 @@ def test_txn_block_redraws_samples_the_step_cannot_check(seed):
     assert result.attempts >= 2
 
 
-def test_default_sweep_is_26_cases_by_5_seeds():
+def test_default_sweep_is_25_cases_by_5_seeds():
     names = case_names()
-    assert len(names) == 26
-    assert "stack" in names and "stack_rows" not in names
+    assert len(names) == 25
+    assert "stack" in names and "stack_rows" not in names and "transpose" not in names
     results = run_cases(names, seeds=[0, 1, 2, 3, 4])
-    assert len(results) == 130
+    assert len(results) == 125
     assert all(r.report.passed and not r.report.step_unfit for r in results)
 
 
 def test_batched_attention_cases_use_rank3_shapes():
     for name in ("row_dot", "weighted_row_sum", "softmax_sharp", "l2_normalize"):
         _, params = CASES[name](ad.rng(0, 0))
-        assert max(v.ndim for _, v in params) == 3, name
+        assert max(v.data.ndim for _, v in params) == 3, name

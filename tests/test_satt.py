@@ -14,7 +14,6 @@ from seqcls.satt import (
     AttentionGroupParams,
     SattHeadParams,
     SattNetParams,
-    attention_group_forward,
     satt_forward_batch,
     satt_head_forward,
     satt_net_forward,
@@ -29,6 +28,27 @@ def head_oracle(x, w, a, b, alpha):
     lam = e / e.sum()
     v = (lam @ x) * a + b
     return v / max(np.linalg.norm(v), 1e-12), lam
+
+
+def unit(v):
+    return v / max(np.sqrt(np.sum(v * v)), 1e-12)
+
+
+def group_oracle_bitwise(x, heads, alpha):
+    """One group's representation in NumPy, replaying the engine's operation order.
+
+    Per head: scores, max-shifted softmax whose normalizer sums in sorted
+    order, frames pooled with sorted per-column sums, shift and scale, unit
+    norm; then the heads concatenated and unit-normalized again.
+    """
+    outs = []
+    for h in heads:
+        s = np.sum(x * h.w.data, axis=-1)
+        e = np.exp(alpha * (s - s.max()))
+        lam = e / np.sum(np.sort(e))
+        pooled = np.sort(lam[:, None] * x, axis=0).sum(axis=0)
+        outs.append(unit(pooled * h.a.data + h.b.data))
+    return unit(np.concatenate(outs))
 
 
 def make_head(gen, dim):
@@ -107,7 +127,7 @@ class TestSattHead:
         params = make_head(gen, 4)
         x = Value(gen.normal(size=(6, 4)), requires_grad=True)
         cot = Value(gen.normal(size=4))
-        f = lambda: ad.sum_all(satt_head_forward(params, x, 1.5) * cot)
+        f = lambda: ad.sum_all(ad.mul(satt_head_forward(params, x, 1.5), cot))
         report = fd_check(f, [("x", x), ("w", params.w), ("a", params.a), ("b", params.b)])
         assert report.passed, report.summary()
 
@@ -117,19 +137,19 @@ class TestAttentionGroup:
         """A two-head group is exactly concat of head outputs, re-normalized."""
         gen = rng(42)
         cfg = AttentionGroupConfig(modality="rgb", feature_dim=5, num_heads=2, alpha=1.3)
-        group = AttentionGroupParams.init(cfg, gen)
+        net = SattNetParams.init([cfg], 2, gen)
         x = Value(gen.normal(size=(7, 5)))
         expected = ad.l2_normalize(ad.concat(
-            [satt_head_forward(h, x, cfg.alpha) for h in group.heads], axis=0))
-        assert_array_equal(attention_group_forward(group, x).data, expected.data)
+            [satt_head_forward(h, x, cfg.alpha) for h in net.groups[0].heads], axis=0))
+        assert_array_equal(satt_representations(net, [{"rgb": x}]).data[0], expected.data)
 
     def test_output_dim_counts_heads(self):
         cfg = AttentionGroupConfig(modality="rgb", feature_dim=6, num_heads=3)
-        gen = rng(42)
-        group = AttentionGroupParams.init(cfg, gen)
+        group = AttentionGroupParams.init(cfg, rng(42))
         assert group.output_dim == 18
-        out = attention_group_forward(group, Value(rng(1).normal(size=(4, 6))))
-        assert out.data.shape == (18,)
+        net = SattNetParams.init([cfg], 2, rng(42))
+        out = satt_representations(net, [{"rgb": Value(rng(1).normal(size=(4, 6)))}])
+        assert out.data.shape == (1, 18)
         assert abs(np.linalg.norm(out.data) - 1.0) <= 1e-9
 
     def test_config_validation(self):
@@ -211,7 +231,8 @@ class TestSattNet:
         gen = rng(42)
         params = make_head(gen, 4)
         cot = Value(gen.normal(size=4))
-        backward(ad.sum_all(satt_head_forward(params, Value(gen.normal(size=(5, 4))), 1.0) * cot))
+        backward(ad.sum_all(ad.mul(satt_head_forward(params, Value(gen.normal(size=(5, 4))), 1.0),
+                                   cot)))
         assert abs(float(params.a.grad)) <= 1e-12
         assert np.abs(params.b.grad).max() > 1e-3
 
@@ -275,13 +296,14 @@ class TestBatchedPath:
             single = satt_representations(net, [self.values(s)]).data
             assert_array_equal(reps[i], single[0])
 
-    def test_group_rows_match_attention_group_forward_bitwise(self):
+    def test_group_rows_match_numpy_oracle_bitwise(self):
         gen = rng(7)
         net = self.make_net(gen)
         batch = self.ragged_batch(gen, n=5)
         reps = satt_representations(net, [self.values(s) for s in batch]).data
         for i, s in enumerate(batch):
-            expected = np.concatenate([attention_group_forward(g, Value(s[g.config.modality])).data
+            expected = np.concatenate([group_oracle_bitwise(s[g.config.modality], g.heads,
+                                                            g.config.alpha)
                                        for g in net.groups])
             assert_array_equal(reps[i], expected)
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from seqcls.autodiff import Value, cross_entropy, rng, zero_grads
+from seqcls.autodiff import Value, backward, cross_entropy, rng, zero_grads
 from seqcls.data import FeatureSequence, SynthConfig, VideoSample, modality_dims, synth_generate, write_mmf
-from seqcls.errors import ConfigError, DataError
+from seqcls.errors import ConfigError, DataError, ShapeError
 from seqcls.fusion import softmax_scores, write_scores
 from seqcls.satt import satt_net_forward
 from seqcls.training import (
@@ -134,7 +134,7 @@ class TestOptimizers:
             loss = full_batch_loss(params)
             before = float(loss.data)
             zero_grads(params.parameters())
-            loss.backward()
+            backward(loss)
             SgdMomentum(lr=1e-4, momentum=0.9).step(params.parameters())
             after = float(full_batch_loss(params).data)
             assert after <= before + 1e-6, f"seed {seed}: {before} -> {after}"
@@ -152,6 +152,10 @@ class TestModelDispatch:
         assert params.streams[0].config.num_segments == 3
         with pytest.raises(ConfigError):
             build_model("mlp", [("m", 4)], 3, {}, gen)
+        with pytest.raises(DataError, match="alpha"):
+            build_model("satt", [("m", 4)], 3, {"num_heads": 2}, gen)
+        with pytest.raises(DataError, match="num_heads"):
+            build_model("satt", [("m", 4)], 3, {"num_heads": "two", "alpha": 1.0}, gen)
 
     def test_batch_logits_shape(self, small_dataset):
         train_samples, _ = small_dataset
@@ -159,6 +163,15 @@ class TestModelDispatch:
         params = build_model("txn", [("m", 4)], 3, model_kwargs(cfg), rng(0))
         logits = batch_logits("txn", params, train_samples[:5], "infer")
         assert logits.data.shape == (5, 3)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_missing_modality_or_bad_dim_is_a_shape_error(self, model):
+        params = build_model(model, [("rgb", 4), ("flow", 3)], 3,
+                             model_kwargs(small_cfg(model=model)), rng(0))
+        good = {"rgb": Value(np.ones((6, 4))), "flow": Value(np.ones((6, 3)))}
+        for bad in ({"rgb": good["rgb"]}, {"rgb": good["rgb"], "flow": Value(np.ones((6, 5)))}):
+            with pytest.raises(ShapeError):
+                MODELS[model].forward_batch(params, [good, bad], "infer")
 
 
 class TestSnapshotRestore:
@@ -187,6 +200,16 @@ class TestSnapshotRestore:
         arrays["stray"] = np.zeros(1)
         with pytest.raises(DataError):
             restore_arrays(params, arrays)
+
+    @pytest.mark.parametrize("model", ["txn", "meanpool"])
+    def test_non_finite_arrays_rejected(self, model):
+        """NaN weights would otherwise score as NaN rows; a NaN buffer as well."""
+        params = build_model(model, [("m", 4)], 3, model_kwargs(small_cfg(model=model)), rng(0))
+        for name in list(snapshot_arrays(params))[-1:] + ["classifier.w"]:
+            arrays = snapshot_arrays(params)
+            arrays[name].flat[0] = np.nan
+            with pytest.raises(DataError, match="non-finite"):
+                restore_arrays(params, arrays)
 
     def test_shape_mismatch_rejected(self):
         params = build_model("meanpool", [("m", 4)], 3, {}, rng(0))

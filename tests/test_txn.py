@@ -16,6 +16,7 @@ from seqcls.txn import (
     TxnParams,
     TxnStreamConfig,
     TxnStreamParams,
+    named_parameters,
     sep_conv_forward,
     txn_block_forward,
     txn_forward,
@@ -121,10 +122,10 @@ class TestTxnStream:
     def test_output_shapes(self):
         gen = rng(42)
         stream = TxnStreamParams.init(small_config(), gen)
-        out2 = txn_stream_forward(stream, Value(gen.normal(size=(6, 4))), "infer")
-        assert out2.data.shape == (5,)
-        out3 = txn_stream_forward(stream, Value(gen.normal(size=(3, 6, 4))), "infer")
-        assert out3.data.shape == (3, 5)
+        out = txn_stream_forward(stream, Value(gen.normal(size=(3, 6, 4))), "infer")
+        assert out.data.shape == (3, 5)
+        with pytest.raises(ShapeError):  # one sequence is a batch of one
+            txn_stream_forward(stream, Value(gen.normal(size=(6, 4))), "infer")
 
     def test_batched_infer_matches_per_sample_bitwise(self):
         """Stacked infer equals each sample's own forward, bit for bit."""
@@ -132,13 +133,14 @@ class TestTxnStream:
         stream = TxnStreamParams.init(small_config(), gen)
         xs = gen.normal(size=(4, 8, 4))
         batched = txn_stream_forward(stream, Value(xs), "infer").data
-        for i, x in enumerate(xs):
-            assert_array_equal(batched[i], txn_stream_forward(stream, Value(x), "infer").data)
+        for i in range(len(xs)):
+            single = txn_stream_forward(stream, Value(xs[i:i + 1]), "infer").data
+            assert_array_equal(batched[i], single[0])
 
     def test_dim_mismatch_rejected(self):
         stream = TxnStreamParams.init(small_config(), rng(42))
         with pytest.raises(ShapeError):
-            txn_stream_forward(stream, Value(np.ones((6, 5))), "infer")
+            txn_stream_forward(stream, Value(np.ones((1, 6, 5))), "infer")
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -182,11 +184,11 @@ class TestTxnNet:
             h = ad.zero_pad_time(seqs[s.config.modality], s.config.pad_len)
             h = ad.adaptive_max_pool1d(h, s.config.num_segments)
             h = ad.pointwise_conv1d(h, s.entry_w, s.entry_b)
-            reps.append(ad.global_max_pool_time(h))
-        expected = ad.affine(ad.concat(reps, axis=0), net.classifier_w, net.classifier_b)
+            reps.append(ad.global_max_pool_time(h).data)
+        expected = np.concatenate(reps) @ net.classifier_w.data + net.classifier_b.data
         for mode in ("train", "infer"):
             got = txn_forward(net, seqs, mode=mode)
-            assert_allclose(got.data, expected.data, atol=1e-12, rtol=0)
+            assert_allclose(got.data, expected, atol=1e-12, rtol=0)
 
     def test_batch_forward_matches_per_sample_in_infer(self):
         gen = rng(42)
@@ -222,13 +224,23 @@ class TestTxnNet:
             txn_forward_batch(net, [{"rgb": Value(np.ones((5, 4)))}])
 
     def test_parameter_and_buffer_names(self):
-        net = self.make_net(rng(42))
-        names = [n for n, _ in net.parameters()]
-        assert len(names) == len(set(names))
-        assert len(names) == 2 * (2 + 1 * 2 * 5) + 2  # two streams, one block each
-        buffers = [n for n, _ in net.buffers()]
-        assert len(buffers) == 2 * 1 * 2 * 2
-        assert "stream.rgb.block0.layer0.bn.mean" in buffers
+        """Names and their order are the checkpoint layout, so both are pinned."""
+        net = self.make_net(rng(42), num_blocks=2)
+        fields = ("depthwise", "pointwise_w", "pointwise_b", "bn_gamma", "bn_beta")
+        layers = [f"block{b}.layer{i}" for b in range(2) for i in range(2)]
+        expected, expected_buffers = [], []
+        for m in ("rgb", "flow"):
+            expected += [f"stream.{m}.entry_w", f"stream.{m}.entry_b"]
+            expected += [f"stream.{m}.{layer}.{f}" for layer in layers for f in fields]
+            expected_buffers += [f"stream.{m}.{layer}.bn.{s}" for layer in layers
+                                 for s in ("mean", "var")]
+        assert [n for n, _ in net.parameters()] == expected + ["classifier.w", "classifier.b"]
+        assert [n for n, _ in net.buffers()] == expected_buffers
+        block = net.streams[0].blocks[1]
+        assert [n for n, _ in named_parameters(block)] == [
+            f"layer{i}.{f}" for i in range(2) for f in fields]
+        assert named_parameters(block)[0][1] is block.layers[0].depthwise
+        assert net.buffers()[0][1] is net.streams[0].blocks[0].layers[0].bn_state.mean
 
     def test_duplicate_streams_rejected(self):
         with pytest.raises(ConfigError):
