@@ -5,9 +5,10 @@ Subcommands: ``synthgen`` (write a synthetic planted-signal dataset),
 a dataset with a checkpoint), ``fuse`` (combine score tables), and
 ``gradcheck`` (finite-difference verification of the gradient engine).
 
-Exit codes: 0 success, 2 configuration, usage or data problem (data that
-lacks a modality the model needs included), 3 I/O or file format problem,
-4 gradient verification failure.
+Exit codes: 0 success, 2 configuration, usage or data problem (an empty
+batch, or data that lacks a modality the model needs or holds a sequence of
+the wrong shape, included), 3 I/O or file format problem, 4 numeric failure
+(gradient verification failed, or training met a non-finite loss).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 from .data import read_labels, read_mmf, synth_generate, write_labels, write_mmf, SynthConfig
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError, UsageError
-from .fusion import ScoreTable, late_fuse, read_scores, top_k_accuracy, write_scores
+from .fusion import late_fuse, read_scores, top_k_accuracy, write_scores
 from .gradcheck import case_names, run_cases
 from .training import TrainConfig, evaluate, load_model, save_model, train_from_files
 

@@ -16,6 +16,10 @@ unit-norm prototype, and each video copies noisy versions of its class
 prototype into a handful of frame slots shared across modalities.  Models
 must locate those frames to classify well; averaging over all frames
 mostly washes the signal out.
+
+``modality_frames`` is the heads' one input check: it reads a batch's frames
+as constants, or raises ``ShapeError`` for an empty batch, a missing
+modality or a wrong shape.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import rng
-from .errors import ConfigError, DataError, FormatError
+from .autodiff import Value, rng
+from .errors import ConfigError, DataError, FormatError, ShapeError
 
 MMF_MAGIC = b"MMF1"
 MMF_VERSION = 1
@@ -58,12 +62,31 @@ class VideoSample:
         return {s.modality: s.features for s in self.sequences}
 
 
+def modality_frames(batch: list[dict[str, Value]], name: str, dim: int) -> list[np.ndarray]:
+    """Each video's frames [T x dim] of one modality, as constant arrays."""
+    if not batch:
+        raise ShapeError("a batch needs at least one video")
+    frames = []
+    for sequences in batch:
+        if name not in sequences:
+            raise ShapeError(f"missing sequence for modality {name!r}")
+        x = sequences[name].data
+        if x.ndim != 2 or x.shape[1] != dim:
+            raise ShapeError(f"modality {name!r} sequence shape {x.shape}, expected [T x {dim}]")
+        frames.append(x)
+    return frames
+
+
 # ---------------------------------------------------------------------------
 # binary container
 # ---------------------------------------------------------------------------
 
 
 def write_mmf(path, samples: list[VideoSample]) -> None:
+    """Write the container; labels are checked before the file is opened."""
+    for s in samples:
+        if s.label < 0:
+            raise DataError(f"video {s.video_id!r} has negative label {s.label}")
     with open(path, "wb") as fh:
         fh.write(MMF_MAGIC)
         fh.write(struct.pack("<II", MMF_VERSION, len(samples)))
@@ -71,8 +94,6 @@ def write_mmf(path, samples: list[VideoSample]) -> None:
             vid = s.video_id.encode("utf-8")
             fh.write(struct.pack("<I", len(vid)))
             fh.write(vid)
-            if s.label < 0:
-                raise DataError(f"video {s.video_id!r} has negative label {s.label}")
             fh.write(struct.pack("<II", s.label, len(s.sequences)))
             for seq in s.sequences:
                 name = seq.modality.encode("utf-8")

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .errors import ConfigError, DataError, FormatError, ShapeError
+from .data import modality_frames
+from .errors import ConfigError, DataError, FormatError
 
 WEIGHT_SUM_TOL = 1e-9
 PROB_SUM_TOL = 1e-6
@@ -206,15 +207,8 @@ def mean_pool_forward(params: MeanPoolParams, batch: list[dict[str, Value]]) -> 
     The sequences are graph constants, so the means are NumPy; each sums the
     1/T-scaled frames in sorted order, bit-identical under frame reordering.
     """
-    rows = []
-    for sequences in batch:
-        means = []
-        for name, dim in params.modalities:
-            if name not in sequences:
-                raise ShapeError(f"missing sequence for modality {name!r}")
-            x = sequences[name].data
-            if x.ndim != 2 or x.shape[1] != dim:
-                raise ShapeError(f"modality {name!r} sequence shape {x.shape}, expected [T x {dim}]")
-            means.append(np.sort(x * (1.0 / x.shape[0]), axis=0).sum(axis=0))
-        rows.append(np.concatenate(means))
-    return ad.affine(Value(np.stack(rows)), params.classifier_w, params.classifier_b)
+    means = [np.stack([np.sort(x * (1.0 / len(x)), axis=0).sum(axis=0)
+                       for x in modality_frames(batch, name, dim)])
+             for name, dim in params.modalities]
+    return ad.affine(Value(np.concatenate(means, axis=1)), params.classifier_w,
+                     params.classifier_b)

@@ -21,7 +21,10 @@ differ in length: ``satt_representations`` groups the videos whose
 per-modality frame counts agree, runs each group as one block without any
 padding or mask, and puts the rows back in input order.  The single-head
 and single-video entry points are B = 1 (and H = 1) calls of the same path,
-so the per-video numbers equal the batched ones bit for bit.
+so the per-video numbers equal the batched ones bit for bit.  The network's
+frames are graph constants, checked by ``modality_frames``, and each block's
+frames are one leaf; only ``satt_head_forward`` keeps its sequence in the
+graph, so a gradient check can differentiate it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
+from .data import modality_frames
 from .errors import ConfigError, ShapeError
 
 
@@ -73,18 +77,12 @@ def _group_block(x: Value, heads: tuple[Value, Value, Value], alpha: float) -> V
     return ad.l2_normalize(ad.reshape(out, (b, h * d)))
 
 
-def _check_sequence(x: Value, dim: int, what: str) -> None:
-    if x.data.ndim != 2:
-        raise ShapeError(f"{what} expects a rank-2 sequence [T x D]")
-    if x.data.shape[1] != dim:
-        raise ShapeError(f"sequence dim {x.data.shape[1]} does not match {what} dim {dim}")
-
-
 def satt_head_forward(params: SattHeadParams, x: Value, alpha: float) -> Value:
     """Attention-pool one sequence x [T x D] to a unit vector [D]."""
-    _check_sequence(x, params.w.data.shape[0], "satt head")
-    t, d = x.data.shape
-    out = _pool_heads(ad.reshape(x, (1, t, d)), *_stack_heads([params]), alpha)
+    d = params.w.data.shape[0]
+    if x.data.ndim != 2 or x.data.shape[1] != d:
+        raise ShapeError(f"satt head expects a sequence [T x {d}], got {x.data.shape}")
+    out = _pool_heads(ad.reshape(x, (1,) + x.data.shape), *_stack_heads([params]), alpha)
     return ad.reshape(out, (d,))
 
 
@@ -179,34 +177,23 @@ class SattNetParams:
         return [(g.config.modality, g.config.feature_dim) for g in self.groups]
 
 
-def _frame_counts(params: SattNetParams, sequences: dict[str, Value]) -> tuple[int, ...]:
-    counts = []
-    for g in params.groups:
-        name = g.config.modality
-        if name not in sequences:
-            raise ShapeError(f"missing sequence for modality {name!r}")
-        _check_sequence(sequences[name], g.config.feature_dim, f"group {name!r}")
-        counts.append(sequences[name].data.shape[0])
-    return tuple(counts)
-
-
 def satt_representations(params: SattNetParams, batch: list[dict[str, Value]]) -> Value:
     """Concatenated group representations [B x R] of a batch, in input order.
 
     Videos whose per-modality frame counts agree form one block; each
-    block runs every group once on its stacked sequences [Bg x T x D].
+    block runs every group once on its stacked frames [Bg x T x D], one
+    constant leaf per group.
     """
-    if not batch:
-        raise ShapeError("satt needs at least one video")
+    frames = [modality_frames(batch, g.config.modality, g.config.feature_dim)
+              for g in params.groups]
     blocks: dict[tuple[int, ...], list[int]] = {}
-    for i, sequences in enumerate(batch):
-        blocks.setdefault(_frame_counts(params, sequences), []).append(i)
+    for i, counts in enumerate(zip(*[[len(x) for x in xs] for xs in frames])):
+        blocks.setdefault(counts, []).append(i)
     heads = [_stack_heads(g.heads) for g in params.groups]
     reps = []
     for rows in blocks.values():
-        groups = [_group_block(ad.stack([batch[i][g.config.modality] for i in rows]),
-                               stacked, g.config.alpha)
-                  for g, stacked in zip(params.groups, heads)]
+        groups = [_group_block(Value(np.stack([xs[i] for i in rows])), stacked, g.config.alpha)
+                  for g, xs, stacked in zip(params.groups, frames, heads)]
         reps.append(ad.concat(groups, axis=1))
     if len(reps) == 1:
         return reps[0]

@@ -36,7 +36,7 @@ from .data import (
     read_mmf,
     write_checkpoint,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .fusion import MeanPoolParams, ScoreTable, softmax_scores, top_k_accuracy
 from .satt import SattNetParams
 from .txn import TxnParams
@@ -213,18 +213,32 @@ def save_model(path, model: str, params, kwargs: dict, meta_extra: dict | None =
     write_checkpoint(path, snapshot_arrays(params), meta)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true and false load as bools, which count as ints in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_model(path):
     """Rebuild (model_name, params, meta) from a checkpoint file."""
     arrays, meta = read_checkpoint(path)
+    if not isinstance(meta, dict):
+        raise DataError("checkpoint metadata must be a JSON object")
     for key in ("model", "num_classes", "modalities", "model_kwargs"):
         if key not in meta:
             raise DataError(f"checkpoint metadata missing {key!r}")
-    model = meta["model"]
-    if model not in MODELS:
+    model, modalities = meta["model"], meta["modalities"]
+    num_classes, kwargs = meta["num_classes"], meta["model_kwargs"]
+    if not isinstance(model, str) or model not in MODELS:
         raise DataError(f"checkpoint names unknown model {model!r}")
-    modalities = [(str(m), int(d)) for m, d in meta["modalities"]]
-    params = build_model(model, modalities, int(meta["num_classes"]),
-                         meta["model_kwargs"], rng(0))
+    if not (isinstance(modalities, list)
+            and all(isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+                    and _is_int(pair[1]) and pair[1] >= 1 for pair in modalities)):
+        raise DataError(f"checkpoint modalities must be [name, dim >= 1] pairs, got {modalities!r}")
+    if not _is_int(num_classes) or num_classes < 2:
+        raise DataError(f"checkpoint num_classes must be an integer >= 2, got {num_classes!r}")
+    if not isinstance(kwargs, dict):
+        raise DataError(f"checkpoint model_kwargs must be a JSON object, got {kwargs!r}")
+    params = build_model(model, [(m, d) for m, d in modalities], num_classes, kwargs, rng(0))
     restore_arrays(params, arrays)
     return model, params, meta
 
@@ -339,10 +353,13 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
     best_table: ScoreTable | None = None
     for epoch in range(cfg.epochs):
         loss_sum = 0.0
-        for batch in batch_iter(train_samples, cfg.batch_size, (cfg.seed, epoch)):
+        for step, batch in enumerate(batch_iter(train_samples, cfg.batch_size, (cfg.seed, epoch))):
             zero_grads(v for _, v in named)
             logits = batch_logits(cfg.model, params, batch, "train")
             loss = ad.cross_entropy(logits, [s.label for s in batch])
+            if not np.isfinite(loss.data):
+                raise NumericError(f"training loss is {float(loss.data)} at epoch {epoch}, "
+                                   f"batch {step}; try a smaller lr")
             ad.backward(loss)
             optimizer.step(named)
             loss_sum += float(loss.data) * len(batch)

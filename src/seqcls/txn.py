@@ -7,10 +7,12 @@ temporal conv, pointwise channel mix, batch norm, relu).  A global
 temporal max pool reduces each stream to a vector; streams are
 concatenated and classified with an affine map.
 
-Every forward is batched: ``txn_forward_batch`` pads each video to the
-clip length and runs each stream once over the stacked [B x T x D] batch,
-so batch norm pools every batch x segment position and each training step
-folds exactly one batch statistic into the running averages.
+Every forward is batched: ``txn_stream_forward`` cuts or zero-pads each
+video's frames to the clip length once, in NumPy, into one constant
+[B x pad_len x D] batch (the frames are graph constants; no gradient flows
+into them), and runs the stream over it once, so batch norm pools every
+batch x segment position and each training step folds exactly one batch
+statistic into the running averages.
 ``txn_forward`` is its B = 1 call.  One walker names the parameters and
 batch-norm buffers, in checkpoint order.
 """
@@ -23,7 +25,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BnState, Value
-from .errors import ConfigError, ShapeError
+from .data import modality_frames
+from .errors import ConfigError
 
 
 @dataclass
@@ -121,16 +124,15 @@ class TxnStreamParams:
                    blocks=blocks)
 
 
-def txn_stream_forward(params: TxnStreamParams, x: Value, mode: str) -> Value:
-    """Reduce a batch of sequences [B x T x D] to stream vectors [B x C]."""
+def txn_stream_forward(params: TxnStreamParams, batch: list[dict[str, Value]],
+                       mode: str) -> Value:
+    """Stream vectors [B x C]; the frames are cut or zero-padded to pad_len in NumPy."""
     cfg = params.config
-    if x.data.ndim != 3:
-        raise ShapeError("txn stream expects a batch of sequences [B x T x D]")
-    if x.data.shape[2] != cfg.feature_dim:
-        raise ShapeError(
-            f"sequence dim {x.data.shape[2]} does not match stream dim {cfg.feature_dim}")
-    h = ad.zero_pad_time(x, cfg.pad_len)
-    h = ad.adaptive_max_pool1d(h, cfg.num_segments)
+    frames = modality_frames(batch, cfg.modality, cfg.feature_dim)
+    x = np.zeros((len(frames), cfg.pad_len, cfg.feature_dim))
+    for row, f in zip(x, frames):
+        row[:len(f)] = f[:cfg.pad_len]
+    h = ad.adaptive_max_pool1d(Value(x), cfg.num_segments)
     h = ad.pointwise_conv1d(h, params.entry_w, params.entry_b)
     for block in params.blocks:
         h = txn_block_forward(block, h, mode)
@@ -225,16 +227,8 @@ def txn_forward_batch(params: TxnParams, batch: list[dict[str, Value]],
                       mode: str = "train") -> Value:
     """Logits [B x K] for a batch, with batch-level normalization statistics.
 
-    Sequences are padded per sample, then each stream runs once over the
-    stacked batch so train-mode batch norm sees every video at once.
+    Each stream runs once over the padded batch, so train-mode batch norm
+    sees every video at once.
     """
-    reps = []
-    for s in params.streams:
-        name = s.config.modality
-        padded = []
-        for sequences in batch:
-            if name not in sequences:
-                raise ShapeError(f"missing sequence for modality {name!r}")
-            padded.append(ad.zero_pad_time(sequences[name], s.config.pad_len))
-        reps.append(txn_stream_forward(s, ad.stack(padded), mode))
+    reps = [txn_stream_forward(s, batch, mode) for s in params.streams]
     return ad.affine(ad.concat(reps, axis=1), params.classifier_w, params.classifier_b)

@@ -110,6 +110,21 @@ class TestTrainCommand:
                      "--val", str(data / "val.mmf"), "--out", str(tmp_path / "r"), "--quiet"])
         assert code == EXIT_IO
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_exits_numeric_and_writes_nothing(self, workspace, tmp_path,
+                                                               capsys):
+        """A diverging step size stops training at the first NaN loss, before any artifact."""
+        data, out = workspace["data"], tmp_path / "r"
+        code = main(["train", "--train", str(data / "train.mmf"), "--val", str(data / "val.mmf"),
+                     "--out", str(out), "--model", "txn", "--optimizer", "sgd", "--lr", "1e150",
+                     "--batch-size", "4", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == EXIT_GRADCHECK
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "epoch 0, batch 2" in err
+        assert not out.exists()
+
     def test_bad_flag_value_exits_config(self, workspace, tmp_path):
         data = workspace["data"]
         code = main(["train", "--train", str(data / "train.mmf"),
@@ -211,6 +226,23 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("modalities", [["rgb"]]), ("modalities", "rgb"), ("modalities", [[4, 4]]),
+        ("modalities", [["rgb", 4.0]]), ("modalities", [["rgb", 0]]),
+        ("num_classes", "ten"), ("num_classes", 1.5), ("num_classes", 1), ("num_classes", True),
+        ("model_kwargs", []), ("model", ["txn"])])
+    def test_bad_metadata_types_exit_config(self, two_modality_runs, tmp_path, capsys,
+                                            key, value):
+        """Metadata of the wrong type: exit 2, one line naming the key and the value."""
+        def edit(arrays, meta):
+            meta[key] = value
+
+        code = self.eval_rewritten(two_modality_runs, "txn", tmp_path, edit)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert key in err and repr(value) in err
 
     @pytest.mark.parametrize("model", ["satt", "txn", "meanpool"])
     def test_non_finite_checkpoint_exits_config(self, two_modality_runs, tmp_path, capsys,

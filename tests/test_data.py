@@ -169,6 +169,19 @@ class TestMmfErrors:
         with pytest.raises(DataError):
             write_mmf(tmp_path / "bad.mmf", [sample("v0", -1, rgb=np.ones((2, 2)))])
 
+    def test_rejected_write_leaves_no_file_and_keeps_an_old_one(self, tmp_path):
+        """Labels are checked before the file is opened, whichever video holds the bad one."""
+        samples = [sample("v0", 0, rgb=np.ones((2, 2))), sample("v1", -1, rgb=np.ones((2, 2)))]
+        with pytest.raises(DataError):
+            write_mmf(tmp_path / "new.mmf", samples)
+        assert not (tmp_path / "new.mmf").exists()
+        old = tmp_path / "old.mmf"
+        write_mmf(old, samples[:1])
+        before = old.read_bytes()
+        with pytest.raises(DataError):
+            write_mmf(old, samples)
+        assert old.read_bytes() == before
+
 
 class TestLabels:
     def test_round_trip(self, tmp_path):

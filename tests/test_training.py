@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from seqcls.autodiff import Value, backward, cross_entropy, rng, zero_grads
+from seqcls.autodiff import Value, _walk, backward, cross_entropy, rng, zero_grads
 from seqcls.data import FeatureSequence, SynthConfig, VideoSample, modality_dims, synth_generate, write_mmf
 from seqcls.errors import ConfigError, DataError, ShapeError
 from seqcls.fusion import softmax_scores, write_scores
@@ -169,9 +169,24 @@ class TestModelDispatch:
         params = build_model(model, [("rgb", 4), ("flow", 3)], 3,
                              model_kwargs(small_cfg(model=model)), rng(0))
         good = {"rgb": Value(np.ones((6, 4))), "flow": Value(np.ones((6, 3)))}
-        for bad in ({"rgb": good["rgb"]}, {"rgb": good["rgb"], "flow": Value(np.ones((6, 5)))}):
+        for batch in ([good, {"rgb": good["rgb"]}],
+                      [good, {"rgb": good["rgb"], "flow": Value(np.ones((6, 5)))}],
+                      []):
             with pytest.raises(ShapeError):
-                MODELS[model].forward_batch(params, [good, bad], "infer")
+                MODELS[model].forward_batch(params, batch, "infer")
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_input_frames_are_graph_constants(self, model):
+        """No model pads frames in the graph or stacks them into an untrainable node."""
+        params = build_model(model, [("rgb", 4), ("flow", 3)], 3,
+                             model_kwargs(small_cfg(model=model)), rng(0))
+        gen = rng(1)
+        batch = [VideoSample(f"v{i}", 0, [FeatureSequence("rgb", gen.normal(size=(t, 4))),
+                                          FeatureSequence("flow", gen.normal(size=(t, 3)))])
+                 for i, t in enumerate((4, 6, 9, 6))]
+        nodes = list(_walk(batch_logits(model, params, batch, "train")))
+        assert not [n for n in nodes if n._op == "zero_pad_time"]
+        assert all(any(p.requires_grad for p in n._parents) for n in nodes if n._op == "stack")
 
 
 class TestSnapshotRestore:
@@ -238,9 +253,10 @@ class TestSaveLoad:
     def test_load_rejects_missing_metadata(self, tmp_path):
         from seqcls.data import write_checkpoint
         path = tmp_path / "bad.ckpt"
-        write_checkpoint(path, {}, {"model": "satt"})
-        with pytest.raises(DataError):
-            load_model(path)
+        for meta in ({"model": "satt"}, "model", 7):
+            write_checkpoint(path, {}, meta)
+            with pytest.raises(DataError):
+                load_model(path)
 
 
 class TestEvaluate:

@@ -119,28 +119,36 @@ class TestTxnBlock:
 
 
 class TestTxnStream:
+    @staticmethod
+    def batch(xs):
+        return [{"rgb": Value(x)} for x in xs]
+
     def test_output_shapes(self):
         gen = rng(42)
         stream = TxnStreamParams.init(small_config(), gen)
-        out = txn_stream_forward(stream, Value(gen.normal(size=(3, 6, 4))), "infer")
+        out = txn_stream_forward(stream, self.batch(gen.normal(size=(3, 6, 4))), "infer")
         assert out.data.shape == (3, 5)
-        with pytest.raises(ShapeError):  # one sequence is a batch of one
-            txn_stream_forward(stream, Value(gen.normal(size=(6, 4))), "infer")
+        with pytest.raises(ShapeError):  # each video holds one sequence [T x D]
+            txn_stream_forward(stream, self.batch([gen.normal(size=(2, 6, 4))]), "infer")
+        with pytest.raises(ShapeError):
+            txn_stream_forward(stream, [], "infer")
 
     def test_batched_infer_matches_per_sample_bitwise(self):
-        """Stacked infer equals each sample's own forward, bit for bit."""
+        """A ragged batch in infer mode equals each sample's own forward, bit for bit."""
         gen = rng(42)
         stream = TxnStreamParams.init(small_config(), gen)
-        xs = gen.normal(size=(4, 8, 4))
-        batched = txn_stream_forward(stream, Value(xs), "infer").data
-        for i in range(len(xs)):
-            single = txn_stream_forward(stream, Value(xs[i:i + 1]), "infer").data
+        batch = self.batch([gen.normal(size=(t, 4)) for t in (3, 8, 11, 8)])
+        batched = txn_stream_forward(stream, batch, "infer").data
+        for i in range(len(batch)):
+            single = txn_stream_forward(stream, batch[i:i + 1], "infer").data
             assert_array_equal(batched[i], single[0])
 
     def test_dim_mismatch_rejected(self):
         stream = TxnStreamParams.init(small_config(), rng(42))
         with pytest.raises(ShapeError):
-            txn_stream_forward(stream, Value(np.ones((1, 6, 5))), "infer")
+            txn_stream_forward(stream, self.batch([np.ones((6, 5))]), "infer")
+        with pytest.raises(ShapeError):
+            txn_stream_forward(stream, [{"flow": Value(np.ones((6, 4)))}], "infer")
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -215,6 +223,35 @@ class TestTxnNet:
             flat = pre.reshape(-1, pre.shape[-1])
             assert_allclose(layer.bn_state.mean, 0.1 * flat.mean(axis=0), rtol=1e-12)
             assert_allclose(layer.bn_state.var, 0.9 + 0.1 * flat.var(axis=0), rtol=1e-12)
+
+    def test_padding_matches_per_video_zero_pad_oracle_bitwise(self):
+        """The NumPy pad equals the graph path it replaced, bit for bit.
+
+        The oracle pads each video with zero_pad_time, stacks the batch and
+        runs the stream ops; frame counts fall below, at and above pad_len.
+        """
+        batch = [self.seqs(rng(i), t=t) for i, t in enumerate((3, 8, 12, 8, 5))]
+        net, oracle = self.make_net(rng(42)), self.make_net(rng(42))
+        w = rng(9).normal(size=net.classifier_w.data.shape)
+        net.classifier_w.data[...] = w
+        oracle.classifier_w.data[...] = w
+
+        def oracle_logits(mode):
+            reps = []
+            for s in oracle.streams:
+                h = ad.stack([ad.zero_pad_time(seqs[s.config.modality], s.config.pad_len)
+                              for seqs in batch])
+                h = ad.adaptive_max_pool1d(h, s.config.num_segments)
+                h = ad.pointwise_conv1d(h, s.entry_w, s.entry_b)
+                for block in s.blocks:
+                    h = txn_block_forward(block, h, mode)
+                reps.append(ad.global_max_pool_time(h))
+            return ad.affine(ad.concat(reps, axis=1), oracle.classifier_w, oracle.classifier_b)
+
+        for mode in ("train", "train", "infer"):
+            assert_array_equal(txn_forward_batch(net, batch, mode).data, oracle_logits(mode).data)
+            for (name, got), (_, expected) in zip(net.buffers(), oracle.buffers()):
+                assert_array_equal(got, expected, err_msg=name)
 
     def test_missing_modality_rejected(self):
         net = self.make_net(rng(42))
