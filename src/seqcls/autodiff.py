@@ -6,8 +6,11 @@ references and a backward rule, forming an acyclic computation graph.
 ``backward`` walks the graph in reverse topological order; gradients
 accumulate across calls, so callers must ``zero_grads`` between optimizer
 steps.  Gradient buffers are allocated lazily: leaves created with
-``requires_grad`` get one up front, every other node on its first backward
-flow or when ``.grad`` is first read, so a forward-only graph allocates none.
+``requires_grad`` get one up front, every other node when ``.grad`` is
+first read.  Until then a node keeps the flows backward sent it as they
+are (flows may alias one another and are never written in place), and the
+first read copies them, so neither a forward-only graph nor a training step
+copies any intermediate gradient.
 
 The operator set is exactly what the attention and temporal-convolution
 heads need.  The attention ops are batched: ``row_dot`` scores
@@ -20,11 +23,17 @@ makes the forward pass bit-identical under any permutation of the input
 frames.
 
 Everything is computed in 64-bit so central finite differences at step 1e-3
-are a meaningful oracle; ``fd_check`` is the verification harness.
+are a meaningful oracle; ``fd_check`` is the verification harness.  Its
+kink bookkeeping (how close each ReLU/max node sits to a kink, and on which
+side) is computed on demand: ops hand ``_node`` thunks, and only
+``min_kink_margin`` and ``_kink_sides`` evaluate them, so training and
+evaluation never pay for it.  A grad_fn skips the gradient of any parent
+that does not require one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,8 +59,8 @@ def rng(*seeds: int) -> np.random.Generator:
 class Value:
     """Node in the differentiation graph: data, grad, backward rule."""
 
-    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_grad_fn", "_op", "_kink_margin",
-                 "_kink_side")
+    __slots__ = ("data", "_grad", "_flow", "requires_grad", "_parents", "_grad_fn", "_op",
+                 "_kink_margin", "_kink_side")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -61,6 +70,7 @@ class Value:
             raise ShapeError("all extents must be >= 1")
         self.data = arr
         self._grad = np.zeros_like(arr) if requires_grad else None
+        self._flow = None  # backward's flows into a node without a buffer, not yet copied
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Value, ...] = ()
         self._grad_fn: GradFn | None = None
@@ -71,10 +81,12 @@ class Value:
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
+            flow, self._flow = self._flow, None
+            self._grad = np.zeros_like(self.data) if flow is None else np.array(flow)
         return self._grad
 
     def zero_grad(self) -> None:
+        self._flow = None
         if self._grad is not None:
             self._grad[...] = 0.0
 
@@ -85,16 +97,25 @@ def _lift(x) -> Value:
 
 def _node(data, parents: Sequence[Value], grad_fn: GradFn, op: str, kink_margin=np.inf,
           kink_side=None) -> Value:
+    """A graph node.  kink_margin and kink_side are values or zero-argument thunks.
+
+    A thunk reads the node's inputs when it is evaluated, so ask for the
+    bookkeeping before mutating a parameter the graph was built from.
+    """
     out = Value(data)
     out.requires_grad = any(p.requires_grad for p in parents)
     out._parents = tuple(parents)
     out._grad_fn = grad_fn if out.requires_grad else None
     out._op = op
     # kinks in constant subtrees cannot be crossed by perturbing parameters
-    out._kink_margin = float(kink_margin) if out.requires_grad else np.inf
+    out._kink_margin = kink_margin if out.requires_grad else np.inf
     # which side of its kinks the node sits on: relu masks, argmax indices
     out._kink_side = kink_side if out.requires_grad else None
     return out
+
+
+def _evaluated(kink):
+    return kink() if callable(kink) else kink
 
 
 def zero_grads(params) -> None:
@@ -128,7 +149,8 @@ def backward(root: Value) -> None:
 
     Repeated calls without zero_grads add up (multi-loss semantics).  The
     per-call flow is kept in a scratch map so stale .grad contents never
-    contaminate the propagation itself.
+    contaminate the propagation itself.  A grad_fn may return its flow g or
+    views of it but never writes into g, because nodes keep flows uncopied.
     """
     if root.data.ndim != 0:
         raise UsageError("backward requires a scalar root")
@@ -140,10 +162,10 @@ def backward(root: Value) -> None:
         g = flows.pop(id(node), None)
         if g is None:
             continue
-        if node._grad is None:
-            node._grad = np.array(g, dtype=np.float64)  # a copy: flows may alias
-        else:
+        if node._grad is not None:
             node._grad += g
+        else:  # flows may alias one another: kept as is, copied on the first read of .grad
+            node._flow = g if node._flow is None else node._flow + g
         if node._grad_fn is None:
             continue
         for parent, pg in zip(node._parents, node._grad_fn(g)):
@@ -168,7 +190,7 @@ def _walk(root: Value):
 
 def min_kink_margin(root: Value) -> float:
     """Smallest distance to a ReLU/max kink recorded anywhere in the graph."""
-    return min((node._kink_margin for node in _walk(root)), default=np.inf)
+    return min((float(_evaluated(node._kink_margin)) for node in _walk(root)), default=np.inf)
 
 
 def _kink_sides(root: Value) -> list[np.ndarray]:
@@ -177,7 +199,7 @@ def _kink_sides(root: Value) -> list[np.ndarray]:
     Two graphs built by the same code sit on the same side of every kink
     exactly when their lists are equal element by element.
     """
-    return [node._kink_side for node in _walk(root) if node._kink_side is not None]
+    return [_evaluated(node._kink_side) for node in _walk(root) if node._kink_side is not None]
 
 
 def _same_sides(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
@@ -211,7 +233,8 @@ def add(a, b) -> Value:
     out = a.data + b.data
 
     def grad_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), grad_fn, "add")
 
@@ -221,7 +244,8 @@ def mul(a, b) -> Value:
     out = a.data * b.data
 
     def grad_fn(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _node(out, (a, b), grad_fn, "mul")
 
@@ -236,14 +260,22 @@ def sum_all(x) -> Value:
 
 
 def relu(x) -> Value:
+    """Elementwise max(x, 0): x where x > 0, else +0.0, also for -0.0 and NaN.
+
+    The mask x > 0 is rebuilt from the output when backward or the kink
+    bookkeeping asks for it.
+    """
     x = _lift(x)
-    mask = x.data > 0.0
+    xd = x.data
+    # fmax drops NaN as np.where(x > 0, x, 0) does; adding +0.0 turns -0.0 into +0.0
+    out = np.fmax(xd, 0.0)
+    out += 0.0
 
     def grad_fn(g):
-        return (g * mask,)
+        return (g * (out > 0.0),)
 
-    return _node(np.where(mask, x.data, 0.0), (x,), grad_fn, "relu",
-                 kink_margin=np.abs(x.data).min(), kink_side=mask)
+    return _node(out, (x,), grad_fn, "relu",
+                 kink_margin=lambda: np.abs(xd).min(), kink_side=lambda: out > 0.0)
 
 
 def reshape(x, shape: tuple[int, ...]) -> Value:
@@ -270,7 +302,8 @@ def concat(values: Sequence, axis: int = 0) -> Value:
     splits = np.cumsum([v.data.shape[axis] for v in vals])[:-1]
 
     def grad_fn(g):
-        return tuple(piece.copy() for piece in np.split(g, splits, axis=axis))
+        return tuple(piece.copy() if v.requires_grad else None
+                     for v, piece in zip(vals, np.split(g, splits, axis=axis)))
 
     return _node(out, vals, grad_fn, "concat")
 
@@ -322,7 +355,8 @@ def matmul(a, b) -> Value:
         raise ShapeError(f"matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
 
     def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _node(a.data @ b.data, (a, b), grad_fn, "matmul")
 
@@ -348,7 +382,8 @@ def row_dot(x, w) -> Value:
     out = np.sum(x.data[:, None, :, :] * w.data[None, :, None, :], axis=-1)
 
     def grad_fn(g):
-        return np.matmul(g.transpose(0, 2, 1), w.data), np.matmul(g, x.data).sum(axis=0)
+        return (np.matmul(g.transpose(0, 2, 1), w.data) if x.requires_grad else None,
+                np.matmul(g, x.data).sum(axis=0) if w.requires_grad else None)
 
     return _node(out, (x, w), grad_fn, "row_dot")
 
@@ -366,7 +401,8 @@ def weighted_row_sum(weights, x) -> Value:
     out = _ordersum(xd[:, None, :, :] * wd[..., None], axis=-2)
 
     def grad_fn(g):
-        return np.matmul(g, xd.transpose(0, 2, 1)), np.matmul(wd.transpose(0, 2, 1), g)
+        return (np.matmul(g, xd.transpose(0, 2, 1)) if weights.requires_grad else None,
+                np.matmul(wd.transpose(0, 2, 1), g) if x.requires_grad else None)
 
     return _node(out, (weights, x), grad_fn, "weighted_row_sum")
 
@@ -418,7 +454,8 @@ def l2_normalize(v) -> Value:
         return (np.where(norm < EPS_NORM, g / denom, tangent),)
 
     return _node(y, (v,), grad_fn, "l2_normalize",
-                 kink_margin=np.abs(norm - EPS_NORM).min(), kink_side=norm < EPS_NORM)
+                 kink_margin=lambda: np.abs(norm - EPS_NORM).min(),
+                 kink_side=lambda: norm < EPS_NORM)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +490,36 @@ def _segment_bounds(t: int, n: int) -> list[tuple[int, int]]:
     return [(i * t // n, (i + 1) * t // n) for i in range(n)]
 
 
+def _max_time(x: np.ndarray) -> np.ndarray:
+    """Max over the second-to-last axis, equal to the value at np.argmax.
+
+    np.max keeps the later of a -0.0/+0.0 tie where np.argmax names the
+    earlier, so a zero maximum is read at the argmax instead.
+    """
+    out = x.max(axis=-2)
+    if not out.all():
+        out = np.take_along_axis(x, np.argmax(x, axis=-2)[..., None, :], axis=-2)[..., 0, :]
+    return out
+
+
+def _top2_gap(x: np.ndarray) -> float:
+    """Smallest per-channel gap between the two largest frames; inf below 2 frames."""
+    t = x.shape[-2]
+    if t < 2:
+        return np.inf
+    top2 = np.partition(x, t - 2, axis=-2)[..., -2:, :]
+    return float((top2[..., 1, :] - top2[..., 0, :]).min())
+
+
 def adaptive_max_pool1d(x, n: int) -> Value:
     """Per-channel max over n contiguous segments [floor(iT/n), floor((i+1)T/n)).
 
     Time is the second-to-last axis.  Backward routes each segment's
-    gradient to the earliest argmax frame.
+    gradient to the earliest argmax frame.  With n == T every segment is one
+    frame and the input comes back unchanged.  The frames are gathered into
+    [.. x n x width x C], short segments repeating their last frame (a repeat
+    never precedes its original, so the earliest argmax is a real frame);
+    argmax and kink margin are computed on demand.
     """
     x = _lift(x)
     if x.data.ndim < 2:
@@ -465,55 +527,44 @@ def adaptive_max_pool1d(x, n: int) -> Value:
     t = x.data.shape[-2]
     if not 1 <= n <= t:
         raise ConfigError(f"segment count {n} must lie in [1, {t}]")
+    if n == t:
+        return x
     bounds = _segment_bounds(t, n)
-    pieces = []
-    argmax = []
-    margin = np.inf
-    for lo, hi in bounds:
-        seg = x.data[..., lo:hi, :]
-        idx = np.argmax(seg, axis=-2)
-        argmax.append(idx)
-        pieces.append(np.take_along_axis(seg, idx[..., None, :], axis=-2))
-        if hi - lo >= 2:
-            top2 = np.partition(seg, hi - lo - 2, axis=-2)[..., -2:, :]
-            margin = min(margin, float((top2[..., 1, :] - top2[..., 0, :]).min()))
-    out = np.concatenate(pieces, axis=-2)
+    lo, hi = np.array(bounds).T
+    index = np.minimum(lo[:, None] + np.arange((hi - lo).max()), hi[:, None] - 1)
+    segments = np.take(x.data, index, axis=-2)
+    argmax = functools.cache(lambda: np.argmax(segments, axis=-2))  # within each segment
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
-        for i, (lo, hi) in enumerate(bounds):
-            # one argmax per (batch, channel), so a plain scatter is exact
-            np.put_along_axis(gx[..., lo:hi, :], argmax[i][..., None, :],
-                              g[..., i:i + 1, :], axis=-2)
+        # one argmax per (segment, batch, channel), so a plain scatter is exact
+        np.put_along_axis(gx, argmax() + lo[:, None], g, axis=-2)
         return (gx,)
 
-    return _node(out, (x,), grad_fn, "adaptive_max_pool1d", kink_margin=margin,
-                 kink_side=np.stack(argmax))
+    return _node(_max_time(segments), (x,), grad_fn, "adaptive_max_pool1d",
+                 kink_margin=lambda: min(_top2_gap(x.data[..., a:b, :]) for a, b in bounds),
+                 kink_side=argmax)
 
 
 def global_max_pool_time(x) -> Value:
     """Per-channel max over the whole time axis (earliest argmax wins ties).
 
-    [T x C] -> [C]; [B x T x C] -> [B x C].
+    [T x C] -> [C]; [B x T x C] -> [B x C].  The argmax is computed only for
+    backward or the kink bookkeeping.
     """
     x = _lift(x)
     if x.data.ndim < 2:
         raise ShapeError("global_max_pool_time expects a rank-2 or rank-3 value")
-    t = x.data.shape[-2]
-    idx = np.argmax(x.data, axis=-2)
-    out = np.take_along_axis(x.data, idx[..., None, :], axis=-2)[..., 0, :]
-    margin = np.inf
-    if t >= 2:
-        top2 = np.partition(x.data, t - 2, axis=-2)[..., -2:, :]
-        margin = float((top2[..., 1, :] - top2[..., 0, :]).min())
+    xd = x.data
+    argmax = functools.cache(lambda: np.argmax(xd, axis=-2))
 
     def grad_fn(g):
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx[..., None, :], g[..., None, :], axis=-2)
+        gx = np.zeros_like(xd)
+        np.put_along_axis(gx, argmax()[..., None, :], g[..., None, :], axis=-2)
         return (gx,)
 
-    return _node(out, (x,), grad_fn, "global_max_pool_time", kink_margin=margin,
-                 kink_side=idx)
+    return _node(_max_time(xd), (x,), grad_fn, "global_max_pool_time",
+                 kink_margin=lambda: _top2_gap(xd), kink_side=argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +577,8 @@ def depthwise_conv1d(x, kernels) -> Value:
 
     y[.., t, c] = sum_j kernels[j, c] * x[.., t + j - (k-1)/2, c], with
     out-of-range x = 0.  Channels never mix; kernel length must be odd.
-    Input may be [T x C] or [B x T x C].
+    Input may be [T x C] or [B x T x C].  Every tap's products go through
+    one scratch buffer, forward and backward.
     """
     x, kernels = _lift(x), _lift(kernels)
     if x.data.ndim < 2 or kernels.data.ndim != 2:
@@ -541,17 +593,23 @@ def depthwise_conv1d(x, kernels) -> Value:
     xpad = np.zeros(x.data.shape[:-2] + (t + 2 * p, c))
     xpad[..., p:p + t, :] = x.data
     out = np.zeros_like(x.data)
+    prod = np.empty_like(x.data)
     for j in range(k):
-        out += kernels.data[j] * xpad[..., j:j + t, :]
+        out += np.multiply(kernels.data[j], xpad[..., j:j + t, :], out=prod)
 
     def grad_fn(g):
-        gpad = np.zeros(x.data.shape[:-2] + (t + 2 * p, c))
-        gpad[..., p:p + t, :] = g
-        gx = np.zeros_like(x.data)
-        gk = np.empty_like(kernels.data)
-        for j in range(k):
-            gx += kernels.data[j] * gpad[..., 2 * p - j:2 * p - j + t, :]
-            gk[j] = (g * xpad[..., j:j + t, :]).reshape(-1, c).sum(axis=0)
+        prod = np.empty_like(g)
+        gx = gk = None
+        if x.requires_grad:
+            gpad = np.zeros(x.data.shape[:-2] + (t + 2 * p, c))
+            gpad[..., p:p + t, :] = g
+            gx = np.zeros_like(x.data)
+            for j in range(k):
+                gx += np.multiply(kernels.data[j], gpad[..., 2 * p - j:2 * p - j + t, :], out=prod)
+        if kernels.requires_grad:
+            gk = np.empty_like(kernels.data)
+            for j in range(k):
+                gk[j] = np.multiply(g, xpad[..., j:j + t, :], out=prod).reshape(-1, c).sum(axis=0)
         return gx, gk
 
     return _node(out, (x, kernels), grad_fn, "depthwise_conv1d")
@@ -568,12 +626,15 @@ def pointwise_conv1d(x, w, bias) -> Value:
     if x.data.shape[-1] != w.data.shape[0] or w.data.shape[1] != bias.data.shape[0]:
         raise ShapeError(
             f"pointwise_conv1d shapes disagree: {x.data.shape} x {w.data.shape} + {bias.data.shape}")
-    out = x.data @ w.data + bias.data
+    out = x.data @ w.data
+    out += bias.data
     cin = x.data.shape[-1]
 
     def grad_fn(g):
-        gw = x.data.reshape(-1, cin).T @ g.reshape(-1, w.data.shape[1])
-        return g @ w.data.T, gw, g.reshape(-1, bias.data.shape[0]).sum(axis=0)
+        cout = w.data.shape[1]
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.reshape(-1, cin).T @ g.reshape(-1, cout) if w.requires_grad else None,
+                g.reshape(-1, cout).sum(axis=0) if bias.requires_grad else None)
 
     return _node(out, (x, w, bias), grad_fn, "pointwise_conv1d")
 
@@ -605,7 +666,9 @@ def batch_norm(x, gamma, beta, state: BnState, mode: str = "train",
     Train mode normalizes with the batch statistics (biased variance) and
     folds them into `state`; infer mode normalizes with `state` and leaves
     it untouched.  Accepts rank-2 [T x C] (treated as batch 1) or rank-3
-    [B x T x C] input.
+    [B x T x C] input.  The data is centred once, for the variance and xhat
+    alike, and the rest runs in place on the output and one scratch buffer,
+    with np.mean's and np.var's arithmetic, so the bits are theirs.
     """
     x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
     if x.data.ndim not in (2, 3):
@@ -620,30 +683,42 @@ def batch_norm(x, gamma, beta, state: BnState, mode: str = "train",
     if mode == "train":
         if n < 2:
             raise ConfigError("train-mode batch_norm needs at least 2 positions per channel")
-        mean = flat.mean(axis=0)
-        var = flat.var(axis=0)
+        mean = flat.sum(axis=0) / n
+        xhat = flat - mean
+        out = np.square(xhat)
+        var = out.sum(axis=0) / n
         state.mean[:] = momentum * state.mean + (1.0 - momentum) * mean
         state.var[:] = momentum * state.var + (1.0 - momentum) * var
     else:
-        mean = state.mean.copy()
-        var = state.var.copy()
+        xhat = flat - state.mean
+        out = np.empty_like(flat)
+        var = state.var
     ivar = 1.0 / np.sqrt(var + eps)
-    xhat = (flat - mean) * ivar
-    out = (gamma.data * xhat + beta.data).reshape(x.data.shape)
+    xhat *= ivar
+    np.multiply(gamma.data, xhat, out=out)
+    out += beta.data
 
     def grad_fn(g):
         gf = g.reshape(-1, c)
-        gbeta = gf.sum(axis=0)
-        ggamma = (gf * xhat).sum(axis=0)
-        gxhat = gf * gamma.data
+        buf = np.empty_like(gf)  # scratch for the products that are only summed
+        gbeta = gf.sum(axis=0) if beta.requires_grad else None
+        ggamma = np.multiply(gf, xhat, out=buf).sum(axis=0) if gamma.requires_grad else None
+        if not x.requires_grad:
+            return None, ggamma, gbeta
+        gx = gf * gamma.data
         if mode == "train":
-            gx = (ivar / n) * (n * gxhat - gxhat.sum(axis=0)
-                               - xhat * (gxhat * xhat).sum(axis=0))
+            # (ivar / n) * (n * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat)), in place
+            gsum = gx.sum(axis=0)
+            gdot = np.multiply(gx, xhat, out=buf).sum(axis=0)
+            gx *= n
+            gx -= gsum
+            gx -= np.multiply(xhat, gdot, out=buf)
+            gx *= ivar / n
         else:
-            gx = gxhat * ivar
+            gx *= ivar
         return gx.reshape(x.data.shape), ggamma, gbeta
 
-    return _node(out, (x, gamma, beta), grad_fn, "batch_norm")
+    return _node(out.reshape(x.data.shape), (x, gamma, beta), grad_fn, "batch_norm")
 
 
 # ---------------------------------------------------------------------------

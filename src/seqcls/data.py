@@ -356,7 +356,11 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise FormatError("metadata is not valid json", offset=meta_off) from exc
     arrays: dict[str, np.ndarray] = {}
     for _ in range(cur.u32("array count")):
-        name = cur.text(cur.u32("name length"), "array name")
+        name_len = cur.u32("name length")
+        name_off = cur.pos
+        name = cur.text(name_len, "array name")
+        if name in arrays:
+            raise FormatError(f"duplicate array name {name!r}", offset=name_off)
         ndim = cur.u32("rank")
         if ndim > 3:
             raise FormatError(f"array {name!r} rank {ndim} exceeds 3", offset=cur.pos - 4)

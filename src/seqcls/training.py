@@ -351,32 +351,36 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
     best: tuple[float, int] | None = None
     best_arrays: dict[str, np.ndarray] = {}
     best_table: ScoreTable | None = None
-    for epoch in range(cfg.epochs):
-        loss_sum = 0.0
-        for step, batch in enumerate(batch_iter(train_samples, cfg.batch_size, (cfg.seed, epoch))):
-            zero_grads(v for _, v in named)
-            logits = batch_logits(cfg.model, params, batch, "train")
-            loss = ad.cross_entropy(logits, [s.label for s in batch])
-            if not np.isfinite(loss.data):
-                raise NumericError(f"training loss is {float(loss.data)} at epoch {epoch}, "
-                                   f"batch {step}; try a smaller lr")
-            ad.backward(loss)
-            optimizer.step(named)
-            loss_sum += float(loss.data) * len(batch)
-        train_loss = loss_sum / len(train_samples)
+    # a diverging run overflows before its loss turns non-finite; the loss
+    # guard reports that once, so NumPy's floating-point warnings stay quiet
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            loss_sum = 0.0
+            batches = batch_iter(train_samples, cfg.batch_size, (cfg.seed, epoch))
+            for step, batch in enumerate(batches):
+                zero_grads(v for _, v in named)
+                logits = batch_logits(cfg.model, params, batch, "train")
+                loss = ad.cross_entropy(logits, [s.label for s in batch])
+                if not np.isfinite(loss.data):
+                    raise NumericError(f"training loss is {float(loss.data)} at epoch {epoch}, "
+                                       f"batch {step}; try a smaller lr")
+                ad.backward(loss)
+                optimizer.step(named)
+                loss_sum += float(loss.data) * len(batch)
+            train_loss = loss_sum / len(train_samples)
 
-        table = evaluate(cfg.model, params, val_samples, threads=cfg.threads)
-        top1 = top_k_accuracy(table, val_labels, 1)
-        top5 = top_k_accuracy(table, val_labels, top_k)
-        history.append(EpochMetrics(epoch=epoch, train_loss=train_loss,
-                                    val_top1=top1, val_top5=top5))
-        if progress is not None:
-            progress(f"epoch {epoch}: train_loss={train_loss:.4f} "
-                     f"val_top1={top1:.4f} val_top{top_k}={top5:.4f}")
-        if best is None or top1 > best[0]:
-            best = (top1, epoch)
-            best_arrays = snapshot_arrays(params)
-            best_table = table
+            table = evaluate(cfg.model, params, val_samples, threads=cfg.threads)
+            top1 = top_k_accuracy(table, val_labels, 1)
+            top5 = top_k_accuracy(table, val_labels, top_k)
+            history.append(EpochMetrics(epoch=epoch, train_loss=train_loss,
+                                        val_top1=top1, val_top5=top5))
+            if progress is not None:
+                progress(f"epoch {epoch}: train_loss={train_loss:.4f} "
+                         f"val_top1={top1:.4f} val_top{top_k}={top5:.4f}")
+            if best is None or top1 > best[0]:
+                best = (top1, epoch)
+                best_arrays = snapshot_arrays(params)
+                best_table = table
 
     assert best is not None and best_table is not None
     best_epoch = best[1]

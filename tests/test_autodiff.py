@@ -94,12 +94,22 @@ class TestBackward:
 
     def test_backward_stores_private_copies_of_flows(self):
         """Intermediate grads never alias one another or the flows they came from."""
-        x = Value(np.ones(3), requires_grad=True)
-        y = ad.add(x, 0.0)
-        backward(ad.sum_all(y))
-        assert_array_equal(y.grad, np.ones(3))
-        y.grad[...] = 7.0
-        assert_array_equal(x.grad, np.ones(3))
+        for passes in (1, 2):  # a second pass adds up before any read
+            x = Value(np.ones(3), requires_grad=True)
+            h = ad.add(x, 0.0)  # add hands its own flow on to h
+            y = ad.add(h, 0.0)
+            for _ in range(passes):
+                backward(ad.sum_all(y))
+            assert_array_equal(y.grad, passes * np.ones(3))
+            y.grad[...] = 7.0
+            assert_array_equal(h.grad, passes * np.ones(3))
+            assert_array_equal(x.grad, passes * np.ones(3))
+            h.grad[...] = 5.0
+            backward(ad.sum_all(y))
+            assert_array_equal(h.grad, 6.0 * np.ones(3))
+            assert_array_equal(y.grad, 8.0 * np.ones(3))
+            zero_grads([h])
+            assert_array_equal(h.grad, np.zeros(3))
 
     def test_broadcast_bias_gradient_sums_rows(self):
         """Gradient of a broadcast addend reduces over the broadcast axis."""
@@ -611,3 +621,338 @@ class TestRng:
 
     def test_substreams_differ(self):
         assert not np.array_equal(rng(42).normal(size=5), rng(42, 1).normal(size=5))
+
+
+# ---------------------------------------------------------------------------
+# one-pass txn ops against the implementations they replaced
+# ---------------------------------------------------------------------------
+# The ref_* functions below are the previous implementations, kept verbatim
+# as oracles: every value, gradient and kink record of the rewritten ops must
+# equal theirs bit for bit.  They compute kink bookkeeping eagerly.
+
+
+def ref_relu(x) -> Value:
+    x = ad._lift(x)
+    mask = x.data > 0.0
+
+    def grad_fn(g):
+        return (g * mask,)
+
+    return ad._node(np.where(mask, x.data, 0.0), (x,), grad_fn, "relu",
+                    kink_margin=np.abs(x.data).min(), kink_side=mask)
+
+
+def ref_adaptive_max_pool1d(x, n: int) -> Value:
+    x = ad._lift(x)
+    if x.data.ndim < 2:
+        raise ShapeError("adaptive_max_pool1d expects a rank-2 or rank-3 value")
+    t = x.data.shape[-2]
+    if not 1 <= n <= t:
+        raise ConfigError(f"segment count {n} must lie in [1, {t}]")
+    bounds = ad._segment_bounds(t, n)
+    pieces = []
+    argmax = []
+    margin = np.inf
+    for lo, hi in bounds:
+        seg = x.data[..., lo:hi, :]
+        idx = np.argmax(seg, axis=-2)
+        argmax.append(idx)
+        pieces.append(np.take_along_axis(seg, idx[..., None, :], axis=-2))
+        if hi - lo >= 2:
+            top2 = np.partition(seg, hi - lo - 2, axis=-2)[..., -2:, :]
+            margin = min(margin, float((top2[..., 1, :] - top2[..., 0, :]).min()))
+    out = np.concatenate(pieces, axis=-2)
+
+    def grad_fn(g):
+        gx = np.zeros_like(x.data)
+        for i, (lo, hi) in enumerate(bounds):
+            np.put_along_axis(gx[..., lo:hi, :], argmax[i][..., None, :],
+                              g[..., i:i + 1, :], axis=-2)
+        return (gx,)
+
+    return ad._node(out, (x,), grad_fn, "adaptive_max_pool1d", kink_margin=margin,
+                    kink_side=np.stack(argmax))
+
+
+def ref_global_max_pool_time(x) -> Value:
+    x = ad._lift(x)
+    if x.data.ndim < 2:
+        raise ShapeError("global_max_pool_time expects a rank-2 or rank-3 value")
+    t = x.data.shape[-2]
+    idx = np.argmax(x.data, axis=-2)
+    out = np.take_along_axis(x.data, idx[..., None, :], axis=-2)[..., 0, :]
+    margin = np.inf
+    if t >= 2:
+        top2 = np.partition(x.data, t - 2, axis=-2)[..., -2:, :]
+        margin = float((top2[..., 1, :] - top2[..., 0, :]).min())
+
+    def grad_fn(g):
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, idx[..., None, :], g[..., None, :], axis=-2)
+        return (gx,)
+
+    return ad._node(out, (x,), grad_fn, "global_max_pool_time", kink_margin=margin,
+                    kink_side=idx)
+
+
+def ref_depthwise_conv1d(x, kernels) -> Value:
+    x, kernels = ad._lift(x), ad._lift(kernels)
+    k, c = kernels.data.shape
+    t = x.data.shape[-2]
+    p = (k - 1) // 2
+    xpad = np.zeros(x.data.shape[:-2] + (t + 2 * p, c))
+    xpad[..., p:p + t, :] = x.data
+    out = np.zeros_like(x.data)
+    for j in range(k):
+        out += kernels.data[j] * xpad[..., j:j + t, :]
+
+    def grad_fn(g):
+        gpad = np.zeros(x.data.shape[:-2] + (t + 2 * p, c))
+        gpad[..., p:p + t, :] = g
+        gx = np.zeros_like(x.data)
+        gk = np.empty_like(kernels.data)
+        for j in range(k):
+            gx += kernels.data[j] * gpad[..., 2 * p - j:2 * p - j + t, :]
+            gk[j] = (g * xpad[..., j:j + t, :]).reshape(-1, c).sum(axis=0)
+        return gx, gk
+
+    return ad._node(out, (x, kernels), grad_fn, "depthwise_conv1d")
+
+
+def ref_pointwise_conv1d(x, w, bias) -> Value:
+    x, w, bias = ad._lift(x), ad._lift(w), ad._lift(bias)
+    out = x.data @ w.data + bias.data
+    cin = x.data.shape[-1]
+
+    def grad_fn(g):
+        gw = x.data.reshape(-1, cin).T @ g.reshape(-1, w.data.shape[1])
+        return g @ w.data.T, gw, g.reshape(-1, bias.data.shape[0]).sum(axis=0)
+
+    return ad._node(out, (x, w, bias), grad_fn, "pointwise_conv1d")
+
+
+def ref_batch_norm(x, gamma, beta, state: BnState, mode: str = "train",
+                   momentum: float = ad.BN_MOMENTUM, eps: float = ad.EPS_BN) -> Value:
+    x, gamma, beta = ad._lift(x), ad._lift(gamma), ad._lift(beta)
+    c = x.data.shape[-1]
+    if mode not in ("train", "infer"):
+        raise ConfigError(f"unknown batch_norm mode {mode!r}")
+    flat = x.data.reshape(-1, c)
+    n = flat.shape[0]
+    if mode == "train":
+        if n < 2:
+            raise ConfigError("train-mode batch_norm needs at least 2 positions per channel")
+        mean = flat.mean(axis=0)
+        var = flat.var(axis=0)
+        state.mean[:] = momentum * state.mean + (1.0 - momentum) * mean
+        state.var[:] = momentum * state.var + (1.0 - momentum) * var
+    else:
+        mean = state.mean.copy()
+        var = state.var.copy()
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = (flat - mean) * ivar
+    out = (gamma.data * xhat + beta.data).reshape(x.data.shape)
+
+    def grad_fn(g):
+        gf = g.reshape(-1, c)
+        gbeta = gf.sum(axis=0)
+        ggamma = (gf * xhat).sum(axis=0)
+        gxhat = gf * gamma.data
+        if mode == "train":
+            gx = (ivar / n) * (n * gxhat - gxhat.sum(axis=0)
+                               - xhat * (gxhat * xhat).sum(axis=0))
+        else:
+            gx = gxhat * ivar
+        return gx.reshape(x.data.shape), ggamma, gbeta
+
+    return ad._node(out, (x, gamma, beta), grad_fn, "batch_norm")
+
+
+REFERENCE_OPS = {"relu": ref_relu, "adaptive_max_pool1d": ref_adaptive_max_pool1d,
+                 "global_max_pool_time": ref_global_max_pool_time,
+                 "depthwise_conv1d": ref_depthwise_conv1d,
+                 "pointwise_conv1d": ref_pointwise_conv1d, "batch_norm": ref_batch_norm}
+
+
+def assert_same_bits(a, b):
+    """Equal shapes and bytes: tells -0.0 from +0.0 and compares NaNs."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), (a, b)
+
+
+def tie_heavy(gen, *shape):
+    """Values from a small set with both zeros, so exact ties are common."""
+    return gen.choice([-1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0], size=shape)
+
+
+def run_op(op, arrays, trainable, *args, **kwargs):
+    """Forward, backward against a fixed cotangent, and the kink records."""
+    leaves = [Value(a.copy(), requires_grad=t) for a, t in zip(arrays, trainable)]
+    out = op(*leaves, *args, **kwargs)
+    cot = Value(np.random.default_rng(7).normal(size=out.data.shape))
+    root = ad.sum_all(ad.mul(out, cot))
+    backward(root)
+    grads = [leaf.grad for leaf in leaves]
+    return out.data, grads, ad.min_kink_margin(root), ad._kink_sides(root)
+
+
+def assert_same_run(new, ref):
+    (out, grads, margin, sides), (r_out, r_grads, r_margin, r_sides) = new, ref
+    assert_same_bits(out, r_out)
+    for g, r in zip(grads, r_grads):
+        assert_same_bits(g, r)
+    assert margin == r_margin
+    assert len(sides) == len(r_sides)
+    for s, r in zip(sides, r_sides):
+        assert_same_bits(s, r)
+
+
+class TestOnePassOpsMatchReference:
+    @pytest.mark.parametrize("shape", [(7, 3), (4, 7, 3), (2, 12, 2), (3, 5, 4)])
+    def test_adaptive_pool(self, shape):
+        """T not divisible by n, n == 1 and n == T; ties go to the earliest frame."""
+        gen = np.random.default_rng(42)
+        t = shape[-2]
+        for draw in (tie_heavy, lambda g, *s: g.normal(size=s)):
+            x = draw(gen, *shape)
+            for n in sorted({1, 2, 3, t - 1, t}):
+                new = run_op(ad.adaptive_max_pool1d, [x], [True], n)
+                ref = run_op(ref_adaptive_max_pool1d, [x], [True], n)
+                if n == t:  # one frame per segment: the input itself, with no kink side
+                    assert_same_run(new, ref[:3] + ([],))
+                    continue
+                # the reference stacks its per-segment argmax segment-first
+                ref = ref[:3] + ([np.moveaxis(ref[3][0], 0, -2)],)
+                assert_same_run(new, ref)
+
+    def test_adaptive_pool_routes_a_tie_to_the_earliest_frame(self):
+        # segments [0, 2), [2, 4), [4, 7), each holding a tie
+        x = np.array([[[2.0], [2.0], [1.0], [1.0], [-0.0], [0.0], [-1.0]]])
+        _, (grad,), _, _ = run_op(ad.adaptive_max_pool1d, [x], [True], 3)
+        _, (ref_grad,), _, _ = run_op(ref_adaptive_max_pool1d, [x], [True], 3)
+        assert_same_bits(grad, ref_grad)
+        assert np.flatnonzero(grad[0, :, 0]).tolist() == [0, 2, 4]
+
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 6, 4), (2, 1, 3)])
+    def test_global_max_pool(self, shape):
+        gen = np.random.default_rng(42)
+        for x in (tie_heavy(gen, *shape), gen.normal(size=shape)):
+            assert_same_run(run_op(ad.global_max_pool_time, [x], [True]),
+                            run_op(ref_global_max_pool_time, [x], [True]))
+
+    def test_signed_zero_max_is_read_at_the_earliest_frame(self):
+        x = np.array([[-0.0, 0.0, -1.0], [0.0, -0.0, -2.0]]).T[:, :, None].repeat(2, axis=2)
+        for op, ref in ((ad.global_max_pool_time, ref_global_max_pool_time),
+                        (lambda v: ad.adaptive_max_pool1d(v, 1),
+                         lambda v: ref_adaptive_max_pool1d(v, 1))):
+            assert_same_bits(op(Value(x)).data, ref(Value(x)).data)
+
+    def test_relu_on_signed_zeros_and_non_finite(self):
+        """np.fmax keeps -0.0 on some element positions (17 here reaches one of them)."""
+        for x in (np.array([[-0.0, 0.0, -1.0, 2.5], [np.nan, np.inf, -np.inf, 1e-300]]),
+                  np.full((1, 17), -0.0), np.array([-0.0])):
+            new = run_op(ad.relu, [x], [True])
+            ref = run_op(ref_relu, [x], [True])
+            assert_same_bits(new[0], ref[0])
+            assert_same_bits(new[1][0], ref[1][0])
+            assert_same_bits(new[3][0], ref[3][0])
+        gen = np.random.default_rng(42)
+        for x in (tie_heavy(gen, 3, 5, 4), gen.normal(size=(5, 4))):
+            assert_same_run(run_op(ad.relu, [x], [True]), run_op(ref_relu, [x], [True]))
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    @pytest.mark.parametrize("shape", [(9, 4), (3, 5, 4)])
+    def test_batch_norm(self, mode, shape):
+        gen = np.random.default_rng(42)
+        x = gen.normal(loc=1.0, scale=2.0, size=shape)
+        gamma, beta = gen.normal(size=4), gen.normal(size=4)
+        state = BnState(mean=gen.normal(size=4), var=gen.uniform(0.5, 2.0, size=4))
+        for trainable in ([True, True, True], [False, True, True], [True, False, False]):
+            new_state, ref_state = state.copy(), state.copy()
+            new = run_op(ad.batch_norm, [x, gamma, beta], trainable, new_state, mode=mode)
+            ref = run_op(ref_batch_norm, [x, gamma, beta], trainable, ref_state, mode=mode)
+            assert_same_run(new, ref)
+            assert_same_bits(new_state.mean, ref_state.mean)
+            assert_same_bits(new_state.var, ref_state.var)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    def test_depthwise_conv(self, k):
+        """Kernels shorter and longer than the sequence, with exact zeros in the input."""
+        gen = np.random.default_rng(42)
+        for shape in ((8, 3), (2, 8, 3), (3, 3), (2, 2, 3)):
+            x, kernels = tie_heavy(gen, *shape), gen.normal(size=(k, 3))
+            for trainable in ([True, True], [False, True], [True, False]):
+                assert_same_run(run_op(ad.depthwise_conv1d, [x, kernels], trainable),
+                                run_op(ref_depthwise_conv1d, [x, kernels], trainable))
+
+    def test_pointwise_conv(self):
+        gen = np.random.default_rng(42)
+        w, b = gen.normal(size=(3, 5)), gen.normal(size=5)
+        for shape in ((6, 3), (2, 6, 3)):
+            x = gen.normal(size=shape)
+            for trainable in ([True, True, True], [False, True, True], [True, False, False]):
+                assert_same_run(run_op(ad.pointwise_conv1d, [x, w, b], trainable),
+                                run_op(ref_pointwise_conv1d, [x, w, b], trainable))
+
+
+class TestGradientsNothingUses:
+    def test_constant_parents_get_none(self):
+        """A grad_fn computes no gradient for a parent that does not require one."""
+        gen = np.random.default_rng(42)
+        v = lambda *shape: Value(gen.normal(size=shape), requires_grad=True)
+        c = lambda *shape: Value(gen.normal(size=shape))
+        built = [ad.add(c(2, 3), v(3)), ad.mul(v(2, 3), c(3)), ad.matmul(c(2, 3), v(3, 4)),
+                 ad.concat([v(1, 3), c(2, 3)]), ad.row_dot(c(2, 4, 3), v(2, 3)),
+                 ad.weighted_row_sum(v(2, 2, 4), c(2, 4, 3)),
+                 ad.pointwise_conv1d(c(2, 5, 3), v(3, 4), v(4)),
+                 ad.depthwise_conv1d(c(2, 5, 3), v(3, 3)), ad.depthwise_conv1d(v(2, 5, 3), c(3, 3)),
+                 ad.batch_norm(c(2, 5, 3), v(3), c(3), BnState.fresh(3)),
+                 ad.batch_norm(v(2, 5, 3), c(3), v(3), BnState.fresh(3), mode="infer")]
+        for out in built:
+            grads = out._grad_fn(np.ones_like(out.data))
+            for parent, grad in zip(out._parents, grads):
+                assert (grad is None) == (not parent.requires_grad), out._op
+
+
+class TestKinkBookkeepingOnDemand:
+    def test_txn_train_step_never_partitions(self, monkeypatch):
+        """Train and eval forwards compute no kink margin: np.partition and np.abs never run."""
+        from seqcls.training import TrainConfig, build_model, model_kwargs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kink bookkeeping computed outside gradcheck")
+
+        gen = np.random.default_rng(42)
+        cfg = TrainConfig(model="txn", txn_pad_len=6, txn_segments=3, txn_channels=4)
+        params = build_model("txn", [("rgb", 4)], 3, model_kwargs(cfg), rng(0))
+        batch = [{"rgb": Value(gen.normal(size=(int(t), 4)))} for t in (4, 6, 9)]
+        monkeypatch.setattr(np, "partition", refuse)
+        monkeypatch.setattr(np, "abs", refuse)
+        loss = ad.cross_entropy(params.forward_batch(batch, "train"), [0, 1, 2])
+        backward(loss)
+        assert all(np.isfinite(v.grad).all() for _, v in params.parameters())
+        params.forward_batch(batch, "infer")
+
+    @pytest.mark.parametrize("case", ["txn_block", "txn_net"])
+    def test_gradcheck_txn_cases_see_the_eager_values(self, case, monkeypatch):
+        from seqcls.gradcheck import CASES
+
+        def records():
+            out = []
+            for seed in range(4):
+                f, _ = CASES[case](rng(seed, 0))
+                root = f()
+                out.append((ad.min_kink_margin(root), ad._kink_sides(root)))
+            return out
+
+        lazy = records()
+        for name, ref in REFERENCE_OPS.items():
+            monkeypatch.setattr(ad, name, ref)
+        eager = records()
+        for (margin, sides), (ref_margin, ref_sides) in zip(lazy, eager):
+            assert np.isfinite(margin) and margin == ref_margin
+            assert sides and len(sides) == len(ref_sides)
+            for s, r in zip(sides, ref_sides):
+                assert_same_bits(s, r)

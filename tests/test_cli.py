@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import seqcls
 
 from seqcls.cli import (
     EXIT_CONFIG,
@@ -110,8 +118,6 @@ class TestTrainCommand:
                      "--val", str(data / "val.mmf"), "--out", str(tmp_path / "r"), "--quiet"])
         assert code == EXIT_IO
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_non_finite_loss_exits_numeric_and_writes_nothing(self, workspace, tmp_path,
                                                                capsys):
         """A diverging step size stops training at the first NaN loss, before any artifact."""
@@ -124,6 +130,20 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "epoch 0, batch 2" in err
         assert not out.exists()
+
+    def test_diverging_run_prints_only_its_error_line(self, workspace, tmp_path):
+        """In a process of its own, where no warnings filter applies, stderr is one line."""
+        data = workspace["data"]
+        src = str(Path(seqcls.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqcls.cli", "train", "--train", str(data / "train.mmf"),
+             "--val", str(data / "val.mmf"), "--out", str(tmp_path / "r"), "--model", "txn",
+             "--optimizer", "sgd", "--lr", "1e150", "--batch-size", "4", "--quiet"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_GRADCHECK
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:"), proc.stderr
 
     def test_bad_flag_value_exits_config(self, workspace, tmp_path):
         data = workspace["data"]
@@ -255,6 +275,25 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and "non-finite" in err
+
+    def test_duplicate_array_name_exits_io(self, workspace, tmp_path, capsys):
+        """A checkpoint that names one array twice is malformed, whichever copy is right."""
+        data, run = workspace["data"], workspace["run"]
+        arrays, meta = read_checkpoint(run / "checkpoint.ckpt")
+        name = next(iter(arrays))
+        write_checkpoint(tmp_path / "one.ckpt", {name: arrays[name]}, {})
+        write_checkpoint(tmp_path / "none.ckpt", {}, {})
+        record = (tmp_path / "one.ckpt").read_bytes()[len((tmp_path / "none.ckpt").read_bytes()):]
+        path = tmp_path / "dup.ckpt"
+        write_checkpoint(path, arrays, meta)
+        blob = bytearray(path.read_bytes())
+        count_at = 12 + struct.unpack("<I", blob[8:12])[0]
+        blob[count_at:count_at + 4] = struct.pack("<I", len(arrays) + 1)
+        path.write_bytes(bytes(blob) + record)
+        code = main(["eval", "--checkpoint", str(path), "--data", str(data / "val.mmf")])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.count("\n") == 1 and f"duplicate array name {name!r}" in err
 
     def test_missing_checkpoint_exits_io(self, workspace, tmp_path):
         data = workspace["data"]

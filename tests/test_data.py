@@ -350,6 +350,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             read_checkpoint(path)
 
+    def test_duplicate_array_name_rejected_at_its_offset(self, tmp_path):
+        """A second array under a taken name is a format error, not a silent overwrite."""
+        def array(name: bytes, value: float) -> bytes:
+            return (struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 1)
+                    + struct.pack("<d", value))
+
+        head = b"CKP1" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<I", 3)
+        first = array(b"w", 1.0) + array(b"b", 2.0)
+        path = tmp_path / "dup.ckpt"
+        path.write_bytes(head + first + array(b"w", 3.0))
+        with pytest.raises(FormatError, match="duplicate array name 'w'") as exc:
+            read_checkpoint(path)
+        assert exc.value.offset == len(head) + len(first) + 4
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         write_checkpoint(path, {"w": np.ones(2)}, {})
