@@ -18,7 +18,8 @@ import dataclasses
 import os
 import sys
 
-from .data import read_labels, read_mmf, synth_generate, write_labels, write_mmf, SynthConfig
+from .data import (SynthConfig, atomic_write, read_labels, read_mmf, synth_generate,
+                   write_labels, write_mmf)
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError, UsageError
 from .fusion import late_fuse, read_scores, top_k_accuracy, write_scores
 from .gradcheck import case_names, run_cases
@@ -64,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help=".mmf file to score")
     p.add_argument("--out", help="optional scores file to write")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and checked (>= 1); evaluation runs on one thread")
 
     p = sub.add_parser("fuse", help="combine score tables with convex weights")
     p.add_argument("--scores", required=True, nargs="+", help="input score files")
@@ -170,7 +172,7 @@ def _cmd_train(args) -> int:
     save_model(os.path.join(args.out, "checkpoint.ckpt"), cfg.model, result.params,
                result.kwargs, meta_extra={"best_epoch": result.report.best_epoch,
                                           "seed": cfg.seed})
-    with open(os.path.join(args.out, "metrics.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(args.out, "metrics.txt")) as fh:
         fh.write(result.report.to_text())
     write_scores(os.path.join(args.out, "scores.csv"), result.best_table)
     r = result.report
@@ -180,8 +182,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {args.threads}")
     model, params, _ = load_model(args.checkpoint)
     samples = read_mmf(args.data)
     table = evaluate(model, params, samples, threads=args.threads)

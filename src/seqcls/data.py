@@ -20,12 +20,18 @@ mostly washes the signal out.
 ``modality_frames`` is the heads' one input check: it reads a batch's frames
 as constants, or raises ``ShapeError`` for an empty batch, a missing
 modality or a wrong shape.
+
+Every artifact writer goes through ``atomic_write``, so a failed write
+leaves an existing file as it was and no half-written file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +84,39 @@ def modality_frames(batch: list[dict[str, Value]], name: str, dim: int) -> list[
 
 
 # ---------------------------------------------------------------------------
+# atomic artifact writes
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temp file in path's directory; on success it replaces path.
+
+    The temp file is flushed and moved onto path with ``os.replace`` only
+    when the block ends cleanly; on any exception it is removed and path
+    keeps its old bytes.  A path that exists but is no regular file (a
+    device or a pipe) cannot be replaced and is written in place.
+    """
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    try:
+        # exclusive creation under the process umask, like a plain open
+        with open(tmp, mode.replace("w", "x"), encoding=encoding) as fh:
+            yield fh
+            fh.flush()
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # binary container
 # ---------------------------------------------------------------------------
 
@@ -87,7 +126,7 @@ def write_mmf(path, samples: list[VideoSample]) -> None:
     for s in samples:
         if s.label < 0:
             raise DataError(f"video {s.video_id!r} has negative label {s.label}")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MMF_MAGIC)
         fh.write(struct.pack("<II", MMF_VERSION, len(samples)))
         for s in samples:
@@ -267,7 +306,7 @@ def synth_generate(config: SynthConfig) -> tuple[list[VideoSample], list[VideoSa
 
 
 def write_labels(path, samples: list[VideoSample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for s in samples:
             fh.write(f"{s.video_id},{s.label}\n")
 
@@ -320,7 +359,7 @@ def batch_iter(samples: list[VideoSample], batch_size: int, seed):
 def write_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     """Binary checkpoint: JSON metadata plus named float64 arrays."""
     meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(meta_blob)))
         fh.write(meta_blob)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .data import modality_frames
+from .data import atomic_write, modality_frames
 from .errors import ConfigError, DataError, FormatError
 
 WEIGHT_SUM_TOL = 1e-9
@@ -27,7 +27,12 @@ PROB_SUM_TOL = 1e-6
 
 @dataclass
 class ScoreTable:
-    """Per-video class probabilities; every row sums to 1 within tolerance."""
+    """Per-video class probabilities; every row sums to 1 within tolerance.
+
+    ``add`` checks and stores one row; ``from_rows`` builds a table from a
+    matrix [N x K] with one vectorized check, and raises the error ``add``
+    would raise for the first offending video.
+    """
 
     num_classes: int
     rows: dict[str, np.ndarray] = field(default_factory=dict)
@@ -47,13 +52,34 @@ class ScoreTable:
             raise DataError(f"duplicate video id {video_id!r}")
         self.rows[video_id] = probs
 
+    @classmethod
+    def from_rows(cls, num_classes: int, video_ids: list[str], probs) -> "ScoreTable":
+        """A table whose rows are views of probs [N x K], in video_ids order."""
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.ndim != 2 or len(probs) != len(video_ids):
+            raise DataError(f"{len(video_ids)} video ids but scores of shape {probs.shape}")
+        table = cls(num_classes=num_classes, rows=dict(zip(video_ids, probs)))
+        # NaN fails the range test, so finiteness needs no pass of its own
+        if not (probs.shape[1] == num_classes and len(table.rows) == len(video_ids)
+                and np.all((probs >= 0.0) & (probs <= 1.0))
+                and np.all(np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL)):
+            # replay the per-row checks to raise for the first offending video
+            table = cls(num_classes=num_classes)
+            for vid, row in zip(video_ids, probs):
+                table.add(vid, row)
+        return table
+
 
 def softmax_scores(logits: np.ndarray) -> np.ndarray:
-    """Probabilities from a logit vector, stable in the log domain."""
+    """Probabilities over the last axis of a logit vector [K] or matrix [N x K].
+
+    Stable in the log domain; each row of a matrix gets the bytes the row
+    alone would get.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
@@ -93,21 +119,21 @@ def top_k_accuracy(table: ScoreTable, labels: dict[str, int], k: int) -> float:
     """Fraction of videos whose label ranks in the k highest scores.
 
     Ties rank the lower class index first, so results cannot depend on
-    hash order or sort instability.
+    hash order or sort instability.  One stable sort ranks every row.
     """
     if not 1 <= k <= table.num_classes:
         raise ConfigError(f"k must lie in [1, {table.num_classes}], got {k}")
     if not table.rows:
         raise DataError("empty score table")
-    hits = 0
-    for vid, probs in table.rows.items():
+    for vid in table.rows:
         if vid not in labels:
             raise DataError(f"video {vid!r} missing from labels")
         label = labels[vid]
         if not 0 <= label < table.num_classes:
             raise DataError(f"video {vid!r} label {label} outside [0, {table.num_classes})")
-        topk = np.argsort(-probs, kind="stable")[:k]
-        hits += int(label in topk)
+    y = np.array([labels[vid] for vid in table.rows])
+    topk = np.argsort(-np.stack(list(table.rows.values())), axis=1, kind="stable")[:, :k]
+    hits = int(np.count_nonzero(topk == y[:, None]))
     return hits / len(table.rows)
 
 
@@ -118,7 +144,7 @@ def top_k_accuracy(table: ScoreTable, labels: dict[str, int], k: int) -> float:
 
 def write_scores(path, table: ScoreTable) -> None:
     """One line per video: id,score_0,...,score_{K-1} at 9 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"#classes={table.num_classes}\n")
         for vid, probs in table.rows.items():
             fh.write(vid + "," + ",".join(format(p, ".9g") for p in probs) + "\n")

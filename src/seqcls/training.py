@@ -21,7 +21,6 @@ any serialized artifact.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,9 @@ from .txn import TxnParams
 MODELS = {"satt": SattNetParams, "txn": TxnParams, "meanpool": MeanPoolParams}
 OPTIMIZERS = ("sgd", "adam")
 # videos per forward graph in evaluate: near the training batch size, which
-# amortizes per-op overhead while keeping the chunk's arrays small
+# amortizes per-op overhead while keeping the chunk's arrays small; chunks are
+# cut from the samples in frame-count order, so most of a chunk's videos share
+# their frame counts and satt's length grouping runs few blocks per chunk
 EVAL_CHUNK = 16
 
 
@@ -249,30 +250,29 @@ def load_model(path):
 
 
 def evaluate(model: str, params, samples: list[VideoSample], threads: int = 1) -> ScoreTable:
-    """Score every sample in infer mode; threading never changes the bytes.
+    """Score every sample in infer mode; the table lists them in dataset order.
 
-    Samples are scored in fixed chunks of EVAL_CHUNK in dataset order, one
-    forward graph per chunk.  Workers score disjoint chunks against
-    read-only parameters and results are gathered in dataset order, so the
-    table is identical for any thread count.
+    Samples are sorted by their (modality, T) pairs, ties in dataset order,
+    and scored in chunks of EVAL_CHUNK cut from that order, one forward graph
+    per chunk; one softmax and one validation cover the whole table.  Rows
+    equal those of chunks cut in dataset order bit for bit, except that a
+    chunk of one video (N % EVAL_CHUNK == 1) runs its affine map as a
+    matrix-vector product, whose last bit can differ from a matrix product's:
+    up to two rows can move by about 1 ulp.  Evaluation runs on the calling
+    thread; ``threads`` must be >= 1 and changes nothing.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     if not samples:
         raise DataError("nothing to evaluate")
-    chunks = [samples[i:i + EVAL_CHUNK] for i in range(0, len(samples), EVAL_CHUNK)]
-
-    def score(chunk: list[VideoSample]) -> np.ndarray:
-        return batch_logits(model, params, chunk, "infer").data
-
-    if threads <= 1:
-        logits = [score(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            logits = list(pool.map(score, chunks))
-    table = ScoreTable(num_classes=params.num_classes)
-    for chunk, rows in zip(chunks, logits):
-        for s, row in zip(chunk, rows):
-            table.add(s.video_id, softmax_scores(row))
-    return table
+    counts = [sorted((q.modality, len(q.features)) for q in s.sequences) for s in samples]
+    order = sorted(range(len(samples)), key=counts.__getitem__)
+    logits = np.empty((len(samples), params.num_classes))
+    for start in range(0, len(order), EVAL_CHUNK):
+        rows = order[start:start + EVAL_CHUNK]
+        logits[rows] = batch_logits(model, params, [samples[i] for i in rows], "infer").data
+    return ScoreTable.from_rows(params.num_classes, [s.video_id for s in samples],
+                                softmax_scores(logits))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from seqcls.cli import (
 from seqcls.data import read_checkpoint, read_labels, read_mmf, write_checkpoint
 from seqcls.errors import ConfigError
 from seqcls.fusion import read_scores
+from seqcls.training import MetricsReport
 
 SMALL_GEN = ["--classes", "3", "--videos-per-class", "5", "--frames", "6",
              "--signal-frames", "2", "--modalities", "m:4", "--seed", "7"]
@@ -111,6 +112,23 @@ class TestTrainCommand:
         assert main(args) == EXIT_OK
         for name in ("metrics.txt", "scores.csv", "checkpoint.ckpt"):
             assert (again / name).read_bytes() == (run / name).read_bytes(), name
+
+    def test_failed_metrics_write_keeps_the_old_file(self, workspace, tmp_path, monkeypatch):
+        data = workspace["data"]
+        out = tmp_path / "run"
+        args = ["train", "--train", str(data / "train.mmf"), "--val", str(data / "val.mmf"),
+                "--out", str(out)] + SMALL_TRAIN
+        assert main(args) == EXIT_OK
+        before = (out / "metrics.txt").read_bytes()
+
+        def half_written(self):
+            raise ConfigError("report failed midway")
+
+        monkeypatch.setattr(MetricsReport, "to_text", half_written)
+        assert main(args) == EXIT_CONFIG
+        assert (out / "metrics.txt").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.ckpt", "metrics.txt",
+                                                         "scores.csv"]
 
     def test_missing_train_file_exits_io(self, workspace, tmp_path, capsys):
         data = workspace["data"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -10,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import seqcls.data as data
 from seqcls.data import (
     FeatureSequence,
     SynthConfig,
     VideoSample,
+    atomic_write,
     batch_iter,
     modality_dims,
     read_checkpoint,
@@ -26,6 +30,7 @@ from seqcls.data import (
     write_mmf,
 )
 from seqcls.errors import ConfigError, DataError, FormatError
+from seqcls.fusion import ScoreTable, write_scores
 
 
 def sample(video_id="v0", label=0, **modalities) -> VideoSample:
@@ -181,6 +186,94 @@ class TestMmfErrors:
         with pytest.raises(DataError):
             write_mmf(old, samples)
         assert old.read_bytes() == before
+
+    def test_labels_are_checked_before_anything_is_opened(self, tmp_path, monkeypatch):
+        def no_write(*args, **kwargs):
+            raise AssertionError("write_mmf opened a file before checking labels")
+
+        monkeypatch.setattr(data, "atomic_write", no_write)
+        with pytest.raises(DataError, match="negative label"):
+            write_mmf(tmp_path / "bad.mmf", [sample("v0", 0, rgb=np.ones((2, 2))),
+                                             sample("v1", -2, rgb=np.ones((2, 2)))])
+
+
+def _rank3_second_sequence() -> list[VideoSample]:
+    broken = sample("v1", 1, rgb=np.ones((2, 2)))
+    broken.sequences[0].features = np.ones((2, 2, 2))  # fails after v0 is written
+    return [sample("v0", 0, rgb=np.ones((2, 2))), broken]
+
+
+# each writer with an input it fails on after it has written some bytes
+_FAILING_WRITES = {
+    "write_mmf": lambda path: write_mmf(path, _rank3_second_sequence()),
+    "write_checkpoint": lambda path: write_checkpoint(
+        path, {"ok": np.ones(3), "rank4": np.ones((1, 1, 1, 1))}, {"model": "x"}),
+    "write_labels": lambda path: write_labels(path, [sample("a", 0), None]),
+    "write_scores": lambda path: write_scores(
+        path, ScoreTable(num_classes=2, rows={"a": np.array([0.5, 0.5]), "b": None})),
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", sorted(_FAILING_WRITES))
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, writer):
+        target = tmp_path / "artifact"
+        target.write_bytes(b"old bytes\n")
+        with pytest.raises(Exception):
+            _FAILING_WRITES[writer](target)
+        assert target.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+    @pytest.mark.parametrize("writer", sorted(_FAILING_WRITES))
+    def test_failed_first_write_leaves_nothing(self, tmp_path, writer):
+        with pytest.raises(Exception):
+            _FAILING_WRITES[writer](tmp_path / "artifact")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_success_replaces_the_target_with_plain_open_permissions(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        with atomic_write(target) as fh:
+            fh.write("new ünïcode\n")
+            assert target.read_text() == "old"  # nothing visible before the block ends
+        assert target.read_bytes() == "new ünïcode\n".encode("utf-8")
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w"):
+            pass
+        assert target.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+
+    def test_binary_mode(self, tmp_path):
+        with atomic_write(tmp_path / "blob", "wb") as fh:
+            fh.write(b"\x00\x01")
+        assert (tmp_path / "blob").read_bytes() == b"\x00\x01"
+
+    def test_directory_target_fails_like_open_and_leaves_no_temp(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError):
+            with atomic_write(tmp_path / "d") as fh:
+                fh.write("x")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        """A target that is no regular file cannot be replaced; it is written through."""
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with atomic_write(pipe) as fh:
+                fh.write("through the pipe\n")
+            assert os.read(reader, 64) == b"through the pipe\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_missing_directory_is_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with atomic_write(tmp_path / "no" / "such.txt") as fh:
+                fh.write("x")
 
 
 class TestLabels:

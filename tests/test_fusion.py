@@ -64,6 +64,69 @@ class TestScoreTable:
         assert abs(p.sum() - 1.0) <= 1e-12
 
 
+class TestFromRows:
+    """``from_rows`` checks a whole matrix at once and must behave like one
+    ``add`` per row in order: the same rows, and the same first error."""
+
+    @staticmethod
+    def per_row(num_classes, ids, probs) -> ScoreTable:
+        table = ScoreTable(num_classes=num_classes)
+        for vid, row in zip(ids, probs):
+            table.add(vid, row)
+        return table
+
+    def test_equals_per_row_adds(self):
+        gen = rng(3)
+        ids = [f"v{i}" for i in range(50)]
+        probs = softmax_scores(gen.normal(size=(50, 6)))
+        fast, ref = ScoreTable.from_rows(6, ids, probs), self.per_row(6, ids, probs)
+        assert list(fast.rows) == ids
+        for vid in ids:
+            assert fast.rows[vid].tobytes() == ref.rows[vid].tobytes()
+
+    @pytest.mark.parametrize("faults", [
+        {5: ("row", [np.nan, 0.5, 0.5]), 2: ("row", [0.6, 0.6, 0.6])},
+        {4: ("row", [1.5, -0.25, -0.25]), 1: ("id", "v0")},
+        {3: ("id", "v1"), 6: ("row", [np.inf, 0.0, 0.0])},
+        {7: ("row", [0.2, 0.2, 0.2])},
+        {0: ("row", [-0.0, np.nan, 1.0])},
+        {6: ("id", "v2")},
+    ])
+    def test_raises_the_first_per_row_error(self, faults):
+        ids = [f"v{i}" for i in range(8)]
+        probs = np.full((8, 3), 1.0 / 3.0)
+        for i, (kind, value) in faults.items():
+            if kind == "id":
+                ids[i] = value
+            else:
+                probs[i] = value
+        with pytest.raises(DataError) as ref:
+            self.per_row(3, ids, probs)
+        with pytest.raises(DataError) as fast:
+            ScoreTable.from_rows(3, ids, probs)
+        assert str(fast.value) == str(ref.value)
+
+    def test_rejects_wrong_class_count_and_row_count(self):
+        probs = np.full((2, 2), 0.5)
+        with pytest.raises(DataError, match="expected 3 scores"):
+            ScoreTable.from_rows(3, ["a", "b"], probs)
+        with pytest.raises(DataError, match="3 video ids"):
+            ScoreTable.from_rows(2, ["a", "b", "c"], probs)
+
+
+class TestSoftmaxScoresMatrix:
+    def test_rows_equal_per_row_softmax_bitwise(self):
+        gen = rng(11)
+        logits = np.concatenate([gen.normal(scale=30.0, size=(40, 7)),
+                                 np.round(gen.normal(size=(20, 7)))])  # ties in the rows
+        logits[3] = 0.0
+        logits[4, :] = [-0.0, 0.0, -0.0, 1e300, -1e300, 5.0, 5.0]
+        probs = softmax_scores(logits)
+        assert probs.shape == logits.shape
+        for row, p in zip(logits, probs):
+            assert softmax_scores(row).tobytes() == p.tobytes()
+
+
 class TestLateFuse:
     def test_matches_weighted_average_oracle(self):
         gen = rng(42)
@@ -138,6 +201,42 @@ class TestTopKAccuracy:
         t = random_table(gen, ids, k=5)
         labels = {vid: int(gen.integers(0, 5)) for vid in ids}
         assert top_k_accuracy(t, labels, 5) == 1.0
+
+    @staticmethod
+    def ref_top_k_accuracy(table: ScoreTable, labels: dict[str, int], k: int) -> float:
+        """One stable argsort per row, the loop the vectorized rank replaces."""
+        hits = 0
+        for vid, probs in table.rows.items():
+            if vid not in labels:
+                raise DataError(f"video {vid!r} missing from labels")
+            label = labels[vid]
+            if not 0 <= label < table.num_classes:
+                raise DataError(f"video {vid!r} label {label} outside [0, {table.num_classes})")
+            hits += int(label in np.argsort(-probs, kind="stable")[:k])
+        return hits / len(table.rows)
+
+    def test_matches_per_row_oracle_on_ties_for_every_k(self):
+        gen = rng(5)
+        k = 6
+        # coarse probabilities repeat within rows, so exact ties are common
+        counts = gen.integers(0, 3, size=(300, k)).astype(float)
+        counts[counts.sum(axis=1) == 0] = 1.0
+        counts[:5] = 1.0  # all classes tied
+        ids = [f"v{i}" for i in range(len(counts))]
+        table = ScoreTable.from_rows(k, ids, counts / counts.sum(axis=1, keepdims=True))
+        labels = {vid: int(gen.integers(0, k)) for vid in ids}
+        for top in range(1, k + 1):
+            assert top_k_accuracy(table, labels, top) == self.ref_top_k_accuracy(table, labels, top)
+
+    @pytest.mark.parametrize("labels", [{"a": 0, "c": 1}, {"a": 0, "b": 2, "c": 7},
+                                        {"a": 9, "b": 0}, {"b": 0, "c": -1}])
+    def test_label_errors_name_the_same_first_video(self, labels):
+        t = self.table_from({"a": [0.5, 0.5], "b": [0.25, 0.75], "c": [1.0, 0.0]})
+        with pytest.raises(DataError) as ref:
+            self.ref_top_k_accuracy(t, labels, 1)
+        with pytest.raises(DataError) as fast:
+            top_k_accuracy(t, labels, 1)
+        assert str(fast.value) == str(ref.value)
 
     def test_validation(self):
         t = self.table_from({"a": [0.5, 0.5]})

@@ -7,9 +7,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from seqcls.autodiff import Value, _walk, backward, cross_entropy, rng, zero_grads
+import seqcls.autodiff as ad
+import seqcls.training as training
 from seqcls.data import FeatureSequence, SynthConfig, VideoSample, modality_dims, synth_generate, write_mmf
 from seqcls.errors import ConfigError, DataError, ShapeError
-from seqcls.fusion import softmax_scores, write_scores
+from seqcls.fusion import ScoreTable, softmax_scores, write_scores
 from seqcls.satt import satt_net_forward
 from seqcls.training import (
     EVAL_CHUNK,
@@ -279,12 +281,12 @@ class TestEvaluate:
             assert_array_equal(pooled.rows[vid], single.rows[vid])
 
     @staticmethod
-    def ragged_set(count):
+    def ragged_set(count, seed=99, rgb_frames=(2, 6), flow_frames=(3, 5)):
         """Two-modality videos whose frame counts vary independently."""
-        gen = rng(99)
+        gen = rng(seed)
         return [VideoSample(f"v{i:03d}", i % 3,
-                            [FeatureSequence("rgb", gen.normal(size=(int(gen.integers(2, 6)), 4))),
-                             FeatureSequence("flow", gen.normal(size=(int(gen.integers(3, 5)), 3)))])
+                            [FeatureSequence("rgb", gen.normal(size=(int(gen.integers(*rgb_frames)), 4))),
+                             FeatureSequence("flow", gen.normal(size=(int(gen.integers(*flow_frames)), 3)))])
                 for i in range(count)]
 
     @pytest.mark.parametrize("model", MODELS)
@@ -315,6 +317,114 @@ class TestEvaluate:
         params = build_model("meanpool", [("m", 4)], 3, {}, rng(0))
         with pytest.raises(DataError):
             evaluate("meanpool", params, [])
+
+    def test_thread_count_below_one_rejected(self, small_dataset):
+        _, val = small_dataset
+        params = build_model("meanpool", [("m", 4)], 3, {}, rng(0))
+        with pytest.raises(ConfigError, match="threads"):
+            evaluate("meanpool", params, val, threads=0)
+
+
+def ref_softmax_scores(logits: np.ndarray) -> np.ndarray:
+    """Probabilities of one logit vector, as evaluate computed them per row."""
+    z = logits - logits.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def ref_evaluate(model: str, params, samples: list[VideoSample]) -> ScoreTable:
+    """The evaluation the length-ordered one replaces: chunks of EVAL_CHUNK in
+    dataset order, then one softmax and one checked ``add`` per row."""
+    table = ScoreTable(num_classes=params.num_classes)
+    for start in range(0, len(samples), EVAL_CHUNK):
+        chunk = samples[start:start + EVAL_CHUNK]
+        for s, row in zip(chunk, batch_logits(model, params, chunk, "infer").data):
+            table.add(s.video_id, ref_softmax_scores(row))
+    return table
+
+
+def wide_ragged_set(count: int) -> list[VideoSample]:
+    """Videos with 32 distinct frame-count pairs, so that dataset-order chunks
+    mix lengths and frame-count order regroups them."""
+    return TestEvaluate.ragged_set(count, seed=3, rgb_frames=(2, 10), flow_frames=(3, 7))
+
+
+def ragged_params(model: str):
+    cfg = small_cfg(model=model, txn_pad_len=5, txn_segments=2)
+    return build_model(model, [("rgb", 4), ("flow", 3)], 3, model_kwargs(cfg), rng(8))
+
+
+class TestLengthOrderedEvaluate:
+    @pytest.mark.parametrize("count", [37, 50, 200])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rows_match_dataset_order_oracle_bitwise(self, model, count):
+        samples = wide_ragged_set(count)
+        params = ragged_params(model)
+        fast, ref = evaluate(model, params, samples), ref_evaluate(model, params, samples)
+        assert list(fast.rows) == list(ref.rows) == [s.video_id for s in samples]
+        for vid, row in ref.rows.items():
+            assert fast.rows[vid].tobytes() == row.tobytes(), vid
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_one_video_chunk_moves_at_most_two_rows(self, model):
+        """With N % EVAL_CHUNK == 1 the last chunk's affine map is a
+        matrix-vector product, and a different video lands in it."""
+        samples = wide_ragged_set(2 * EVAL_CHUNK + 1)
+        params = ragged_params(model)
+        fast, ref = evaluate(model, params, samples), ref_evaluate(model, params, samples)
+        assert list(fast.rows) == list(ref.rows)
+        moved = [vid for vid, row in ref.rows.items() if fast.rows[vid].tobytes() != row.tobytes()]
+        assert len(moved) <= 2
+        for vid in moved:
+            assert_allclose(fast.rows[vid], ref.rows[vid], rtol=0.0, atol=4e-16)
+
+    def test_satt_runs_few_length_blocks(self, monkeypatch):
+        """Per modality, satt runs one block per (chunk, frame-count pair) it
+        meets; length order bounds that by chunks + distinct pairs - 1."""
+        samples = wide_ragged_set(200)
+        params = ragged_params("satt")
+        calls = {4: 0, 3: 0}  # per modality, keyed by its feature dim
+        row_dot = ad.row_dot
+
+        def counting_row_dot(x, w):
+            calls[x.data.shape[-1]] += 1
+            return row_dot(x, w)
+
+        monkeypatch.setattr(ad, "row_dot", counting_row_dot)
+        evaluate("satt", params, samples)
+        chunks = -(-len(samples) // EVAL_CHUNK)
+        pairs = {tuple(len(seq.features) for seq in s.sequences) for s in samples}
+        assert calls[4] == calls[3] <= chunks + len(pairs) - 1
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_missing_modality_is_a_shape_error(self, model):
+        samples = wide_ragged_set(40)
+        samples[29] = VideoSample("lacks-flow", 0, samples[29].sequences[:1])
+        with pytest.raises(ShapeError, match="flow"):
+            evaluate(model, ragged_params(model), samples)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_non_finite_logit_names_the_first_video_in_dataset_order(self, model, monkeypatch):
+        samples = wide_ragged_set(40)
+        rank = {i: r for r, i in enumerate(sorted(
+            range(len(samples)),
+            key=lambda i: sorted((seq.modality, len(seq.features)) for seq in samples[i].sequences)))}
+        # two videos whose frame-count order is the reverse of their dataset order,
+        # scored in different chunks
+        first, later = next((a, b) for a in range(len(samples))
+                            for b in range(a + 1, len(samples)) if rank[b] + EVAL_CHUNK < rank[a])
+        poisoned = {samples[first].video_id, samples[later].video_id}
+
+        def poisoning_batch_logits(model, params, batch, mode):
+            logits = batch_logits(model, params, batch, mode)
+            for row, s in zip(logits.data, batch):
+                if s.video_id in poisoned:
+                    row[0] = np.nan
+            return logits
+
+        monkeypatch.setattr(training, "batch_logits", poisoning_batch_logits)
+        with pytest.raises(DataError, match=f"video {samples[first].video_id!r}: scores must be finite"):
+            evaluate(model, ragged_params(model), samples)
 
 
 class TestTrainLoop:
