@@ -27,8 +27,11 @@ leaves an existing file as it was and no half-written file behind.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import itertools
 import json
+import math
 import os
 import struct
 import uuid
@@ -143,69 +146,104 @@ def write_mmf(path, samples: list[VideoSample]) -> None:
                 fh.write(np.ascontiguousarray(seq.features, dtype="<f4").tobytes())
 
 
-class _Cursor:
-    """Byte reader that reports the offset of whichever field failed."""
+# runs of 0 to 3 little-endian u32 fields; the longest is a rank-3 array's extents
+_U32S = [struct.Struct("<" + "I" * n) for n in range(4)]
 
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError(f"truncated file while reading {what}", offset=self.pos)
-        piece = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return piece
+def _span(blob: bytes, pos: int, n: int, what: str) -> int:
+    """End of the n bytes at pos, or FormatError at pos if the blob is shorter."""
+    if pos + n > len(blob):
+        raise FormatError(f"truncated file while reading {what}", offset=pos)
+    return pos + n
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
 
-    def text(self, n: int, what: str) -> str:
-        start = self.pos
-        try:
-            return self.take(n, what).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{what} is not valid utf-8", offset=start) from exc
+def _u32s(blob: bytes, pos: int, *whats: str) -> tuple[tuple[int, ...], int]:
+    """One u32 per name in whats at pos, and the end offset.
+
+    A short blob raises at the offset of the first field it cuts, named.
+    """
+    fmt = _U32S[len(whats)]
+    if pos + fmt.size > len(blob):
+        cut = (len(blob) - pos) // 4
+        raise FormatError(f"truncated file while reading {whats[cut]}", offset=pos + 4 * cut)
+    return fmt.unpack_from(blob, pos), pos + fmt.size
+
+
+def _text(blob: bytes, pos: int, n: int, what: str) -> tuple[str, int]:
+    """The n bytes at pos decoded as utf-8, and the end offset."""
+    end = _span(blob, pos, n, what)
+    try:
+        return blob[pos:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not valid utf-8", offset=pos) from exc
+
+
+def _features(blob: bytes,
+              layout: list[tuple[str, int, int, int]]) -> tuple[np.ndarray, list[int]]:
+    """All sequences' float32 values as one float64 array, and each one's start in it.
+
+    layout lists (name, T, D, byte offset) per sequence in file order; the
+    first non-finite value, in that order, raises at its byte offset.
+    """
+    starts = list(itertools.accumulate((t * d for _, t, d, _ in layout), initial=0))
+    flat = np.empty(starts[-1])
+    for (_, _, _, offset), a, b in zip(layout, starts, starts[1:]):
+        flat[a:b] = np.frombuffer(blob, "<f4", b - a, offset)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        j = bisect.bisect_right(starts, bad) - 1
+        raise FormatError(f"non-finite feature in modality {layout[j][0]!r}",
+                          offset=layout[j][3] + 4 * (bad - starts[j]))
+    return flat, starts
 
 
 def read_mmf(path) -> list[VideoSample]:
+    """Read the container; every sequence's features are a view of one array.
+
+    Errors come in file order.  The header walk stops at the first bad or
+    truncated field (or at trailing bytes), but a non-finite feature in a
+    sequence before that field is reported first.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    cur = _Cursor(blob)
-    magic = cur.take(4, "magic")
-    if magic != MMF_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MMF_MAGIC!r}", offset=0)
-    version = cur.u32("version")
+    _span(blob, 0, 4, "magic")
+    if blob[:4] != MMF_MAGIC:
+        raise FormatError(f"bad magic {blob[:4]!r}, expected {MMF_MAGIC!r}", offset=0)
+    (version,), pos = _u32s(blob, 4, "version")
     if version != MMF_VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
-    num_videos = cur.u32("video count")
+    (num_videos,), pos = _u32s(blob, pos, "video count")
 
-    samples: list[VideoSample] = []
-    for _ in range(num_videos):
-        vid = cur.text(cur.u32("id length"), "video id")
-        label = cur.u32("label")
-        num_modalities = cur.u32("modality count")
-        seqs: list[FeatureSequence] = []
-        for _ in range(num_modalities):
-            name = cur.text(cur.u32("name length"), "modality name")
-            t = cur.u32("frame count")
-            d = cur.u32("feature dim")
-            if t < 1 or d < 1:
-                raise FormatError(f"modality {name!r} has empty extent {t}x{d}",
-                                  offset=cur.pos - 8)
-            data_off = cur.pos
-            raw = cur.take(4 * t * d, f"features of {name!r}")
-            feats = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(t, d)
-            if not np.all(np.isfinite(feats)):
-                bad = int(np.flatnonzero(~np.isfinite(feats.reshape(-1)))[0])
-                raise FormatError(f"non-finite feature in modality {name!r}",
-                                  offset=data_off + 4 * bad)
-            seqs.append(FeatureSequence(modality=name, features=feats))
-        samples.append(VideoSample(video_id=vid, label=label, sequences=seqs))
-    if cur.pos != len(blob):
-        raise FormatError(f"{len(blob) - cur.pos} trailing bytes after last video",
-                          offset=cur.pos)
-    return samples
+    videos: list[tuple[str, int, int]] = []  # (id, label, modality count)
+    layout: list[tuple[str, int, int, int]] = []  # (name, T, D, data offset)
+    try:
+        for _ in range(num_videos):
+            (n,), pos = _u32s(blob, pos, "id length")
+            vid, pos = _text(blob, pos, n, "video id")
+            (label, num_modalities), pos = _u32s(blob, pos, "label", "modality count")
+            for _ in range(num_modalities):
+                (n,), pos = _u32s(blob, pos, "name length")
+                name, pos = _text(blob, pos, n, "modality name")
+                (t, d), pos = _u32s(blob, pos, "frame count", "feature dim")
+                if t < 1 or d < 1:
+                    raise FormatError(f"modality {name!r} has empty extent {t}x{d}",
+                                      offset=pos - 8)
+                end = _span(blob, pos, 4 * t * d, f"features of {name!r}")
+                layout.append((name, t, d, pos))
+                pos = end
+            videos.append((vid, label, num_modalities))
+        if pos != len(blob):
+            raise FormatError(f"{len(blob) - pos} trailing bytes after last video", offset=pos)
+    except FormatError:
+        _features(blob, layout)  # a non-finite feature before the fault is reported first
+        raise
+    flat, starts = _features(blob, layout)
+
+    seqs = iter([FeatureSequence(modality=name, features=flat[a:a + t * d].reshape(t, d))
+                 for (name, t, d, _), a in zip(layout, starts)])
+    return [VideoSample(video_id=vid, label=label, sequences=list(itertools.islice(seqs, n)))
+            for vid, label, n in videos]
 
 
 def modality_dims(samples: list[VideoSample]) -> dict[str, int]:
@@ -378,36 +416,39 @@ def write_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Arrays and metadata of a checkpoint; errors come in file order.
+
+    An array's size is the product of its extents in Python integers, so
+    extents whose product overflows 64 bits read as a truncated file.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    cur = _Cursor(blob)
-    magic = cur.take(4, "magic")
-    if magic != CKPT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
-    version = cur.u32("version")
+    _span(blob, 0, 4, "magic")
+    if blob[:4] != CKPT_MAGIC:
+        raise FormatError(f"bad checkpoint magic {blob[:4]!r}", offset=0)
+    (version,), pos = _u32s(blob, 4, "version")
     if version != CKPT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    meta_len = cur.u32("metadata length")
-    meta_off = cur.pos
+    (meta_len,), meta_off = _u32s(blob, pos, "metadata length")
+    text, pos = _text(blob, meta_off, meta_len, "metadata")
     try:
-        meta = json.loads(cur.text(meta_len, "metadata"))
+        meta = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError("metadata is not valid json", offset=meta_off) from exc
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(cur.u32("array count")):
-        name_len = cur.u32("name length")
-        name_off = cur.pos
-        name = cur.text(name_len, "array name")
+    (count,), pos = _u32s(blob, pos, "array count")
+    for _ in range(count):
+        (name_len,), name_off = _u32s(blob, pos, "name length")
+        name, pos = _text(blob, name_off, name_len, "array name")
         if name in arrays:
             raise FormatError(f"duplicate array name {name!r}", offset=name_off)
-        ndim = cur.u32("rank")
+        (ndim,), pos = _u32s(blob, pos, "rank")
         if ndim > 3:
-            raise FormatError(f"array {name!r} rank {ndim} exceeds 3", offset=cur.pos - 4)
-        shape = tuple(cur.u32("extent") for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        raw = cur.take(8 * size, f"data of {name!r}")
-        arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    if cur.pos != len(blob):
-        raise FormatError(f"{len(blob) - cur.pos} trailing bytes after last array",
-                          offset=cur.pos)
+            raise FormatError(f"array {name!r} rank {ndim} exceeds 3", offset=pos - 4)
+        shape, start = _u32s(blob, pos, *["extent"] * ndim)
+        size = math.prod(shape)
+        pos = _span(blob, start, 8 * size, f"data of {name!r}")
+        arrays[name] = np.frombuffer(blob, "<f8", size, start).astype(np.float64).reshape(shape)
+    if pos != len(blob):
+        raise FormatError(f"{len(blob) - pos} trailing bytes after last array", offset=pos)
     return arrays, meta

@@ -12,6 +12,7 @@ it takes frame means in NumPy and scores a batch with one affine map.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,14 +106,20 @@ def late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
         if set(t.rows) != ids:
             missing = ids.symmetric_difference(t.rows)
             raise DataError(f"video ids disagree across tables, e.g. {sorted(missing)[:3]}")
-    fused = ScoreTable(num_classes=first.num_classes)
-    for vid in first.rows:
-        # delta form: exact no-op when all tables carry identical rows
-        p = first.rows[vid].copy()
-        for t, w in zip(tables[1:], weights[1:]):
-            p += w * (t.rows[vid] - first.rows[vid])
-        fused.rows[vid] = np.clip(p, 0.0, 1.0)
-    return fused
+    # delta form: exact no-op when all tables carry identical rows
+    ids = list(first.rows)
+    p0 = _matrix(first, ids)
+    p = p0.copy()
+    for t, w in zip(tables[1:], weights[1:]):
+        p += w * (_matrix(t, ids) - p0)
+    return ScoreTable(num_classes=first.num_classes, rows=dict(zip(ids, np.clip(p, 0.0, 1.0))))
+
+
+def _matrix(table: ScoreTable, ids: list[str]) -> np.ndarray:
+    """The rows of the given video ids stacked into one matrix [N x K]."""
+    if not ids:
+        return np.empty((0, table.num_classes))
+    return np.stack([table.rows[vid] for vid in ids])
 
 
 def top_k_accuracy(table: ScoreTable, labels: dict[str, int], k: int) -> float:
@@ -132,7 +139,7 @@ def top_k_accuracy(table: ScoreTable, labels: dict[str, int], k: int) -> float:
         if not 0 <= label < table.num_classes:
             raise DataError(f"video {vid!r} label {label} outside [0, {table.num_classes})")
     y = np.array([labels[vid] for vid in table.rows])
-    topk = np.argsort(-np.stack(list(table.rows.values())), axis=1, kind="stable")[:, :k]
+    topk = np.argsort(-_matrix(table, list(table.rows)), axis=1, kind="stable")[:, :k]
     hits = int(np.count_nonzero(topk == y[:, None]))
     return hits / len(table.rows)
 
@@ -143,41 +150,83 @@ def top_k_accuracy(table: ScoreTable, labels: dict[str, int], k: int) -> float:
 
 
 def write_scores(path, table: ScoreTable) -> None:
-    """One line per video: id,score_0,...,score_{K-1} at 9 significant digits."""
+    """One line per video: id,score_0,...,score_{K-1} at 9 significant digits.
+
+    An id that ``read_scores`` could not give back, one that holds a line
+    break or starts with whitespace, raises DataError before path is opened.
+    """
+    ids = list(table.rows)
+    for vid in ids:
+        if "\n" in vid or "\r" in vid or vid[:1].isspace():
+            raise DataError(f"video id {vid!r} cannot be written to a score table")
+    # an empty table builds no row format, whatever class count its header claims
+    line = "%s" + ",%.9g" * table.num_classes + "\n" if ids else ""
+    rows = _matrix(table, ids).tolist()
     with atomic_write(path) as fh:
-        fh.write(f"#classes={table.num_classes}\n")
-        for vid, probs in table.rows.items():
-            fh.write(vid + "," + ",".join(format(p, ".9g") for p in probs) + "\n")
+        fh.write(f"#classes={table.num_classes}\n"
+                 + "".join(line % (vid, *row) for vid, row in zip(ids, rows)))
 
 
 def read_scores(path) -> ScoreTable:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#classes="):
-            raise FormatError(f"expected '#classes=K' header, got {header!r}")
-        try:
-            k = int(header.removeprefix("#classes="))
-        except ValueError as exc:
-            raise FormatError(f"bad class count in header {header!r}") from exc
-        if k < 2:
-            raise FormatError(f"class count must be >= 2, got {k}")
-        table = ScoreTable(num_classes=k)
-        for lineno, line in enumerate(fh, start=2):
+    """Read a score table; each row's last K fields are its scores, the rest its id.
+
+    Lines end at LF, CR LF or CR.  Errors come in file order: bytes
+    that are not utf-8 first (at the offset of the first bad byte), then a
+    header fault, then the first line that has too few fields, a non-numeric
+    score, a bad distribution or a repeated id.  A bad row thus wins over a
+    parse error on a later line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = io.StringIO(raw.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise FormatError("score table is not valid utf-8", offset=exc.start) from exc
+    header = lines.readline().strip()
+    if not header.startswith("#classes="):
+        raise FormatError(f"expected '#classes=K' header, got {header!r}")
+    try:
+        k = int(header.removeprefix("#classes="))
+    except ValueError as exc:
+        raise FormatError(f"bad class count in header {header!r}") from exc
+    if k < 2:
+        raise FormatError(f"class count must be >= 2, got {k}")
+    ids: list[str] = []
+    rows: list[list[float]] = []
+    linenos: list[int] = []
+    try:
+        for lineno, line in enumerate(lines, start=2):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != k + 1:
-                raise FormatError(f"line {lineno}: expected {k + 1} fields, got {len(parts)}")
+            vid, *scores = line.rsplit(",", k)
+            if len(scores) != k:
+                raise FormatError(f"line {lineno}: expected {k + 1} fields, got {len(scores) + 1}")
             try:
-                probs = [float(p) for p in parts[1:]]
+                rows.append(list(map(float, scores)))
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-numeric score") from exc
+            ids.append(vid)
+            linenos.append(lineno)
+    except FormatError:
+        _checked_table(k, ids, rows, linenos)  # a bad row before the fault wins
+        raise
+    return _checked_table(k, ids, rows, linenos)
+
+
+def _checked_table(k: int, ids: list[str], rows: list[list[float]],
+                   linenos: list[int]) -> ScoreTable:
+    """One table of the parsed rows; a bad row raises FormatError naming its line."""
+    try:
+        return ScoreTable.from_rows(k, ids, np.array(rows, dtype=np.float64).reshape(-1, k))
+    except DataError:
+        table = ScoreTable(num_classes=k)
+        for lineno, vid, row in zip(linenos, ids, rows):
             try:
-                table.add(parts[0], probs)
+                table.add(vid, row)
             except DataError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
-    return table
+        raise
 
 
 # ---------------------------------------------------------------------------

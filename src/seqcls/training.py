@@ -20,6 +20,7 @@ any serialized artifact.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -170,8 +171,10 @@ def build_model(model: str, modalities: list[tuple[str, int]], num_classes: int,
     unknown = sorted(set(kwargs) - set(cls.CONFIG_FIELDS))
     if missing or unknown:
         raise DataError(f"{model} model_kwargs: missing {missing}, unknown {unknown}")
-    if not all(isinstance(v, (int, float)) for v in kwargs.values()):
-        raise DataError(f"{model} model_kwargs must be numbers, got {kwargs}")
+    # a JSON number is an int, which is finite, or a float, which may not be
+    if not all(isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
+               for v in kwargs.values()):
+        raise DataError(f"{model} model_kwargs must be finite numbers, got {kwargs}")
     return cls.from_kwargs(modalities, num_classes, kwargs, gen)
 
 

@@ -21,7 +21,7 @@ from seqcls.cli import (
     make_train_config,
     parse_config_file,
 )
-from seqcls.data import read_checkpoint, read_labels, read_mmf, write_checkpoint
+from seqcls.data import read_checkpoint, read_labels, read_mmf, write_checkpoint, write_mmf
 from seqcls.errors import ConfigError
 from seqcls.fusion import read_scores
 from seqcls.training import MetricsReport
@@ -265,6 +265,20 @@ class TestEvalCommand:
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("model, key, value", [
+        ("satt", "alpha", float("inf")), ("satt", "num_heads", float("nan")),
+        ("txn", "block_channels", float("-inf"))])
+    def test_non_finite_model_kwargs_exit_config(self, two_modality_runs, tmp_path, capsys,
+                                                 model, key, value):
+        """JSON NaN and Infinity in model_kwargs: exit 2 with one line, no warning or traceback."""
+        def edit(arrays, meta):
+            meta["model_kwargs"][key] = value
+
+        code = self.eval_rewritten(two_modality_runs, model, tmp_path, edit)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "must be finite numbers" in err
+
     @pytest.mark.parametrize("key, value", [
         ("modalities", [["rgb"]]), ("modalities", "rgb"), ("modalities", [[4, 4]]),
         ("modalities", [["rgb", 4.0]]), ("modalities", [["rgb", 0]]),
@@ -344,6 +358,29 @@ class TestFuseCommand:
                      "--out", str(out), "--labels", str(data / "val_labels.csv")])
         assert code == EXIT_OK
         assert "top1=" in capsys.readouterr().out
+
+    def test_ids_with_commas_survive_eval_and_fuse(self, workspace, tmp_path, capsys):
+        """eval --out writes a table that fuse reads back, whatever commas the ids hold."""
+        samples = read_mmf(workspace["data"] / "val.mmf")
+        for i, s in enumerate(samples):
+            s.video_id = f"clip,{i},part"
+        write_mmf(tmp_path / "commas.mmf", samples)
+        scores, fused = tmp_path / "s.csv", tmp_path / "f.csv"
+        assert main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.ckpt"),
+                     "--data", str(tmp_path / "commas.mmf"), "--out", str(scores)]) == EXIT_OK
+        assert main(["fuse", "--scores", str(scores), str(scores), "--out", str(fused)]) == EXIT_OK
+        assert fused.read_bytes() == scores.read_bytes()
+        assert list(read_scores(fused).rows) == [s.video_id for s in samples]
+
+    def test_id_a_table_cannot_hold_exits_config(self, workspace, tmp_path, capsys):
+        samples = read_mmf(workspace["data"] / "val.mmf")
+        samples[1].video_id = "two\nlines"
+        write_mmf(tmp_path / "newline.mmf", samples)
+        code = main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.ckpt"),
+                     "--data", str(tmp_path / "newline.mmf"), "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_CONFIG
+        assert "cannot be written" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_bad_weights_exit_config(self, workspace, tmp_path):
         scores = str(workspace["run"] / "scores.csv")

@@ -457,6 +457,22 @@ class TestCheckpoint:
             read_checkpoint(path)
         assert exc.value.offset == len(head) + len(first) + 4
 
+    def test_extents_whose_product_overflows_int64_read_as_truncated(self, tmp_path):
+        """2^31 * 2^31 * 4 wraps to 0 in int64; the size must not, so the data is missing."""
+        head = b"CKP1" + struct.pack("<II", 1, 2) + b"{}" + struct.pack("<I", 1)
+        array = struct.pack("<I", 1) + b"w" + struct.pack("<IIII", 3, 2**31, 2**31, 4)
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(head + array + struct.pack("<d", 1.0))
+        with pytest.raises(FormatError, match="truncated file while reading data of 'w'") as exc:
+            read_checkpoint(path)
+        assert exc.value.offset == len(head) + len(array)
+
+    def test_zero_extent_array_round_trips(self, tmp_path):
+        path = tmp_path / "empty.ckpt"
+        write_checkpoint(path, {"e": np.zeros((2, 0)), "w": np.ones(1)}, {})
+        arrays, _ = read_checkpoint(path)
+        assert arrays["e"].shape == (2, 0) and arrays["w"].tolist() == [1.0]
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         write_checkpoint(path, {"w": np.ones(2)}, {})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import seqcls.fusion as fusion
 from seqcls.autodiff import Value, rng
 from seqcls.errors import ConfigError, DataError, FormatError, ShapeError
 from seqcls.fusion import (
@@ -299,6 +300,50 @@ class TestScoreFiles:
         path.write_text("#classes=2\nv0,0.5,0.5\nv1,nan,nan\n")
         with pytest.raises(FormatError, match="line 3"):
             read_scores(path)
+
+
+    @pytest.mark.parametrize("vid", ["a,b", ",", "a,,b", "0.5,0.5", "x\ty", "ends ", "é,1"])
+    def test_ids_with_commas_round_trip(self, tmp_path, vid):
+        table = ScoreTable.from_rows(2, [vid, "plain"], np.array([[0.25, 0.75], [1.0, 0.0]]))
+        path = tmp_path / "scores.csv"
+        write_scores(path, table)
+        back = read_scores(path)
+        assert list(back.rows) == [vid, "plain"]
+        assert_array_equal(back.rows[vid], [0.25, 0.75])
+
+    @pytest.mark.parametrize("vid", ["a\nb", "a\rb", "a\r\n", " lead", "\tlead", "\x0blead"])
+    def test_ids_it_cannot_give_back_are_refused_before_opening(self, tmp_path, monkeypatch,
+                                                                 vid):
+        table = ScoreTable.from_rows(2, ["ok", vid], np.array([[0.5, 0.5], [0.5, 0.5]]))
+        path = tmp_path / "scores.csv"
+        path.write_text("old")
+
+        def no_write(*args, **kwargs):
+            raise AssertionError("write_scores opened its target before checking ids")
+
+        monkeypatch.setattr(fusion, "atomic_write", no_write)
+        with pytest.raises(DataError, match="cannot be written"):
+            write_scores(path, table)
+        assert path.read_text() == "old"
+
+    def test_last_k_fields_are_the_scores(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("#classes=2\nv,0.9,0.25,0.75\n")
+        assert list(read_scores(path).rows) == ["v,0.9"]
+
+    def test_invalid_utf8_is_a_format_error_at_its_offset(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"#classes=2\nv0,0.5,0.5\nv\xff,0.5,0.5\n")
+        with pytest.raises(FormatError, match="not valid utf-8") as exc:
+            read_scores(path)
+        assert exc.value.offset == 23
+
+    def test_header_only_table_with_a_huge_class_count_writes_back(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("#classes=1000000000000\n")
+        table = read_scores(path)
+        write_scores(tmp_path / "out.csv", late_fuse([table, table], [0.5, 0.5]))
+        assert (tmp_path / "out.csv").read_text() == "#classes=1000000000000\n"
 
 
 class TestMeanPoolBaseline:
