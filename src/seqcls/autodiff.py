@@ -17,10 +17,6 @@ heads need.  The attention ops are batched: ``row_dot`` scores
 [B x T x D] frames against [H x D] head vectors, ``softmax_sharp`` and
 ``l2_normalize`` act over the last axis at any rank, and
 ``weighted_row_sum`` pools [B x T x D] with [B x H x T] weights.
-Reductions over the time axis in the attention path (``softmax_sharp``
-denominator, ``weighted_row_sum``) sum their addends in sorted order, which
-makes the forward pass bit-identical under any permutation of the input
-frames.
 
 Everything is computed in 64-bit so central finite differences at step 1e-3
 are a meaningful oracle; ``fd_check`` is the verification harness.  Its
@@ -217,12 +213,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _ordersum(a: np.ndarray, axis: int) -> np.ndarray:
-    # Addends sorted by value before summing: the result depends only on the
-    # multiset of addends, never on their original order along `axis`.
-    return np.sum(np.sort(a, axis=axis), axis=axis)
-
-
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
@@ -369,9 +359,8 @@ def affine(x, w, b) -> Value:
 def row_dot(x, w) -> Value:
     """Score every frame against every head vector.
 
-    x [B x T x D] . w [H x D] -> [B x H x T].  Each score is its own sum
-    over D, so it never depends on the other frames or heads.  One sequence
-    against one vector, x [T x D] . w [D] -> [T], is the B = H = 1 case.
+    x [B x T x D] . w [H x D] -> [B x H x T].  One sequence against one
+    vector, x [T x D] . w [D] -> [T], is the B = H = 1 case.
     """
     x, w = _lift(x), _lift(w)
     if x.data.ndim == 2 and w.data.ndim == 1:
@@ -379,7 +368,7 @@ def row_dot(x, w) -> Value:
         return reshape(row_dot(reshape(x, (1, t, d)), reshape(w, (1, d))), (t,))
     if x.data.ndim != 3 or w.data.ndim != 2 or x.data.shape[2] != w.data.shape[1]:
         raise ShapeError(f"row_dot shapes disagree: {x.data.shape} x {w.data.shape}")
-    out = np.sum(x.data[:, None, :, :] * w.data[None, :, None, :], axis=-1)
+    out = np.matmul(w.data, x.data.transpose(0, 2, 1))
 
     def grad_fn(g):
         return (np.matmul(g.transpose(0, 2, 1), w.data) if x.requires_grad else None,
@@ -389,7 +378,7 @@ def row_dot(x, w) -> Value:
 
 
 def weighted_row_sum(weights, x) -> Value:
-    """Pool frames with per-head weights, summing over t in canonical order.
+    """Pool frames with per-head weights.
 
     weights [B x H x T], x [B x T x D] -> [B x H x D], where
     out[b, h] = sum_t weights[b, h, t] * x[b, t].
@@ -398,7 +387,7 @@ def weighted_row_sum(weights, x) -> Value:
     wd, xd = weights.data, x.data
     if wd.ndim != 3 or xd.ndim != 3 or wd.shape[0] != xd.shape[0] or wd.shape[2] != xd.shape[1]:
         raise ShapeError(f"weighted_row_sum shapes disagree: {wd.shape} x {xd.shape}")
-    out = _ordersum(xd[:, None, :, :] * wd[..., None], axis=-2)
+    out = np.matmul(wd, xd)
 
     def grad_fn(g):
         return (np.matmul(g, xd.transpose(0, 2, 1)) if weights.requires_grad else None,
@@ -416,9 +405,7 @@ def softmax_sharp(logits, alpha: float) -> Value:
     """softmax(alpha * logits) over the last axis, with max-subtraction.
 
     Any rank >= 1; every leading index is its own distribution.  alpha
-    scales how peaked the distribution is.  The normalizer sums its
-    exponentials in sorted order, so permuting the logits permutes the
-    output bit-exactly.
+    scales how peaked the distribution is.
     """
     logits = _lift(logits)
     if logits.data.ndim == 0:
@@ -429,7 +416,7 @@ def softmax_sharp(logits, alpha: float) -> Value:
         raise NumericError("softmax_sharp input contains non-finite entries")
     z = alpha * (logits.data - logits.data.max(axis=-1, keepdims=True))
     e = np.exp(z)
-    y = e / _ordersum(e, axis=-1)[..., None]
+    y = e / np.sum(e, axis=-1, keepdims=True)
 
     def grad_fn(g):
         return (alpha * y * (g - np.sum(g * y, axis=-1, keepdims=True)),)

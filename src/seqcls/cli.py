@@ -18,8 +18,8 @@ import dataclasses
 import os
 import sys
 
-from .data import (SynthConfig, atomic_write, read_labels, read_mmf, synth_generate,
-                   write_labels, write_mmf)
+from .data import (SynthConfig, atomic_write, read_labels, read_mmf, read_text_lines,
+                   synth_generate, write_labels, write_mmf)
 from .errors import ConfigError, DataError, FormatError, NumericError, ShapeError, UsageError
 from .fusion import late_fuse, read_scores, top_k_accuracy, write_scores
 from .gradcheck import case_names, run_cases
@@ -120,21 +120,24 @@ def _cmd_synthgen(args) -> int:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat 'key = value' file; '#' starts a comment; unknown keys rejected."""
+    """Flat 'key = value' utf-8 file; '#' starts a comment; unknown keys rejected."""
     known = {f.name for f in dataclasses.fields(TrainConfig)}
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key or not value:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = value
+    try:
+        lines = read_text_lines(path, "config file")
+    except FormatError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key or not value:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        out[key] = value
     return out
 
 

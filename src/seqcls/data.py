@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import io
 import itertools
 import json
 import math
@@ -349,25 +350,38 @@ def write_labels(path, samples: list[VideoSample]) -> None:
             fh.write(f"{s.video_id},{s.label}\n")
 
 
+def read_text_lines(path, what: str) -> io.StringIO:
+    """A text file's lines, ended by LF, CR LF or CR.
+
+    Raises ``FormatError`` naming `what` at the offset of the first byte
+    that is not utf-8.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not valid utf-8", offset=exc.start) from exc
+
+
 def read_labels(path) -> dict[str, int]:
     labels: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            vid, sep, raw = line.rpartition(",")
-            if not sep or not vid:
-                raise FormatError(f"line {lineno}: expected 'video_id,label'")
-            try:
-                label = int(raw)
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: label {raw!r} is not an integer") from exc
-            if label < 0:
-                raise FormatError(f"line {lineno}: label must be non-negative")
-            if vid in labels:
-                raise FormatError(f"line {lineno}: duplicate video id {vid!r}")
-            labels[vid] = label
+    for lineno, line in enumerate(read_text_lines(path, "labels file"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        vid, sep, raw = line.rpartition(",")
+        if not sep or not vid:
+            raise FormatError(f"line {lineno}: expected 'video_id,label'")
+        try:
+            label = int(raw)
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: label {raw!r} is not an integer") from exc
+        if label < 0:
+            raise FormatError(f"line {lineno}: label must be non-negative")
+        if vid in labels:
+            raise FormatError(f"line {lineno}: duplicate video id {vid!r}")
+        labels[vid] = label
     return labels
 
 

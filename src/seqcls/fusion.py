@@ -12,14 +12,13 @@ it takes frame means in NumPy and scores a batch with one affine map.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .data import atomic_write, modality_frames
+from .data import atomic_write, modality_frames, read_text_lines
 from .errors import ConfigError, DataError, FormatError
 
 WEIGHT_SUM_TOL = 1e-9
@@ -176,12 +175,7 @@ def read_scores(path) -> ScoreTable:
     score, a bad distribution or a repeated id.  A bad row thus wins over a
     parse error on a later line.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        lines = io.StringIO(raw.decode("utf-8"), newline=None)
-    except UnicodeDecodeError as exc:
-        raise FormatError("score table is not valid utf-8", offset=exc.start) from exc
+    lines = read_text_lines(path, "score table")
     header = lines.readline().strip()
     if not header.startswith("#classes="):
         raise FormatError(f"expected '#classes=K' header, got {header!r}")
@@ -264,6 +258,10 @@ class MeanPoolParams:
     def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,
                     gen: np.random.Generator) -> "MeanPoolParams":
         return cls.init(modalities, num_classes, gen)
+
+    @staticmethod
+    def kwargs_from_arrays(modalities: list[tuple[str, int]], arrays: dict) -> dict:
+        return {}
 
     def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
         """Logits [B x K]; the baseline has no train-only behaviour, so mode is unused."""

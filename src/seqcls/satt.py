@@ -19,12 +19,21 @@ scores [B x H x T], attention weights [B x H x T], pooled heads
 [B x H x D], and the group representation [B x H*D].  Videos of a batch may
 differ in length: ``satt_representations`` groups the videos whose
 per-modality frame counts agree, runs each group as one block without any
-padding or mask, and puts the rows back in input order.  The single-head
-and single-video entry points are B = 1 (and H = 1) calls of the same path,
-so the per-video numbers equal the batched ones bit for bit.  The network's
+padding or mask, and puts the rows back in input order.  The single-video
+entry point is a B = 1 call of the same path, so its numbers equal the
+batched ones bit for bit; the single-head entry point is a B = H = 1 call,
+whose one-row products may round differently from a group's.  The network's
 frames are graph constants, checked by ``modality_frames``, and each block's
 frames are one leaf; only ``satt_head_forward`` keeps its sequence in the
 graph, so a gradient check can differentiate it.
+
+Attention pooling is a weighted sum over frames, so a head must not depend
+on their order, and here it does not, bit for bit: every sequence enters in
+one canonical frame order (``_frame_order``, a sort by the frames' bit
+patterns), once per length block and modality in ``satt_representations``
+and through ``take_rows`` in ``satt_head_forward``.  Any permutation of a
+video's frames, per modality, thus puts the same bytes into every op, and
+logits and parameter gradients come out bit-identical.
 """
 
 from __future__ import annotations
@@ -63,6 +72,16 @@ def _stack_heads(heads: list[SattHeadParams]) -> tuple[Value, Value, Value]:
             ad.reshape(ad.stack([h.b for h in heads]), (n, 1)))
 
 
+def _frame_order(x: np.ndarray) -> np.ndarray:
+    """Each sequence's canonical frame order [B x T] for frames x [B x T x D].
+
+    Frames sort by their float64 bit patterns, not by value: a value sort
+    ties -0.0 with +0.0, and tied frames that differ in bytes would keep
+    their input order.  Bit-equal frames are interchangeable.
+    """
+    return np.lexsort(x.view(np.uint64).transpose(2, 0, 1), axis=-1)
+
+
 def _pool_heads(x: Value, w: Value, a: Value, b: Value, alpha: float) -> Value:
     """Unit head outputs [B x H x D] for a block of sequences x [B x T x D]."""
     weights = ad.softmax_sharp(ad.row_dot(x, w), alpha)
@@ -82,6 +101,7 @@ def satt_head_forward(params: SattHeadParams, x: Value, alpha: float) -> Value:
     d = params.w.data.shape[0]
     if x.data.ndim != 2 or x.data.shape[1] != d:
         raise ShapeError(f"satt head expects a sequence [T x {d}], got {x.data.shape}")
+    x = ad.take_rows(x, _frame_order(x.data[None])[0])
     out = _pool_heads(ad.reshape(x, (1,) + x.data.shape), *_stack_heads([params]), alpha)
     return ad.reshape(out, (d,))
 
@@ -156,6 +176,14 @@ class SattNetParams:
         return cls.init([AttentionGroupConfig(m, d, int(kwargs["num_heads"]), float(kwargs["alpha"]))
                          for m, d in modalities], num_classes, gen)
 
+    @staticmethod
+    def kwargs_from_arrays(modalities: list[tuple[str, int]], arrays: dict) -> dict:
+        """The head count, as the first group's head vectors in a checkpoint's arrays."""
+        n = 0
+        while f"group.{modalities[0][0]}.head{n}.w" in arrays:
+            n += 1
+        return {"num_heads": n}
+
     def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
         """Logits [B x K]; attention has no train-only behaviour, so mode is unused."""
         return satt_forward_batch(self, batch)
@@ -181,8 +209,8 @@ def satt_representations(params: SattNetParams, batch: list[dict[str, Value]]) -
     """Concatenated group representations [B x R] of a batch, in input order.
 
     Videos whose per-modality frame counts agree form one block; each
-    block runs every group once on its stacked frames [Bg x T x D], one
-    constant leaf per group.
+    block runs every group once on its stacked frames [Bg x T x D], sorted
+    into canonical order, one constant leaf per group.
     """
     frames = [modality_frames(batch, g.config.modality, g.config.feature_dim)
               for g in params.groups]
@@ -192,8 +220,11 @@ def satt_representations(params: SattNetParams, batch: list[dict[str, Value]]) -
     heads = [_stack_heads(g.heads) for g in params.groups]
     reps = []
     for rows in blocks.values():
-        groups = [_group_block(Value(np.stack([xs[i] for i in rows])), stacked, g.config.alpha)
-                  for g, xs, stacked in zip(params.groups, frames, heads)]
+        groups = []
+        for g, xs, stacked in zip(params.groups, frames, heads):
+            x = np.stack([xs[i] for i in rows])
+            x = x[np.arange(len(rows))[:, None], _frame_order(x)]
+            groups.append(_group_block(Value(x), stacked, g.config.alpha))
         reps.append(ad.concat(groups, axis=1))
     if len(reps) == 1:
         return reps[0]

@@ -10,7 +10,8 @@ configuration produce byte-identical metrics, scores, and checkpoints.
 Models are reached only through ``MODELS``, a table from model name to
 parameter class; a new head is one new entry.  Each class provides
 ``CONFIG_FIELDS`` (checkpoint ``model_kwargs`` key -> ``TrainConfig``
-field), ``from_kwargs``, ``forward_batch`` (sequence dicts [B] -> logits
+field), ``from_kwargs``, ``kwargs_from_arrays`` (the ``model_kwargs`` sizes
+that a checkpoint's arrays fix), ``forward_batch`` (sequence dicts [B] -> logits
 [B x K], one graph), named ``parameters()`` and ``buffers()`` (only txn has
 buffers: its batch-norm statistics), and its ``(modality, dim)`` list.
 
@@ -163,7 +164,13 @@ def model_kwargs(cfg: TrainConfig) -> dict:
 
 
 def build_model(model: str, modalities: list[tuple[str, int]], num_classes: int,
-                kwargs: dict, gen: np.random.Generator):
+                kwargs: dict, gen: np.random.Generator, arrays: dict | None = None):
+    """A freshly initialized model.
+
+    Given a checkpoint's arrays, every size in kwargs that shapes an array
+    must agree with them before anything is built, so that a forged size
+    cannot make the build loop or allocate without bound.
+    """
     cls = MODELS.get(model)
     if cls is None:
         raise ConfigError(f"unknown model {model!r}, expected one of {tuple(MODELS)}")
@@ -175,6 +182,12 @@ def build_model(model: str, modalities: list[tuple[str, int]], num_classes: int,
     if not all(isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
                for v in kwargs.values()):
         raise DataError(f"{model} model_kwargs must be finite numbers, got {kwargs}")
+    if arrays is not None:
+        implied = cls.kwargs_from_arrays(modalities, arrays)
+        wrong = {key: kwargs[key] for key, n in implied.items() if kwargs[key] != n}
+        if wrong:
+            raise DataError(f"{model} model_kwargs {wrong} disagree with the checkpoint arrays, "
+                            f"which imply {implied}")
     return cls.from_kwargs(modalities, num_classes, kwargs, gen)
 
 
@@ -234,15 +247,17 @@ def load_model(path):
     num_classes, kwargs = meta["num_classes"], meta["model_kwargs"]
     if not isinstance(model, str) or model not in MODELS:
         raise DataError(f"checkpoint names unknown model {model!r}")
-    if not (isinstance(modalities, list)
+    if not (isinstance(modalities, list) and modalities
             and all(isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
                     and _is_int(pair[1]) and pair[1] >= 1 for pair in modalities)):
-        raise DataError(f"checkpoint modalities must be [name, dim >= 1] pairs, got {modalities!r}")
+        raise DataError(
+            f"checkpoint modalities must be [name, dim >= 1] pairs, at least one, got {modalities!r}")
     if not _is_int(num_classes) or num_classes < 2:
         raise DataError(f"checkpoint num_classes must be an integer >= 2, got {num_classes!r}")
     if not isinstance(kwargs, dict):
         raise DataError(f"checkpoint model_kwargs must be a JSON object, got {kwargs!r}")
-    params = build_model(model, [(m, d) for m, d in modalities], num_classes, kwargs, rng(0))
+    params = build_model(model, [(m, d) for m, d in modalities], num_classes, kwargs, rng(0),
+                         arrays)
     restore_arrays(params, arrays)
     return model, params, meta
 

@@ -178,6 +178,25 @@ class TxnParams:
         return cls.init([TxnStreamConfig(modality=m, feature_dim=d, **shape)
                          for m, d in modalities], num_classes, gen)
 
+    @staticmethod
+    def kwargs_from_arrays(modalities: list[tuple[str, int]], arrays: dict) -> dict:
+        """The kernel length, block width and block count a checkpoint's arrays give.
+
+        They are read off the first stream; None where an array is missing
+        or not of rank 2.
+        """
+        prefix = f"stream.{modalities[0][0]}."
+        blocks = 0
+        while f"{prefix}block{blocks}.layer0.depthwise" in arrays:
+            blocks += 1
+
+        def extent(name: str, axis: int):
+            arr = arrays.get(prefix + name)
+            return arr.shape[axis] if arr is not None and arr.ndim == 2 else None
+
+        return {"kernel_size": extent("block0.layer0.depthwise", 0),
+                "block_channels": extent("entry_w", 1), "num_blocks": blocks}
+
     def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
         return txn_forward_batch(self, batch, mode)
 

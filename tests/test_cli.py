@@ -24,7 +24,7 @@ from seqcls.cli import (
 from seqcls.data import read_checkpoint, read_labels, read_mmf, write_checkpoint, write_mmf
 from seqcls.errors import ConfigError
 from seqcls.fusion import read_scores
-from seqcls.training import MetricsReport
+from seqcls.training import MODELS, MetricsReport
 
 SMALL_GEN = ["--classes", "3", "--videos-per-class", "5", "--frames", "6",
              "--signal-frames", "2", "--modalities", "m:4", "--seed", "7"]
@@ -194,6 +194,19 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(cfg_path)
 
+    def test_bytes_that_are_not_utf8_exit_config_with_one_line(self, workspace, tmp_path,
+                                                              capsys):
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_bytes(b"lr = 0.1\nepochs = \xff\n")
+        data = workspace["data"]
+        code = main(["train", "--train", str(data / "train.mmf"), "--val", str(data / "val.mmf"),
+                     "--out", str(tmp_path / "run"), "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "train.cfg" in err and "not valid utf-8 (at byte offset 18)" in err
+        assert not (tmp_path / "run").exists()
+
     def test_type_coercion_failure_rejected(self):
         with pytest.raises(ConfigError):
             make_train_config({"epochs": "many"}, {})
@@ -279,11 +292,44 @@ class TestEvalCommand:
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and "must be finite numbers" in err
 
+    @pytest.mark.parametrize("model, key, value", [
+        ("satt", "num_heads", 10**9), ("satt", "num_heads", 1e300),
+        ("txn", "block_channels", 10**9), ("txn", "kernel_size", 1e300),
+        ("txn", "num_blocks", 10**9), ("txn", "num_blocks", 1e300)])
+    def test_huge_sizes_exit_config_before_the_build(self, two_modality_runs, tmp_path, capsys,
+                                                     monkeypatch, model, key, value):
+        """A size the arrays contradict is refused before anything is built or allocated."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("model built from a size its arrays contradict")
+
+        monkeypatch.setattr(MODELS[model], "from_kwargs", refuse)
+
+        def edit(arrays, meta):
+            meta["model_kwargs"][key] = value
+
+        code = self.eval_rewritten(two_modality_runs, model, tmp_path, edit)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"{key!r}: {value!r}" in err and "disagree with the checkpoint arrays" in err
+
+    @pytest.mark.parametrize("model", ["satt", "txn"])
+    def test_missing_size_arrays_exit_config(self, two_modality_runs, tmp_path, capsys, model):
+        """Without the arrays that fix its sizes a checkpoint is refused, not built."""
+        def edit(arrays, meta):
+            for name in [n for n in arrays if n.startswith(("group.", "stream."))]:
+                del arrays[name]
+
+        code = self.eval_rewritten(two_modality_runs, model, tmp_path, edit)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "disagree with the checkpoint arrays" in err
+
     @pytest.mark.parametrize("key, value", [
         ("modalities", [["rgb"]]), ("modalities", "rgb"), ("modalities", [[4, 4]]),
         ("modalities", [["rgb", 4.0]]), ("modalities", [["rgb", 0]]),
         ("num_classes", "ten"), ("num_classes", 1.5), ("num_classes", 1), ("num_classes", True),
-        ("model_kwargs", []), ("model", ["txn"])])
+        ("model_kwargs", []), ("model", ["txn"]), ("modalities", [])])
     def test_bad_metadata_types_exit_config(self, two_modality_runs, tmp_path, capsys,
                                             key, value):
         """Metadata of the wrong type: exit 2, one line naming the key and the value."""
@@ -389,6 +435,16 @@ class TestFuseCommand:
                      "--out", out]) == EXIT_CONFIG
         assert main(["fuse", "--scores", scores, scores, "--weights", "0.9,0.9",
                      "--out", out]) == EXIT_CONFIG
+
+    def test_labels_that_are_not_utf8_exit_io_with_one_line(self, workspace, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes((workspace["data"] / "val_labels.csv").read_bytes() + b"\xff,1\n")
+        scores = str(workspace["run"] / "scores.csv")
+        code = main(["fuse", "--scores", scores, scores, "--out", str(tmp_path / "f.csv"),
+                     "--labels", str(labels)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.count("\n") == 1 and err.startswith("error: labels file is not valid utf-8")
 
     def test_unreadable_scores_exit_io(self, tmp_path):
         bad = tmp_path / "bad.csv"

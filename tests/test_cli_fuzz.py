@@ -1,7 +1,7 @@
 """Corrupt files through the command line: a clean exit code and one error line.
 
-Truncated, bit-flipped and metadata-mutated containers, checkpoints and
-score tables go through ``cli.main`` in-process.  Every run must exit with
+Truncated, bit-flipped and metadata-mutated containers, checkpoints, score
+tables, labels files and config files go through ``cli.main`` in-process.  Every run must exit with
 2, 3 or 4 and print exactly one ``error:`` line to stderr, never a
 traceback.  A mutation can leave a valid file (a flipped bit in a float
 usually does); such a run exits 0 and prints nothing to stderr.  Truncating
@@ -41,8 +41,9 @@ TRUNCATE = st.tuples(st.just("truncate"), st.integers(0, 2**20))
 FLIP = st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 7)),
                                            min_size=1, max_size=3))
 U32 = st.one_of(st.integers(0, 9), st.sampled_from([2**31, 2**32 - 1]))
-# sizes stay small: load_model builds the model its metadata describes before it
-# compares the arrays, so a size field of 10**9 would allocate that much
+# sizes stay small: load_model checks the sizes that shape arrays against the
+# checkpoint's arrays before it builds, but pad_len shapes no array, and a
+# pad_len of 10**9 would allocate that much when the data is scored
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
                         st.sampled_from([0.5, -1.5, math.nan, math.inf, -math.inf]),
                         st.text(max_size=3), st.lists(st.integers(0, 5), max_size=3),
@@ -209,6 +210,32 @@ class TestCorruptInputsExitCleanly:
         code, err = run_cli(["fuse", "--scores", str(path), str(good / model / "scores.csv"),
                              "--out", str(good / "fuzz_fused.csv"),
                              "--labels", str(good / "data" / "val_labels.csv")])
+        check_exit(code, err)
+
+    @FUZZ
+    @given(mutation=st.one_of(TRUNCATE, FLIP))
+    @example(mutation=("flip", [(5, 7)]))  # a byte that is not utf-8
+    def test_labels(self, good, mutation):
+        blob = (good / "data" / "val_labels.csv").read_bytes()
+        path = good / "fuzz_labels.csv"
+        path.write_bytes(flip_or_truncate(blob, mutation))
+        scores = str(good / "satt" / "scores.csv")
+        code, err = run_cli(["fuse", "--scores", scores, scores,
+                             "--out", str(good / "fuzz_fused.csv"), "--labels", str(path)])
+        check_exit(code, err)
+
+    @FUZZ
+    @given(mutation=st.one_of(TRUNCATE, FLIP))
+    @example(mutation=("flip", [(3, 7)]))  # a byte that is not utf-8
+    def test_config(self, good, mutation):
+        """Flags fix every size, so a mutated config file cannot make training large."""
+        blob = b"# fuzzed\nmodel = satt\noptimizer = adam\nlr = 0.05\nseed = 3\n"
+        path = good / "fuzz.cfg"
+        path.write_bytes(flip_or_truncate(blob, mutation))
+        code, err = run_cli(["train", "--train", str(good / "data" / "train.mmf"),
+                             "--val", str(good / "data" / "val.mmf"),
+                             "--out", str(good / "fuzz_run"), "--config", str(path),
+                             *TRAIN, "--txn-kernel", "3", "--txn-blocks", "1"])
         check_exit(code, err)
 
     def test_overflowing_extents_exit_io_in_a_process_of_its_own(self, good):

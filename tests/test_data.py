@@ -294,6 +294,18 @@ class TestLabels:
         path.write_text("a,1\n\nb,2\n")
         assert read_labels(path) == {"a": 1, "b": 2}
 
+    def test_bytes_that_are_not_utf8_raise_format_error_at_their_offset(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"a,1\nb\xff,2\n")
+        with pytest.raises(FormatError, match="not valid utf-8") as exc:
+            read_labels(path)
+        assert exc.value.offset == 5
+
+    def test_cr_and_crlf_end_lines(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"a,1\rb,2\r\nc,3")
+        assert read_labels(path) == {"a": 1, "b": 2, "c": 3}
+
     @pytest.mark.parametrize("line", ["a,notanum", "a,-3", "nolabel", ",5"])
     def test_malformed_lines_rejected(self, tmp_path, line):
         path = tmp_path / "labels.csv"

@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports or keeps private is used in that module."""
 
 from __future__ import annotations
 
@@ -43,3 +43,45 @@ def test_detector_sees_unused_names_and_honours_all():
     source = ("import os\nimport numpy as np\nfrom .x import a, b as c\n"
               "__all__ = ['a']\nnp.zeros(1)\n")
     assert unused_imports(source) == ["line 1: os", "line 3: c"]
+
+
+def unused_private_names(source: str, exempt_prefix: str | None = None) -> list[str]:
+    """Module-level private functions and constants that the module never reads.
+
+    A private name starts with one underscore.  Names starting with
+    ``exempt_prefix`` count as read: a module may collect them through
+    ``globals()``, which no syntax tree shows.
+    """
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in sorted(defined.items(), key=lambda kv: kv[1])
+            if name.startswith("_") and not name.startswith("__") and name not in read
+            and not (exempt_prefix and name.startswith(exempt_prefix))]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_helpers(path):
+    # gradcheck's CASES table collects its _case_* builders through globals()
+    exempt = "_case_" if path.name == "gradcheck.py" else None
+    assert unused_private_names(path.read_text(encoding="utf-8"), exempt) == []
+
+
+def test_detector_sees_unused_private_helpers_and_honours_the_exemption():
+    source = ("_USED = 1\n_UNUSED = 2\n__dunder__ = 3\nPUBLIC = 4\n"
+              "def _helper():\n    return _USED\n"
+              "def _orphan(): pass\n"
+              "def _case_add(): pass\n"
+              "def public():\n    _UNUSED = 5\n    return _helper()\n")
+    assert unused_private_names(source) == ["line 2: _UNUSED", "line 7: _orphan",
+                                            "line 8: _case_add"]
+    assert unused_private_names(source, "_case_") == ["line 2: _UNUSED", "line 7: _orphan"]

@@ -8,17 +8,20 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from seqcls import autodiff as ad
 from seqcls.autodiff import Value, backward, fd_check, rng
+from seqcls.data import FeatureSequence, VideoSample
 from seqcls.errors import ConfigError, ShapeError
 from seqcls.satt import (
     AttentionGroupConfig,
     AttentionGroupParams,
     SattHeadParams,
     SattNetParams,
+    _frame_order,
     satt_forward_batch,
     satt_head_forward,
     satt_net_forward,
     satt_representations,
 )
+from seqcls.training import evaluate
 
 
 def head_oracle(x, w, a, b, alpha):
@@ -31,24 +34,26 @@ def head_oracle(x, w, a, b, alpha):
 
 
 def unit(v):
-    return v / max(np.sqrt(np.sum(v * v)), 1e-12)
+    """Unit rows over the last axis, with the engine's clamp."""
+    return v / np.maximum(np.sqrt(np.sum(v * v, axis=-1, keepdims=True)), 1e-12)
 
 
 def group_oracle_bitwise(x, heads, alpha):
     """One group's representation in NumPy, replaying the engine's operation order.
 
-    Per head: scores, max-shifted softmax whose normalizer sums in sorted
-    order, frames pooled with sorted per-column sums, shift and scale, unit
-    norm; then the heads concatenated and unit-normalized again.
+    The frames sorted lexicographically by their bit patterns; then one
+    matmul scores them against every head, a max-shifted softmax, one matmul
+    pools them, shift and scale, unit norm per head; then the heads
+    concatenated and unit-normalized again.
     """
-    outs = []
-    for h in heads:
-        s = np.sum(x * h.w.data, axis=-1)
-        e = np.exp(alpha * (s - s.max()))
-        lam = e / np.sum(np.sort(e))
-        pooled = np.sort(lam[:, None] * x, axis=0).sum(axis=0)
-        outs.append(unit(pooled * h.a.data + h.b.data))
-    return unit(np.concatenate(outs))
+    x = x[np.lexsort(x.view(np.uint64).T)]
+    w = np.stack([h.w.data for h in heads])
+    a = np.stack([h.a.data for h in heads])[:, None]
+    b = np.stack([h.b.data for h in heads])[:, None]
+    s = np.matmul(w, x.T)
+    e = np.exp(alpha * (s - s.max(axis=-1, keepdims=True)))
+    lam = e / np.sum(e, axis=-1, keepdims=True)
+    return unit(unit(np.matmul(lam, x) * a + b).reshape(-1))
 
 
 def make_head(gen, dim):
@@ -134,14 +139,21 @@ class TestSattHead:
 
 class TestAttentionGroup:
     def test_equals_concat_then_normalize_oracle(self):
-        """A two-head group is exactly concat of head outputs, re-normalized."""
+        """A two-head group is the concat of its head outputs, re-normalized.
+
+        Bit for bit against the NumPy oracle that runs both heads in one
+        matmul as the group does; the one-head path scores with a matmul of
+        its own, so it agrees to within rounding.
+        """
         gen = rng(42)
         cfg = AttentionGroupConfig(modality="rgb", feature_dim=5, num_heads=2, alpha=1.3)
         net = SattNetParams.init([cfg], 2, gen)
         x = Value(gen.normal(size=(7, 5)))
+        rep = satt_representations(net, [{"rgb": x}]).data[0]
+        assert_array_equal(rep, group_oracle_bitwise(x.data, net.groups[0].heads, cfg.alpha))
         expected = ad.l2_normalize(ad.concat(
             [satt_head_forward(h, x, cfg.alpha) for h in net.groups[0].heads], axis=0))
-        assert_array_equal(satt_representations(net, [{"rgb": x}]).data[0], expected.data)
+        assert_allclose(rep, expected.data, rtol=0.0, atol=1e-15)
 
     def test_output_dim_counts_heads(self):
         cfg = AttentionGroupConfig(modality="rgb", feature_dim=6, num_heads=3)
@@ -262,7 +274,8 @@ def net_oracle(net, sequences):
 
 
 class TestBatchedPath:
-    def make_net(self, gen):
+    @staticmethod
+    def make_net(gen):
         configs = [AttentionGroupConfig(modality="rgb", feature_dim=4, num_heads=3, alpha=1.5),
                    AttentionGroupConfig(modality="flow", feature_dim=3, num_heads=2, alpha=0.7)]
         net = SattNetParams.init(configs, 5, gen)
@@ -343,3 +356,190 @@ class TestBatchedPath:
             satt_forward_batch(net, [{"rgb": good["rgb"], "flow": Value(np.ones((4, 5)))}])
         with pytest.raises(ShapeError):
             satt_forward_batch(net, [])
+
+
+# The attention ops as they were when each one kept frame-order invariance
+# itself, summing over time in sorted order: the oracle the canonical frame
+# order replaced.  satt's numbers must stay within rounding of theirs.
+
+
+def _ref_ordersum(a: np.ndarray, axis: int) -> np.ndarray:
+    return np.sum(np.sort(a, axis=axis), axis=axis)
+
+
+def ref_row_dot(x, w) -> Value:
+    x, w = ad._lift(x), ad._lift(w)
+    out = np.sum(x.data[:, None, :, :] * w.data[None, :, None, :], axis=-1)
+
+    def grad_fn(g):
+        return (np.matmul(g.transpose(0, 2, 1), w.data) if x.requires_grad else None,
+                np.matmul(g, x.data).sum(axis=0) if w.requires_grad else None)
+
+    return ad._node(out, (x, w), grad_fn, "row_dot")
+
+
+def ref_weighted_row_sum(weights, x) -> Value:
+    weights, x = ad._lift(weights), ad._lift(x)
+    wd, xd = weights.data, x.data
+    out = _ref_ordersum(xd[:, None, :, :] * wd[..., None], axis=-2)
+
+    def grad_fn(g):
+        return (np.matmul(g, xd.transpose(0, 2, 1)) if weights.requires_grad else None,
+                np.matmul(wd.transpose(0, 2, 1), g) if x.requires_grad else None)
+
+    return ad._node(out, (weights, x), grad_fn, "weighted_row_sum")
+
+
+def ref_softmax_sharp(logits, alpha: float) -> Value:
+    logits = ad._lift(logits)
+    z = alpha * (logits.data - logits.data.max(axis=-1, keepdims=True))
+    e = np.exp(z)
+    y = e / _ref_ordersum(e, axis=-1)[..., None]
+
+    def grad_fn(g):
+        return (alpha * y * (g - np.sum(g * y, axis=-1, keepdims=True)),)
+
+    return ad._node(y, (logits,), grad_fn, "softmax_sharp")
+
+
+REFERENCE_OPS = {"row_dot": ref_row_dot, "weighted_row_sum": ref_weighted_row_sum,
+                 "softmax_sharp": ref_softmax_sharp}
+
+
+def assert_same_bits(a, b):
+    """Equal shapes and bytes: tells -0.0 from +0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def with_signed_zero_ties(gen, t, d):
+    """Frames [T x d] where frames 0-1 and 2-3 differ only in the sign of a zero,
+    and frame 4 repeats frame 5 exactly."""
+    x = gen.normal(size=(t, d))
+    x[1], x[3], x[4] = x[0], x[2], x[5]
+    x[0, 0], x[1, 0] = 0.0, -0.0
+    x[2, d - 1], x[3, d - 1] = -0.0, 0.0
+    return x
+
+
+class TestCanonicalFrameOrder:
+    """Shuffling every video's frames changes no bit of logits or gradients."""
+
+    def ragged(self, gen, n=21):
+        """Two modalities, frame counts repeating out of order, tied frames in each."""
+        return [{"rgb": with_signed_zero_ties(gen, int(gen.choice([6, 9])), 4),
+                 "flow": with_signed_zero_ties(gen, int(gen.choice([7, 8])), 3)}
+                for _ in range(n)]
+
+    @staticmethod
+    def shuffled(gen, batch):
+        return [{m: x[gen.permutation(len(x))] for m, x in s.items()} for s in batch]
+
+    @staticmethod
+    def step(net, batch, labels, mode):
+        """Logits and every parameter gradient of one cross-entropy step."""
+        ad.zero_grads(net.parameters())
+        logits = net.forward_batch([{m: Value(x) for m, x in s.items()} for s in batch], mode)
+        backward(ad.cross_entropy(logits, labels))
+        return [logits.data.copy()] + [p.grad.copy() for _, p in net.parameters()]
+
+    def test_frame_order_sorts_any_permutation_into_the_same_bytes(self):
+        """A sort by value would tie -0.0 with +0.0 and keep such frames in input order."""
+        gen = rng(5)
+        x = np.stack([with_signed_zero_ties(gen, 8, 3) for _ in range(4)])
+        base = np.take_along_axis(x, _frame_order(x)[..., None], axis=1)
+        for _ in range(30):
+            perm = np.stack([gen.permutation(8) for _ in range(4)])
+            xp = np.take_along_axis(x, perm[..., None], axis=1)
+            assert_same_bits(np.take_along_axis(xp, _frame_order(xp)[..., None], axis=1), base)
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_batch_logits_and_gradients_bitwise(self, mode):
+        gen = rng(17)
+        net = TestBatchedPath.make_net(gen)
+        batch = self.ragged(gen)
+        labels = [int(v) for v in gen.integers(0, 5, size=len(batch))]
+        base = self.step(net, batch, labels, mode)
+        for _ in range(8):
+            for got, want in zip(self.step(net, self.shuffled(gen, batch), labels, mode), base):
+                assert_same_bits(got, want)
+        assert_same_bits(satt_forward_batch(net, [{m: Value(x) for m, x in s.items()}
+                                                  for s in batch]).data, base[0])
+
+    def test_evaluate_scores_bitwise(self):
+        gen = rng(19)
+        net = TestBatchedPath.make_net(gen)
+
+        def samples(batch):
+            return [VideoSample(f"v{i}", 0, [FeatureSequence(m, x) for m, x in s.items()])
+                    for i, s in enumerate(batch)]
+
+        batch = self.ragged(gen, n=40)
+        base = evaluate("satt", net, samples(batch))
+        for _ in range(4):
+            table = evaluate("satt", net, samples(self.shuffled(gen, batch)))
+            assert list(table.rows) == list(base.rows)
+            for vid, row in base.rows.items():
+                assert_same_bits(table.rows[vid], row)
+
+    def test_head_output_and_gradients_bitwise(self):
+        gen = rng(23)
+        params = make_head(gen, 4)
+        params.b.data[...] = 0.4
+        x = with_signed_zero_ties(gen, 11, 4)
+        cot = Value(gen.normal(size=4))
+
+        def run(frames):
+            ad.zero_grads([params.w, params.a, params.b])
+            xv = Value(frames, requires_grad=True)
+            out = satt_head_forward(params, xv, 1.7)
+            backward(ad.sum_all(ad.mul(out, cot)))
+            return out.data.copy(), [p.grad.copy() for p in (params.w, params.a, params.b)], xv.grad
+
+        out, grads, gx = run(x)
+        for _ in range(20):
+            perm = gen.permutation(11)
+            p_out, p_grads, p_gx = run(x[perm])
+            assert_same_bits(p_out, out)
+            for got, want in zip(p_grads, grads):
+                assert_same_bits(got, want)
+            # each frame's gradient travels with it
+            assert_allclose(p_gx, gx[perm], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_matches_sorted_sum_ops_within_rounding(self, mode, monkeypatch):
+        gen = rng(29)
+        net = TestBatchedPath.make_net(gen)
+        batch = self.ragged(gen)
+        labels = [int(v) for v in gen.integers(0, 5, size=len(batch))]
+        new = self.step(net, batch, labels, mode)
+        for name, ref in REFERENCE_OPS.items():
+            monkeypatch.setattr(ad, name, ref)
+        for got, want in zip(new, self.step(net, batch, labels, mode)):
+            assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_sorts_once_per_block_and_modality_and_never_per_op(self, monkeypatch):
+        """A train step and evaluate call np.lexsort once per length block and modality,
+        np.sort never."""
+        gen = rng(31)
+        net = TestBatchedPath.make_net(gen)
+        batch = self.ragged(gen, n=9)
+        blocks = len({(len(s["rgb"]), len(s["flow"])) for s in batch})
+        calls = []
+        lexsort = np.lexsort
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lexsort(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.sort called on the satt path")
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        monkeypatch.setattr(np, "sort", refuse)
+        self.step(net, batch, [0] * len(batch), "train")
+        assert len(calls) == 2 * blocks
+        samples = [VideoSample(f"v{i}", 0, [FeatureSequence(m, x) for m, x in s.items()])
+                   for i, s in enumerate(batch)]
+        evaluate("satt", net, samples)
