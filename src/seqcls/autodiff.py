@@ -5,12 +5,13 @@ as applicable) together with a gradient buffer of the same shape, parent
 references and a backward rule, forming an acyclic computation graph.
 ``backward`` walks the graph in reverse topological order; gradients
 accumulate across calls, so callers must ``zero_grads`` between optimizer
-steps.  Gradient buffers are allocated lazily: leaves created with
-``requires_grad`` get one up front, every other node when ``.grad`` is
-first read.  Until then a node keeps the flows backward sent it as they
-are (flows may alias one another and are never written in place), and the
-first read copies them, so neither a forward-only graph nor a training step
-copies any intermediate gradient.
+steps; ``pack`` turns a model's trainable leaves into views of one flat
+leaf, so that both run once over all of them.  Gradient buffers are
+allocated lazily: leaves created with ``requires_grad`` get one up front,
+every other node when ``.grad`` is first read.  Until then a node keeps
+the flows backward sent it as they are (flows may alias one another and
+are never written in place), and the first read copies them, so neither a
+forward-only graph nor a training step copies any intermediate gradient.
 
 The operator set is exactly what the attention and temporal-convolution
 heads need.  The attention ops are batched: ``row_dot`` scores
@@ -119,6 +120,31 @@ def zero_grads(params) -> None:
     for p in params:
         v = p[1] if isinstance(p, tuple) else p
         v.zero_grad()
+
+
+def pack(values: Sequence[Value]) -> Value:
+    """One flat trainable leaf, the arena of the given trainable leaves.
+
+    It holds their values and gradients in order, and each leaf's .data and
+    gradient buffer become reshaped views of its .data and .grad (a rank-0
+    leaf a ()-shaped view), so zeroing or stepping the flat leaf zeroes or
+    steps every leaf at once.  Code that rebinds a leaf's .data afterwards
+    detaches it from the arena; write into it in place instead.
+    """
+    values = list(values)
+    if not values or not all(v.requires_grad for v in values):
+        raise UsageError("pack needs at least one leaf, all of them trainable")
+    if len({id(v) for v in values}) != len(values):
+        raise UsageError("pack got the same leaf twice")
+    flat = Value(np.concatenate([v.data.reshape(-1) for v in values]), requires_grad=True)
+    flat.grad[...] = np.concatenate([v.grad.reshape(-1) for v in values])
+    start = 0
+    for v in values:
+        stop = start + v.data.size
+        v.data = flat.data[start:stop].reshape(v.data.shape)
+        v._grad = flat.grad[start:stop].reshape(v.data.shape)
+        start = stop
+    return flat
 
 
 def _topo_order(root: Value) -> list[Value]:

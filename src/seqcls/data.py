@@ -466,3 +466,9 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if pos != len(blob):
         raise FormatError(f"{len(blob) - pos} trailing bytes after last array", offset=pos)
     return arrays, meta
+
+
+def array_extent(arrays: dict[str, np.ndarray], name: str, axis: int, ndim: int) -> int | None:
+    """The extent along axis of a checkpoint array of rank ndim; None if it is not one."""
+    arr = arrays.get(name)
+    return arr.shape[axis] if arr is not None and arr.ndim == ndim else None

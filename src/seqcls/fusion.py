@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .data import atomic_write, modality_frames, read_text_lines
+from .data import array_extent, atomic_write, modality_frames, read_text_lines
 from .errors import ConfigError, DataError, FormatError
 
 WEIGHT_SUM_TOL = 1e-9
@@ -260,8 +260,9 @@ class MeanPoolParams:
         return cls.init(modalities, num_classes, gen)
 
     @staticmethod
-    def kwargs_from_arrays(modalities: list[tuple[str, int]], arrays: dict) -> dict:
-        return {}
+    def sizes_from_arrays(modalities: list[tuple[str, int]], arrays: dict) -> dict:
+        """The summed feature dims, the rows of the classifier in a checkpoint's arrays."""
+        return {"summed dims": array_extent(arrays, "classifier.w", 0, 2)}
 
     def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
         """Logits [B x K]; the baseline has no train-only behaviour, so mode is unused."""

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .data import modality_frames
+from .data import array_extent, modality_frames
 from .errors import ConfigError, ShapeError
 
 
@@ -78,8 +78,19 @@ def _frame_order(x: np.ndarray) -> np.ndarray:
     Frames sort by their float64 bit patterns, not by value: a value sort
     ties -0.0 with +0.0, and tied frames that differ in bytes would keep
     their input order.  Bit-equal frames are interchangeable.
+
+    The order is the one ``np.lexsort`` of the channels gives: frames
+    compare by the bit pattern of channel D-1 read as an unsigned integer,
+    ties by channel D-2, and so on, and equal frames keep their input
+    order.  One stable argsort of a byte key per frame gives the same
+    order, because keys compare as unsigned bytes, first byte first:
+    putting the channels in reverse order lets channel D-1 decide first,
+    and storing each channel big-endian (most significant byte first)
+    makes comparing its 8 bytes in turn the same as comparing its integer.
     """
-    return np.lexsort(x.view(np.uint64).transpose(2, 0, 1), axis=-1)
+    d = x.shape[-1]
+    keys = x.view(np.uint64)[..., ::-1].astype(">u8").view(f"V{8 * d}")[..., 0]
+    return np.argsort(keys, axis=-1, kind="stable")
 
 
 def _pool_heads(x: Value, w: Value, a: Value, b: Value, alpha: float) -> Value:
@@ -177,12 +188,17 @@ class SattNetParams:
                          for m, d in modalities], num_classes, gen)
 
     @staticmethod
-    def kwargs_from_arrays(modalities: list[tuple[str, int]], arrays: dict) -> dict:
-        """The head count, as the first group's head vectors in a checkpoint's arrays."""
+    def sizes_from_arrays(modalities: list[tuple[str, int]], arrays: dict) -> dict:
+        """The head count and feature dims a checkpoint's arrays give.
+
+        The head count is the first group's number of head vectors, each
+        modality's dim the length of its group's first head vector.
+        """
         n = 0
         while f"group.{modalities[0][0]}.head{n}.w" in arrays:
             n += 1
-        return {"num_heads": n}
+        return {"num_heads": n, **{f"dim of {m!r}": array_extent(arrays, f"group.{m}.head0.w", 0, 1)
+                                   for m, _ in modalities}}
 
     def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
         """Logits [B x K]; attention has no train-only behaviour, so mode is unused."""

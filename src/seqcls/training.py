@@ -10,10 +10,16 @@ configuration produce byte-identical metrics, scores, and checkpoints.
 Models are reached only through ``MODELS``, a table from model name to
 parameter class; a new head is one new entry.  Each class provides
 ``CONFIG_FIELDS`` (checkpoint ``model_kwargs`` key -> ``TrainConfig``
-field), ``from_kwargs``, ``kwargs_from_arrays`` (the ``model_kwargs`` sizes
-that a checkpoint's arrays fix), ``forward_batch`` (sequence dicts [B] -> logits
-[B x K], one graph), named ``parameters()`` and ``buffers()`` (only txn has
-buffers: its batch-norm statistics), and its ``(modality, dim)`` list.
+field), ``from_kwargs``, ``sizes_from_arrays`` (the ``model_kwargs`` sizes
+and feature dims that a checkpoint's arrays fix), ``forward_batch``
+(sequence dicts [B] -> logits [B x K], one graph), named ``parameters()``
+and ``buffers()`` (only txn has buffers: its batch-norm statistics), and
+its ``(modality, dim)`` list.
+
+``train`` packs the model's parameters into one flat arena
+(``autodiff.pack``): each parameter's values and gradient are views of one
+float64 vector each, so a step zeroes the gradients with one fill and the
+optimizers update every parameter with a few in-place vector operations.
 
 Wall-clock time is reported on the in-memory result only; it never enters
 any serialized artifact.
@@ -31,6 +37,7 @@ from . import autodiff as ad
 from .autodiff import Value, rng, zero_grads
 from .data import (
     VideoSample,
+    array_extent,
     batch_iter,
     modality_dims,
     read_checkpoint,
@@ -103,47 +110,64 @@ class TrainConfig:
 
 @dataclass
 class SgdMomentum:
-    """Classical momentum: v <- m*v + g; p <- p - lr*v."""
+    """Classical momentum on a flat parameter leaf: v <- m*v + g; p <- p - lr*v."""
 
     lr: float
     momentum: float = 0.9
-    velocity: dict[str, np.ndarray] = field(default_factory=dict)
+    velocity: np.ndarray | None = None
+    _scratch: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def step(self, named_params: list[tuple[str, Value]]) -> None:
-        for name, p in named_params:
-            vel = self.velocity.get(name)
-            if vel is None:
-                vel = np.zeros_like(p.data)
-                self.velocity[name] = vel
-            vel *= self.momentum
-            vel += p.grad
-            p.data -= self.lr * vel
+    def step(self, flat: Value) -> None:
+        if self.velocity is None:
+            self.velocity = np.zeros_like(flat.data)
+            self._scratch = np.empty_like(flat.data)
+        vel, s = self.velocity, self._scratch
+        vel *= self.momentum
+        vel += flat.grad
+        np.multiply(self.lr, vel, out=s)
+        flat.data -= s
 
 
 @dataclass
 class Adam:
-    """Adam with bias correction."""
+    """Adam with bias correction on a flat parameter leaf.
+
+    Every step runs in place on whole vectors, in the per-element order
+    m <- b1*m + (1-b1)*g, v <- b2*v + ((1-b2)*g)*g,
+    p <- p - (lr*(m/c1)) / (sqrt(v/c2) + eps).
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    _scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
-    def step(self, named_params: list[tuple[str, Value]]) -> None:
+    def step(self, flat: Value) -> None:
+        if self.m is None:
+            self.m, self.v = np.zeros_like(flat.data), np.zeros_like(flat.data)
+            self._scratch = (np.empty_like(flat.data), np.empty_like(flat.data))
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, p in named_params:
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            m, v = self.m[name], self.v[name]
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * p.grad
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * p.grad * p.grad
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v, (s, u), g = self.m, self.v, self._scratch, flat.grad
+        np.multiply(self.beta1, m, out=m)
+        np.multiply(1.0 - self.beta1, g, out=s)
+        m += s
+        np.multiply(self.beta2, v, out=v)
+        np.multiply(1.0 - self.beta2, g, out=s)
+        s *= g
+        v += s
+        np.divide(m, c1, out=s)
+        np.multiply(self.lr, s, out=s)
+        np.divide(v, c2, out=u)
+        np.sqrt(u, out=u)
+        u += self.eps
+        s /= u
+        flat.data -= s
 
 
 def make_optimizer(cfg: TrainConfig):
@@ -167,9 +191,10 @@ def build_model(model: str, modalities: list[tuple[str, int]], num_classes: int,
                 kwargs: dict, gen: np.random.Generator, arrays: dict | None = None):
     """A freshly initialized model.
 
-    Given a checkpoint's arrays, every size in kwargs that shapes an array
-    must agree with them before anything is built, so that a forged size
-    cannot make the build loop or allocate without bound.
+    Given a checkpoint's arrays, every size that shapes an array (the class
+    count, the modality dims and the kwargs the model's ``sizes_from_arrays``
+    names) must agree with them before anything is built, so that a forged
+    size cannot make the build loop or allocate without bound.
     """
     cls = MODELS.get(model)
     if cls is None:
@@ -183,10 +208,14 @@ def build_model(model: str, modalities: list[tuple[str, int]], num_classes: int,
                for v in kwargs.values()):
         raise DataError(f"{model} model_kwargs must be finite numbers, got {kwargs}")
     if arrays is not None:
-        implied = cls.kwargs_from_arrays(modalities, arrays)
-        wrong = {key: kwargs[key] for key, n in implied.items() if kwargs[key] != n}
+        claimed = {"num_classes": num_classes, **kwargs,
+                   "summed dims": sum(d for _, d in modalities),
+                   **{f"dim of {m!r}": d for m, d in modalities}}
+        implied = {"num_classes": array_extent(arrays, "classifier.b", 0, 1),
+                   **cls.sizes_from_arrays(modalities, arrays)}
+        wrong = {key: claimed[key] for key, n in implied.items() if claimed[key] != n}
         if wrong:
-            raise DataError(f"{model} model_kwargs {wrong} disagree with the checkpoint arrays, "
+            raise DataError(f"{model} sizes {wrong} disagree with the checkpoint arrays, "
                             f"which imply {implied}")
     return cls.from_kwargs(modalities, num_classes, kwargs, gen)
 
@@ -360,7 +389,7 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
     modalities = list(dims.items())
     kwargs = model_kwargs(cfg)
     params = build_model(cfg.model, modalities, num_classes, kwargs, rng(cfg.seed))
-    named = params.parameters()
+    flat = ad.pack(v for _, v in params.parameters())
     optimizer = make_optimizer(cfg)
     val_labels = {s.video_id: s.label for s in val_samples}
     top_k = min(5, num_classes)
@@ -376,14 +405,14 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
             loss_sum = 0.0
             batches = batch_iter(train_samples, cfg.batch_size, (cfg.seed, epoch))
             for step, batch in enumerate(batches):
-                zero_grads(v for _, v in named)
+                zero_grads([flat])
                 logits = batch_logits(cfg.model, params, batch, "train")
                 loss = ad.cross_entropy(logits, [s.label for s in batch])
                 if not np.isfinite(loss.data):
                     raise NumericError(f"training loss is {float(loss.data)} at epoch {epoch}, "
                                        f"batch {step}; try a smaller lr")
                 ad.backward(loss)
-                optimizer.step(named)
+                optimizer.step(flat)
                 loss_sum += float(loss.data) * len(batch)
             train_loss = loss_sum / len(train_samples)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BnState, Value
-from .data import modality_frames
+from .data import array_extent, modality_frames
 from .errors import ConfigError
 
 
@@ -179,23 +179,22 @@ class TxnParams:
                          for m, d in modalities], num_classes, gen)
 
     @staticmethod
-    def kwargs_from_arrays(modalities: list[tuple[str, int]], arrays: dict) -> dict:
-        """The kernel length, block width and block count a checkpoint's arrays give.
+    def sizes_from_arrays(modalities: list[tuple[str, int]], arrays: dict) -> dict:
+        """The kernel length, block width, block count and feature dims a checkpoint's arrays give.
 
-        They are read off the first stream; None where an array is missing
-        or not of rank 2.
+        The first three are read off the first stream, each modality's dim
+        off its stream's entry map; None where an array is missing or not
+        of rank 2.
         """
         prefix = f"stream.{modalities[0][0]}."
         blocks = 0
         while f"{prefix}block{blocks}.layer0.depthwise" in arrays:
             blocks += 1
-
-        def extent(name: str, axis: int):
-            arr = arrays.get(prefix + name)
-            return arr.shape[axis] if arr is not None and arr.ndim == 2 else None
-
-        return {"kernel_size": extent("block0.layer0.depthwise", 0),
-                "block_channels": extent("entry_w", 1), "num_blocks": blocks}
+        return {"kernel_size": array_extent(arrays, prefix + "block0.layer0.depthwise", 0, 2),
+                "block_channels": array_extent(arrays, prefix + "entry_w", 1, 2),
+                "num_blocks": blocks,
+                **{f"dim of {m!r}": array_extent(arrays, f"stream.{m}.entry_w", 0, 2)
+                   for m, _ in modalities}}
 
     def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
         return txn_forward_batch(self, batch, mode)

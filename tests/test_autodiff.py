@@ -67,6 +67,27 @@ class TestBackward:
         zero_grads([("x", x)])
         assert_array_equal(x.grad, 0.0)
 
+    def test_pack_makes_leaves_views_of_one_flat_leaf(self):
+        """Values and gradients carry over; backward and zero_grads reach the flat leaf."""
+        a, w = Value(2.0, requires_grad=True), Value(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w.grad[...] = 1.0
+        flat = ad.pack([a, w])
+        assert a.data.shape == a.grad.shape == () and w.data.shape == w.grad.shape == (2, 3)
+        assert_array_equal(flat.data, [2.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        assert_array_equal(flat.grad, [0.0] + [1.0] * 6)
+        backward(ad.sum_all(ad.mul(w, a)))
+        assert_array_equal(flat.grad, [15.0] + [3.0] * 6)
+        zero_grads([flat])
+        assert_array_equal(a.grad, 0.0)
+        flat.data[0] = -1.0
+        assert a.data == -1.0
+
+    def test_pack_rejects_constants_repeats_and_nothing(self):
+        x = Value(np.ones(2), requires_grad=True)
+        for values in ([x, Value(1.0)], [x, x], []):
+            with pytest.raises(UsageError):
+                ad.pack(values)
+
     def test_constant_inputs_stay_untouched(self):
         """requires_grad=False leaves collect no gradient."""
         x = Value(np.ones(3), requires_grad=True)

@@ -295,22 +295,36 @@ class TestEvalCommand:
     @pytest.mark.parametrize("model, key, value", [
         ("satt", "num_heads", 10**9), ("satt", "num_heads", 1e300),
         ("txn", "block_channels", 10**9), ("txn", "kernel_size", 1e300),
-        ("txn", "num_blocks", 10**9), ("txn", "num_blocks", 1e300)])
+        ("txn", "num_blocks", 10**9), ("txn", "num_blocks", 1e300),
+        ("satt", "num_classes", 10**12), ("txn", "num_classes", 10**12),
+        ("meanpool", "num_classes", 10**12),
+        ("satt", "rgb", 10**12), ("txn", "rgb", 10**9), ("meanpool", "rgb", 10**12)])
     def test_huge_sizes_exit_config_before_the_build(self, two_modality_runs, tmp_path, capsys,
                                                      monkeypatch, model, key, value):
-        """A size the arrays contradict is refused before anything is built or allocated."""
+        """A size the arrays contradict is refused before anything is built or allocated.
+
+        The sizes are model_kwargs entries, the class count and the rgb
+        feature dim; meanpool's arrays fix only the summed dims (rgb 4 + flow 3).
+        """
         def refuse(*args, **kwargs):
             raise AssertionError("model built from a size its arrays contradict")
 
         monkeypatch.setattr(MODELS[model], "from_kwargs", refuse)
 
         def edit(arrays, meta):
-            meta["model_kwargs"][key] = value
+            if key == "num_classes":
+                meta[key] = value
+            elif key == "rgb":
+                meta["modalities"] = [[m, value if m == "rgb" else d] for m, d in meta["modalities"]]
+            else:
+                meta["model_kwargs"][key] = value
 
         code = self.eval_rewritten(two_modality_runs, model, tmp_path, edit)
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and err.startswith("error:")
+        if key == "rgb":
+            key, value = ("summed dims", value + 3) if model == "meanpool" else ("dim of 'rgb'", value)
         assert f"{key!r}: {value!r}" in err and "disagree with the checkpoint arrays" in err
 
     @pytest.mark.parametrize("model", ["satt", "txn"])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -70,16 +73,67 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
 
+@dataclass
+class ref_SgdMomentum:
+    """The per-name momentum step that the flat one replaces, kept as its oracle."""
+
+    lr: float
+    momentum: float = 0.9
+    velocity: dict = field(default_factory=dict)
+
+    def step(self, named_params):
+        for name, p in named_params:
+            vel = self.velocity.get(name)
+            if vel is None:
+                vel = np.zeros_like(p.data)
+                self.velocity[name] = vel
+            vel *= self.momentum
+            vel += p.grad
+            p.data -= self.lr * vel
+
+
+@dataclass
+class ref_Adam:
+    """The per-name Adam step that the flat one replaces, kept as its oracle."""
+
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    t: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+    def step(self, named_params):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for name, p in named_params:
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
+            m[...] = self.beta1 * m + (1.0 - self.beta1) * p.grad
+            v[...] = self.beta2 * v + (1.0 - self.beta2) * p.grad * p.grad
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
 class TestOptimizers:
     def test_sgd_momentum_two_step_oracle(self):
         """v <- m*v + g, p <- p - lr*v, followed by hand for two steps."""
         p = Value(np.array([1.0, 2.0]), requires_grad=True)
         opt = SgdMomentum(lr=0.1, momentum=0.9)
         p.grad[...] = [1.0, -1.0]
-        opt.step([("p", p)])
+        opt.step(p)
         assert_allclose(p.data, [0.9, 2.1])
         p.grad[...] = [0.5, 0.5]
-        opt.step([("p", p)])
+        opt.step(p)
         # v2 = 0.9*[1,-1] + [0.5,0.5] = [1.4, -0.4]
         assert_allclose(p.data, [0.9 - 0.14, 2.1 + 0.04])
 
@@ -89,7 +143,7 @@ class TestOptimizers:
         g = np.array([0.3, -0.2])
         opt = Adam(lr=0.01)
         p.grad[...] = g
-        opt.step([("p", p)])
+        opt.step(p)
         expected = np.array([1.0, -2.0]) - 0.01 * g / (np.abs(g) + 1e-8)
         assert_allclose(p.data, expected, rtol=1e-12)
 
@@ -98,25 +152,59 @@ class TestOptimizers:
         opt = Adam(lr=0.01, beta1=0.9, beta2=0.999)
         g1, g2 = 0.4, -0.1
         p.grad[...] = g1
-        opt.step([("p", p)])
+        opt.step(p)
         after_one = float(p.data[0])
         p.grad[...] = g2
-        opt.step([("p", p)])
+        opt.step(p)
         m = 0.9 * (0.1 * g1) + 0.1 * g2
         v = 0.999 * (0.001 * g1 * g1) + 0.001 * g2 * g2
         mhat, vhat = m / (1 - 0.9 ** 2), v / (1 - 0.999 ** 2)
         assert_allclose(float(p.data[0]), after_one - 0.01 * mhat / (np.sqrt(vhat) + 1e-8),
                         rtol=1e-12)
 
-    def test_state_is_kept_per_parameter_name(self):
+    def test_state_is_one_flat_vector_per_moment(self):
         a = Value(np.zeros(2), requires_grad=True)
         b = Value(np.zeros(3), requires_grad=True)
+        flat = ad.pack([a, b])
         opt = Adam(lr=0.1)
         a.grad[...] = 1.0
         b.grad[...] = -1.0
-        opt.step([("a", a), ("b", b)])
-        assert set(opt.m) == {"a", "b"}
-        assert opt.m["a"].shape == (2,)
+        opt.step(flat)
+        assert opt.m.shape == opt.v.shape == (5,)
+        assert_allclose(opt.m, 0.1 * np.array([1.0, 1.0, -1.0, -1.0, -1.0]), rtol=1e-15)
+        assert_allclose(a.data, [-0.1, -0.1])
+        assert_allclose(b.data, [0.1, 0.1, 0.1])
+
+    @pytest.mark.parametrize("kind, options", [
+        ("adam", {"lr": 0.01}), ("adam", {"lr": 0.0}),
+        ("adam", {"lr": 0.5, "beta1": 0.0, "beta2": 0.5, "eps": 1e-3}),
+        ("sgd", {"lr": 0.01, "momentum": 0.9}), ("sgd", {"lr": 0.01, "momentum": 0.0}),
+        ("sgd", {"lr": 0.0, "momentum": 0.9})])
+    def test_flat_steps_equal_the_per_name_oracle_bitwise(self, kind, options):
+        """50 steps of seeded gradients over rank-0, 1 and 2 leaves, some after zero_grads."""
+        flat_opt, ref_opt = {"adam": (Adam, ref_Adam),
+                             "sgd": (SgdMomentum, ref_SgdMomentum)}[kind]
+        flat_opt, ref_opt = flat_opt(**options), ref_opt(**options)
+        gen = rng(23)
+        shapes = [(), (3,), (2, 4), (), (1,), (5, 1)]
+        leaves = [Value(gen.normal(size=shape), requires_grad=True) for shape in shapes]
+        refs = [(f"p{i}", Value(v.data.copy(), requires_grad=True)) for i, v in enumerate(leaves)]
+        flat = ad.pack(leaves)
+        for step in range(50):
+            if step % 7 == 3:
+                zero_grads([flat])  # a step on gradients zeroed through the arena
+                zero_grads(refs)
+            else:
+                for v, (_, r) in zip(leaves, refs):
+                    g = gen.normal(size=v.data.shape) * 10.0 ** float(gen.integers(-4, 3))
+                    v.grad[...] = g
+                    r.grad[...] = g
+            flat_opt.step(flat)
+            ref_opt.step(refs)
+            for v, (_, r) in zip(leaves, refs):
+                assert_same_bits(v.data, r.data)
+                assert np.shares_memory(v.data, flat.data)
+        assert_same_bits(flat.data, np.concatenate([r.data.reshape(-1) for _, r in refs]))
 
     @pytest.mark.parametrize("model", MODELS)
     def test_tiny_full_batch_step_never_increases_loss(self, model, small_dataset):
@@ -133,11 +221,12 @@ class TestOptimizers:
         for seed in range(20):
             params = build_model(model, dims, SMALL_DATA.num_classes,
                                  model_kwargs(cfg), rng(seed))
+            flat = ad.pack(v for _, v in params.parameters())
             loss = full_batch_loss(params)
             before = float(loss.data)
-            zero_grads(params.parameters())
+            zero_grads([flat])
             backward(loss)
-            SgdMomentum(lr=1e-4, momentum=0.9).step(params.parameters())
+            SgdMomentum(lr=1e-4, momentum=0.9).step(flat)
             after = float(full_batch_loss(params).data)
             assert after <= before + 1e-6, f"seed {seed}: {before} -> {after}"
 
@@ -451,6 +540,54 @@ class TestTrainLoop:
         assert r1.report.to_text() == r2.report.to_text()
         for vid, row in r1.best_table.rows.items():
             assert_array_equal(r2.best_table.rows[vid], row)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_parameters_stay_views_of_the_packed_leaf(self, model, small_dataset, monkeypatch):
+        """A path that rebinds p.data or its grad would detach it from the arena silently."""
+        packed = []
+        pack = ad.pack
+
+        def recorded(values):
+            packed.append(pack(values))
+            return packed[-1]
+
+        monkeypatch.setattr(ad, "pack", recorded)
+        train_samples, val_samples = small_dataset
+        result = train(small_cfg(model=model), train_samples, val_samples)
+        [flat] = packed
+        named = result.params.parameters()
+        for name, v in named:
+            assert np.shares_memory(v.data, flat.data), name
+            assert np.shares_memory(v.grad, flat.grad), name
+        assert_array_equal(np.concatenate([v.data.reshape(-1) for _, v in named]), flat.data)
+
+    @pytest.mark.parametrize("optimizer", training.OPTIMIZERS)
+    def test_zero_grads_and_the_step_run_once_per_batch(self, optimizer, small_dataset,
+                                                         monkeypatch):
+        """The traced benchmark cuts steps at zero_grads in train and the optimizer step."""
+        calls = {"zero_grads": [], "step": 0}
+        zero_grads_fn = ad.zero_grads
+
+        def counted_zero_grads(params):
+            calls["zero_grads"].append(sys._getframe(1).f_code.co_name)
+            return zero_grads_fn(params)
+
+        cls = {"adam": Adam, "sgd": SgdMomentum}[optimizer]
+        step = cls.step
+
+        def counted_step(self, flat):
+            calls["step"] += 1
+            return step(self, flat)
+
+        monkeypatch.setattr(ad, "zero_grads", counted_zero_grads)
+        monkeypatch.setattr(training, "zero_grads", counted_zero_grads)
+        monkeypatch.setattr(cls, "step", counted_step)
+        train_samples, val_samples = small_dataset
+        cfg = small_cfg(optimizer=optimizer, epochs=3, batch_size=4)
+        train(cfg, train_samples, val_samples)
+        batches = cfg.epochs * -(-len(train_samples) // cfg.batch_size)
+        assert calls["zero_grads"] == ["train"] * batches
+        assert calls["step"] == batches
 
     def test_sgd_optimizer_path(self, small_dataset):
         train_samples, val_samples = small_dataset
