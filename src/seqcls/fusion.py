@@ -271,8 +271,8 @@ class MeanPoolParams:
     def parameters(self) -> list[tuple[str, Value]]:
         return [("classifier.w", self.classifier_w), ("classifier.b", self.classifier_b)]
 
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return []
+    def checkpoint_arrays(self) -> list[tuple[str, np.ndarray]]:
+        return [(name, v.data) for name, v in self.parameters()]
 
 
 def mean_pool_forward(params: MeanPoolParams, batch: list[dict[str, Value]]) -> Value:

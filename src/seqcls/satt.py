@@ -12,9 +12,10 @@ group runs several heads over the same sequence and unit-normalizes their
 concatenation; the network concatenates all groups and applies an affine
 classifier.
 
-Everything runs as one batched path.  Per modality, the H heads' vectors
-are stacked into w [H x D] and their scalars into a, b [H x 1]; a block of
-B videos with T frames each, x [B x T x D], then takes a handful of ops:
+Everything runs as one batched path.  A modality group owns its H heads
+as three trainable leaves, w [H x D] and a, b [H x 1], and a checkpoint
+stores head i's three arrays as views of their row i; a block of B videos
+with T frames each, x [B x T x D], then takes a handful of ops:
 scores [B x H x T], attention weights [B x H x T], pooled heads
 [B x H x D], and the group representation [B x H*D].  Videos of a batch may
 differ in length: ``satt_representations`` groups the videos whose
@@ -38,7 +39,7 @@ logits and parameter gradients come out bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,14 +63,6 @@ class SattHeadParams:
         return cls(w=Value(w, requires_grad=True),
                    a=Value(1.0, requires_grad=True),
                    b=Value(0.0, requires_grad=True))
-
-
-def _stack_heads(heads: list[SattHeadParams]) -> tuple[Value, Value, Value]:
-    """The heads' vectors as w [H x D] and their scalars as a, b [H x 1]."""
-    n = len(heads)
-    return (ad.stack([h.w for h in heads]),
-            ad.reshape(ad.stack([h.a for h in heads]), (n, 1)),
-            ad.reshape(ad.stack([h.b for h in heads]), (n, 1)))
 
 
 def _frame_order(x: np.ndarray) -> np.ndarray:
@@ -100,9 +93,9 @@ def _pool_heads(x: Value, w: Value, a: Value, b: Value, alpha: float) -> Value:
     return ad.l2_normalize(ad.add(ad.mul(pooled, a), b))
 
 
-def _group_block(x: Value, heads: tuple[Value, Value, Value], alpha: float) -> Value:
+def _group_block(x: Value, group: AttentionGroupParams) -> Value:
     """Unit group representations [B x H*D]: the heads concatenated, normalized."""
-    out = _pool_heads(x, *heads, alpha)
+    out = _pool_heads(x, group.w, group.a, group.b, group.config.alpha)
     b, h, d = out.data.shape
     return ad.l2_normalize(ad.reshape(out, (b, h * d)))
 
@@ -113,7 +106,8 @@ def satt_head_forward(params: SattHeadParams, x: Value, alpha: float) -> Value:
     if x.data.ndim != 2 or x.data.shape[1] != d:
         raise ShapeError(f"satt head expects a sequence [T x {d}], got {x.data.shape}")
     x = ad.take_rows(x, _frame_order(x.data[None])[0])
-    out = _pool_heads(ad.reshape(x, (1,) + x.data.shape), *_stack_heads([params]), alpha)
+    out = _pool_heads(ad.reshape(x, (1,) + x.data.shape), ad.reshape(params.w, (1, d)),
+                      ad.reshape(params.a, (1, 1)), ad.reshape(params.b, (1, 1)), alpha)
     return ad.reshape(out, (d,))
 
 
@@ -137,13 +131,19 @@ class AttentionGroupConfig:
 
 @dataclass
 class AttentionGroupParams:
+    """One modality's H heads as one bank: vectors w [H x D], scales a and shifts b [H x 1]."""
+
     config: AttentionGroupConfig
-    heads: list[SattHeadParams] = field(default_factory=list)
+    w: Value
+    a: Value
+    b: Value
 
     @classmethod
     def init(cls, config: AttentionGroupConfig, gen: np.random.Generator) -> "AttentionGroupParams":
-        heads = [SattHeadParams.init(config.feature_dim, gen) for _ in range(config.num_heads)]
-        return cls(config=config, heads=heads)
+        h, d = config.num_heads, config.feature_dim
+        w = gen.normal(scale=1.0 / np.sqrt(d), size=(h, d))  # = H SattHeadParams draws, bitwise
+        return cls(config, *(Value(v, requires_grad=True)
+                             for v in (w, np.ones((h, 1)), np.zeros((h, 1)))))
 
     @property
     def output_dim(self) -> int:
@@ -205,16 +205,17 @@ class SattNetParams:
         return satt_forward_batch(self, batch)
 
     def parameters(self) -> list[tuple[str, Value]]:
-        named: list[tuple[str, Value]] = []
-        for g in self.groups:
-            for i, h in enumerate(g.heads):
-                base = f"group.{g.config.modality}.head{i}"
-                named += [(f"{base}.w", h.w), (f"{base}.a", h.a), (f"{base}.b", h.b)]
-        named += [("classifier.w", self.classifier_w), ("classifier.b", self.classifier_b)]
-        return named
+        return ([(f"group.{g.config.modality}.{f}", getattr(g, f))
+                 for g in self.groups for f in ("w", "a", "b")]
+                + [("classifier.w", self.classifier_w), ("classifier.b", self.classifier_b)])
 
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return []
+    def checkpoint_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Head i's w, a and b as views of row i of its group's leaves, then the classifier."""
+        return [(f"group.{g.config.modality}.head{i}.{f}", view)
+                for g in self.groups for i in range(g.config.num_heads)
+                for f, view in (("w", g.w.data[i]), ("a", g.a.data[i, 0, ...]),
+                                ("b", g.b.data[i, 0, ...]))] + [
+            ("classifier.w", self.classifier_w.data), ("classifier.b", self.classifier_b.data)]
 
     @property
     def modalities(self) -> list[tuple[str, int]]:
@@ -233,14 +234,13 @@ def satt_representations(params: SattNetParams, batch: list[dict[str, Value]]) -
     blocks: dict[tuple[int, ...], list[int]] = {}
     for i, counts in enumerate(zip(*[[len(x) for x in xs] for xs in frames])):
         blocks.setdefault(counts, []).append(i)
-    heads = [_stack_heads(g.heads) for g in params.groups]
     reps = []
     for rows in blocks.values():
         groups = []
-        for g, xs, stacked in zip(params.groups, frames, heads):
+        for g, xs in zip(params.groups, frames):
             x = np.stack([xs[i] for i in rows])
             x = x[np.arange(len(rows))[:, None], _frame_order(x)]
-            groups.append(_group_block(Value(x), stacked, g.config.alpha))
+            groups.append(_group_block(Value(x), g))
         reps.append(ad.concat(groups, axis=1))
     if len(reps) == 1:
         return reps[0]

@@ -12,9 +12,9 @@ parameter class; a new head is one new entry.  Each class provides
 ``CONFIG_FIELDS`` (checkpoint ``model_kwargs`` key -> ``TrainConfig``
 field), ``from_kwargs``, ``sizes_from_arrays`` (the ``model_kwargs`` sizes
 and feature dims that a checkpoint's arrays fix), ``forward_batch``
-(sequence dicts [B] -> logits [B x K], one graph), named ``parameters()``
-and ``buffers()`` (only txn has buffers: its batch-norm statistics), and
-its ``(modality, dim)`` list.
+(sequence dicts [B] -> logits [B x K], one graph), the named trainable
+leaves ``parameters()``, ``checkpoint_arrays()`` (a checkpoint's arrays by
+name, in file order, as views of the model's storage) and its modalities.
 
 ``train`` packs the model's parameters into one flat arena
 (``autodiff.pack``): each parameter's values and gradient are views of one
@@ -227,13 +227,11 @@ def batch_logits(model: str, params, batch: list[VideoSample], mode: str) -> Val
 
 
 def snapshot_arrays(params) -> dict[str, np.ndarray]:
-    arrays = {name: v.data.copy() for name, v in params.parameters()}
-    arrays.update({name: buf.copy() for name, buf in params.buffers()})
-    return arrays
+    return {name: view.copy() for name, view in params.checkpoint_arrays()}
 
 
 def restore_arrays(params, arrays: dict[str, np.ndarray]) -> None:
-    targets = [(name, v.data) for name, v in params.parameters()] + params.buffers()
+    targets = params.checkpoint_arrays()
     expected = [name for name, _ in targets]
     missing = [n for n in expected if n not in arrays]
     extra = [n for n in arrays if n not in expected]

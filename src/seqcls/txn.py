@@ -14,7 +14,7 @@ into them), and runs the stream over it once, so batch norm pools every
 batch x segment position and each training step folds exactly one batch
 statistic into the running averages.
 ``txn_forward`` is its B = 1 call.  One walker names the parameters and
-batch-norm buffers, in checkpoint order.
+batch-norm statistics, in checkpoint order.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ from . import autodiff as ad
 from .autodiff import BnState, Value
 from .data import array_extent, modality_frames
 from .errors import ConfigError
+
+
+# the longest clip a stream pads to: pad_len shapes no stored array, so a
+# checkpoint's arrays cannot bound it, and a batch holds [B x pad_len x D]
+MAX_PAD_LEN = 2 ** 16
 
 
 @dataclass
@@ -44,8 +49,8 @@ class TxnStreamConfig:
     def __post_init__(self):
         if self.feature_dim < 1:
             raise ConfigError(f"stream {self.modality!r} feature_dim must be >= 1")
-        if self.pad_len < 1:
-            raise ConfigError(f"stream {self.modality!r} pad_len must be >= 1")
+        if not 1 <= self.pad_len <= MAX_PAD_LEN:
+            raise ConfigError(f"stream {self.modality!r} pad_len must lie in [1, {MAX_PAD_LEN}]")
         if not 2 <= self.num_segments <= self.pad_len:
             raise ConfigError(
                 f"stream {self.modality!r} num_segments must lie in [2, pad_len]")
@@ -202,10 +207,11 @@ class TxnParams:
     def parameters(self) -> list[tuple[str, Value]]:
         return named_parameters(self)
 
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        """Non-trainable state (batch-norm running statistics), by name."""
-        return [(f"{name}.{stat}", getattr(state, stat)) for name, state in _named_leaves(self)
-                if isinstance(state, BnState) for stat in ("mean", "var")]
+    def checkpoint_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Parameter values, then batch-norm running statistics, by name: the checkpoint layout."""
+        return [(name, v.data) for name, v in self.parameters()] + [
+            (f"{name}.{stat}", getattr(state, stat)) for name, state in _named_leaves(self)
+            if isinstance(state, BnState) for stat in ("mean", "var")]
 
     @property
     def modalities(self) -> list[tuple[str, int]]:

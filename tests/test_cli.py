@@ -327,6 +327,39 @@ class TestEvalCommand:
             key, value = ("summed dims", value + 3) if model == "meanpool" else ("dim of 'rgb'", value)
         assert f"{key!r}: {value!r}" in err and "disagree with the checkpoint arrays" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("pad_len", 10**9), ("pad_len", 1e300), ("num_segments", 10**9)])
+    def test_huge_txn_clip_exits_config_before_the_forward(self, two_modality_runs, tmp_path,
+                                                           capsys, monkeypatch, key, value):
+        """pad_len and num_segments shape no stored array, so the arrays cannot contradict
+        them; the stream config bounds them as the model is built, at train and at eval.
+
+        The model is built for real here; only its forward, which would allocate
+        a [B x pad_len x D] batch, is refused.
+        """
+        def refuse(*args, **kwargs):
+            raise AssertionError("txn forward ran with an unbounded clip length")
+
+        monkeypatch.setattr(MODELS["txn"], "forward_batch", refuse)
+
+        def edit(arrays, meta):
+            meta["model_kwargs"][key] = value
+
+        code = self.eval_rewritten(two_modality_runs, "txn", tmp_path, edit)
+        eval_err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert eval_err.count("\n") == 1 and eval_err.startswith("error:") and key in eval_err
+        if not isinstance(value, int):
+            return  # a train flag takes integers only
+        data = two_modality_runs / "data"
+        flag = {"pad_len": "--txn-pad-len", "num_segments": "--txn-segments"}[key]
+        code = main(["train", "--train", str(data / "train.mmf"), "--val", str(data / "val.mmf"),
+                     "--out", str(tmp_path / "run"), "--model", "txn", "--quiet",
+                     "--txn-pad-len", "6", "--txn-segments", "3", flag, repr(value)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == eval_err
+        assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
+
     @pytest.mark.parametrize("model", ["satt", "txn"])
     def test_missing_size_arrays_exit_config(self, two_modality_runs, tmp_path, capsys, model):
         """Without the arrays that fix its sizes a checkpoint is refused, not built."""

@@ -38,7 +38,7 @@ def unit(v):
     return v / np.maximum(np.sqrt(np.sum(v * v, axis=-1, keepdims=True)), 1e-12)
 
 
-def group_oracle_bitwise(x, heads, alpha):
+def group_oracle_bitwise(x, group):
     """One group's representation in NumPy, replaying the engine's operation order.
 
     The frames sorted lexicographically by their bit patterns; then one
@@ -47,17 +47,21 @@ def group_oracle_bitwise(x, heads, alpha):
     concatenated and unit-normalized again.
     """
     x = x[np.lexsort(x.view(np.uint64).T)]
-    w = np.stack([h.w.data for h in heads])
-    a = np.stack([h.a.data for h in heads])[:, None]
-    b = np.stack([h.b.data for h in heads])[:, None]
+    w, a, b = group.w.data, group.a.data, group.b.data
     s = np.matmul(w, x.T)
-    e = np.exp(alpha * (s - s.max(axis=-1, keepdims=True)))
+    e = np.exp(group.config.alpha * (s - s.max(axis=-1, keepdims=True)))
     lam = e / np.sum(e, axis=-1, keepdims=True)
     return unit(unit(np.matmul(lam, x) * a + b).reshape(-1))
 
 
 def make_head(gen, dim):
     return SattHeadParams.init(dim, gen)
+
+
+def group_heads(group):
+    """A group's heads as single-head parameters: row i of its w, a and b."""
+    return [SattHeadParams(w=Value(group.w.data[i]), a=Value(group.a.data[i, 0]),
+                           b=Value(group.b.data[i, 0])) for i in range(group.config.num_heads)]
 
 
 class TestSattHead:
@@ -150,10 +154,23 @@ class TestAttentionGroup:
         net = SattNetParams.init([cfg], 2, gen)
         x = Value(gen.normal(size=(7, 5)))
         rep = satt_representations(net, [{"rgb": x}]).data[0]
-        assert_array_equal(rep, group_oracle_bitwise(x.data, net.groups[0].heads, cfg.alpha))
+        assert_array_equal(rep, group_oracle_bitwise(x.data, net.groups[0]))
         expected = ad.l2_normalize(ad.concat(
-            [satt_head_forward(h, x, cfg.alpha) for h in net.groups[0].heads], axis=0))
+            [satt_head_forward(h, x, cfg.alpha) for h in group_heads(net.groups[0])], axis=0))
         assert_allclose(rep, expected.data, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("heads, dim", [(1, 1), (1, 5), (3, 4), (4, 16)])
+    def test_init_draws_the_bits_of_successive_heads(self, heads, dim):
+        """One H x D draw gives what H single-head draws gave, and leaves the generator
+        where they left it, so the classifier and every later group draw the same too."""
+        cfg = AttentionGroupConfig(modality="rgb", feature_dim=dim, num_heads=heads)
+        gen_group, gen_heads = rng(5), rng(5)
+        group = AttentionGroupParams.init(cfg, gen_group)
+        single = [SattHeadParams.init(dim, gen_heads) for _ in range(heads)]
+        assert_same_bits(group.w.data, np.stack([h.w.data for h in single]))
+        assert_same_bits(group.a.data, np.stack([h.a.data for h in single])[:, None])
+        assert_same_bits(group.b.data, np.stack([h.b.data for h in single])[:, None])
+        assert_same_bits(gen_group.normal(size=3), gen_heads.normal(size=3))
 
     def test_output_dim_counts_heads(self):
         cfg = AttentionGroupConfig(modality="rgb", feature_dim=6, num_heads=3)
@@ -208,9 +225,12 @@ class TestSattNet:
             assert_array_equal(satt_net_forward(net, shuffled).data, base)
 
     def test_parameter_names_unique_and_complete(self):
+        """Three trainable leaves per group; the checkpoint names three arrays per head."""
         net = self.make_net(rng(42))
-        named = net.parameters()
-        names = [n for n, _ in named]
+        assert [n for n, _ in net.parameters()] == [
+            f"group.{m}.{f}" for m in ("rgb", "flow") for f in ("w", "a", "b")] + [
+            "classifier.w", "classifier.b"]
+        names = [n for n, _ in net.checkpoint_arrays()]
         assert len(names) == len(set(names))
         assert len(names) == (2 + 1) * 3 + 2  # three scalars per head plus classifier
         assert "group.rgb.head0.w" in names and "classifier.b" in names
@@ -253,12 +273,14 @@ class TestSattNet:
         gen = rng(42)
         net = self.make_net(gen)
         for g in net.groups:
-            for h in g.heads:
-                h.b.data[...] = gen.normal()
+            for i in range(g.config.num_heads):
+                g.b.data[i] = gen.normal()
         seqs = self.seqs(rng(3))
         backward(ad.cross_entropy(ad.stack([satt_net_forward(net, seqs)]), [0]))
         for name, p in net.parameters():
-            assert np.abs(p.grad).max() > 0.0, name
+            # a group leaf's row i is head i's parameter
+            rows = p.grad if name.startswith("group.") else p.grad.reshape(1, -1)
+            assert np.all(np.abs(rows).max(axis=-1) > 0.0), name
 
 
 def net_oracle(net, sequences):
@@ -266,8 +288,8 @@ def net_oracle(net, sequences):
     reps = []
     for g in net.groups:
         x = sequences[g.config.modality]
-        heads = [head_oracle(x, h.w.data, float(h.a.data), float(h.b.data), g.config.alpha)[0]
-                 for h in g.heads]
+        heads = [head_oracle(x, g.w.data[i], float(g.a.data[i, 0]), float(g.b.data[i, 0]),
+                             g.config.alpha)[0] for i in range(g.config.num_heads)]
         v = np.concatenate(heads)
         reps.append(v / max(np.linalg.norm(v), 1e-12))
     return np.concatenate(reps) @ net.classifier_w.data + net.classifier_b.data
@@ -280,9 +302,9 @@ class TestBatchedPath:
                    AttentionGroupConfig(modality="flow", feature_dim=3, num_heads=2, alpha=0.7)]
         net = SattNetParams.init(configs, 5, gen)
         for g in net.groups:
-            for h in g.heads:
-                h.a.data[...] = gen.uniform(0.5, 2.0)
-                h.b.data[...] = gen.normal()
+            for i in range(g.config.num_heads):
+                g.a.data[i] = gen.uniform(0.5, 2.0)
+                g.b.data[i] = gen.normal()
         net.classifier_b.data[...] = gen.normal(size=5)
         return net
 
@@ -315,8 +337,7 @@ class TestBatchedPath:
         batch = self.ragged_batch(gen, n=5)
         reps = satt_representations(net, [self.values(s) for s in batch]).data
         for i, s in enumerate(batch):
-            expected = np.concatenate([group_oracle_bitwise(s[g.config.modality], g.heads,
-                                                            g.config.alpha)
+            expected = np.concatenate([group_oracle_bitwise(s[g.config.modality], g)
                                        for g in net.groups])
             assert_array_equal(reps[i], expected)
 

@@ -286,15 +286,13 @@ class TestSnapshotRestore:
         params = build_model("txn", [("m", 4)], 3, model_kwargs(cfg), rng(0))
         arrays = snapshot_arrays(params)
         assert "stream.m.block0.layer0.bn.mean" in arrays
-        for _, v in params.parameters():
-            v.data += 1.0
-        for _, buf in params.buffers():
-            buf += 1.0
+        for _, view in params.checkpoint_arrays():
+            view += 1.0
         restore_arrays(params, arrays)
         for name, v in params.parameters():
             assert_array_equal(v.data, arrays[name])
-        for name, buf in params.buffers():
-            assert_array_equal(buf, arrays[name])
+        for name, view in params.checkpoint_arrays():
+            assert_array_equal(view, arrays[name])
 
     def test_mismatched_keys_rejected(self):
         params = build_model("meanpool", [("m", 4)], 3, {}, rng(0))
@@ -323,6 +321,83 @@ class TestSnapshotRestore:
         arrays["classifier.b"] = np.zeros(7)
         with pytest.raises(DataError):
             restore_arrays(params, arrays)
+
+
+TWO_MODALITIES = [("rgb", 4), ("flow", 3)]
+
+
+def ragged_samples(n, seed):
+    """Videos with rgb and flow frame counts drawn apart, straddling small_cfg's pad_len 6."""
+    gen = rng(seed)
+    return [VideoSample(f"v{i}", i % 3,
+                        [FeatureSequence("rgb", gen.normal(size=(int(gen.integers(3, 10)), 4))),
+                         FeatureSequence("flow", gen.normal(size=(int(gen.integers(3, 10)), 3)))])
+            for i in range(n)]
+
+
+class TestCheckpointArrays:
+    """The views a checkpoint is read from and written to: what keeps its bytes fixed."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_entries_are_views_of_the_packed_arena(self, model):
+        params = build_model(model, TWO_MODALITIES, 3, model_kwargs(small_cfg(model=model)),
+                             rng(0))
+        flat = ad.pack(v for _, v in params.parameters())
+        stored = [(n, view) for n, view in params.checkpoint_arrays() if ".bn." not in n]
+        for name, view in stored:
+            assert np.shares_memory(view, flat.data), name
+        assert sum(view.size for _, view in stored) == flat.data.size
+        for i, (name, view) in enumerate(stored):  # so together they tile the arena
+            assert not any(np.shares_memory(view, other) for _, other in stored[i + 1:]), name
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_restore_writes_through_the_views(self, model):
+        params = build_model(model, TWO_MODALITIES, 3, model_kwargs(small_cfg(model=model)),
+                             rng(0))
+        flat = ad.pack(v for _, v in params.parameters())
+        views = params.checkpoint_arrays()
+        arrays = {name: view + 0.5 + i for i, (name, view) in enumerate(views)}
+        restore_arrays(params, arrays)
+        for name, view in views:
+            assert_array_equal(view, arrays[name], err_msg=name)
+        assert_array_equal(flat.data, np.concatenate([v.data.reshape(-1)
+                                                      for _, v in params.parameters()]))
+        assert snapshot_arrays(params).keys() == arrays.keys()
+
+    @pytest.mark.parametrize("model, options", [
+        ("satt", {"satt_heads": 1}), ("satt", {"satt_heads": 3}), ("txn", {"txn_blocks": 2})])
+    def test_save_load_keeps_the_score_file_bytes(self, model, options, tmp_path):
+        """A trained model scores ragged two-modality videos to the same bytes after a
+        save and a load."""
+        samples = ragged_samples(22, seed=4)
+        cfg = small_cfg(model=model, epochs=2, **options)
+        result = train(cfg, samples[:15], samples[15:])
+        write_scores(tmp_path / "before.csv", evaluate(model, result.params, samples))
+        save_model(tmp_path / "model.ckpt", model, result.params, result.kwargs)
+        name, loaded, _ = load_model(tmp_path / "model.ckpt")
+        assert name == model
+        write_scores(tmp_path / "after.csv", evaluate(model, loaded, samples))
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+
+
+class TestGraphSize:
+    """One training step's graph: the op nodes and trainable leaves reachable from the loss."""
+
+    @pytest.mark.parametrize("model, ops", [("satt", 20), ("txn", 26), ("meanpool", 3)])
+    def test_default_step(self, model, ops):
+        cfg = TrainConfig(model=model)
+        samples = synth_generate(SynthConfig(videos_per_class=5))[0][:cfg.batch_size]
+        params = build_model(model, list(modality_dims(samples).items()), 10,
+                             model_kwargs(cfg), rng(cfg.seed))
+        loss = cross_entropy(batch_logits(model, params, samples, "train"),
+                             [s.label for s in samples])
+        nodes = list(_walk(loss))
+        assert sum(n._op != "leaf" for n in nodes) == ops
+        leaves = [n for n in nodes if n._op == "leaf" and n.requires_grad]
+        assert {id(n) for n in leaves} == {id(v) for _, v in params.parameters()}
+        assert not [n for n in nodes if n._op == "stack"]
+        if model == "satt":  # two modalities: w, a and b per group, then the classifier
+            assert len(leaves) == 8
 
 
 class TestSaveLoad:
@@ -525,8 +600,8 @@ class TestTrainLoop:
         tops = [e.val_top1 for e in report.epochs]
         assert report.best_top1 == max(tops)
         assert report.best_epoch == tops.index(max(tops))  # earliest tie wins
-        for name, v in result.params.parameters():
-            assert_array_equal(v.data, result.best_arrays[name])
+        for name, view in result.params.checkpoint_arrays():
+            assert_array_equal(view, result.best_arrays[name])
         rescored = evaluate(small_cfg().model, result.params, val_samples)
         for vid, row in result.best_table.rows.items():
             assert_array_equal(rescored.rows[vid], row)

@@ -11,6 +11,7 @@ from seqcls.autodiff import Value, rng
 from seqcls.errors import ConfigError, ShapeError
 from seqcls.gradcheck import run_cases
 from seqcls.txn import (
+    MAX_PAD_LEN,
     SepConvParams,
     TxnBlockParams,
     TxnParams,
@@ -159,6 +160,11 @@ class TestTxnStream:
             small_config(kernel_size=2)
         with pytest.raises(ConfigError):
             small_config(num_blocks=0)
+        # pad_len shapes no stored array, so the config alone bounds it
+        assert small_config(pad_len=MAX_PAD_LEN).pad_len == MAX_PAD_LEN
+        for bad in (0, MAX_PAD_LEN + 1, 10**9):
+            with pytest.raises(ConfigError, match="pad_len must lie in"):
+                small_config(pad_len=bad)
 
 
 class TestTxnNet:
@@ -250,7 +256,8 @@ class TestTxnNet:
 
         for mode in ("train", "train", "infer"):
             assert_array_equal(txn_forward_batch(net, batch, mode).data, oracle_logits(mode).data)
-            for (name, got), (_, expected) in zip(net.buffers(), oracle.buffers()):
+            for (name, got), (_, expected) in zip(net.checkpoint_arrays(),
+                                                  oracle.checkpoint_arrays()):
                 assert_array_equal(got, expected, err_msg=name)
 
     def test_missing_modality_rejected(self):
@@ -271,13 +278,17 @@ class TestTxnNet:
             expected += [f"stream.{m}.{layer}.{f}" for layer in layers for f in fields]
             expected_buffers += [f"stream.{m}.{layer}.bn.{s}" for layer in layers
                                  for s in ("mean", "var")]
-        assert [n for n, _ in net.parameters()] == expected + ["classifier.w", "classifier.b"]
-        assert [n for n, _ in net.buffers()] == expected_buffers
+        expected += ["classifier.w", "classifier.b"]
+        assert [n for n, _ in net.parameters()] == expected
+        assert [n for n, _ in net.checkpoint_arrays()] == expected + expected_buffers
         block = net.streams[0].blocks[1]
         assert [n for n, _ in named_parameters(block)] == [
             f"layer{i}.{f}" for i in range(2) for f in fields]
         assert named_parameters(block)[0][1] is block.layers[0].depthwise
-        assert net.buffers()[0][1] is net.streams[0].blocks[0].layers[0].bn_state.mean
+        stored = dict(net.checkpoint_arrays())
+        layer = net.streams[0].blocks[0].layers[0]
+        assert stored["stream.rgb.block0.layer0.bn.mean"] is layer.bn_state.mean
+        assert stored["stream.rgb.entry_w"] is net.streams[0].entry_w.data
 
     def test_duplicate_streams_rejected(self):
         with pytest.raises(ConfigError):
