@@ -21,11 +21,10 @@ heads need.  The attention ops are batched: ``row_dot`` scores
 
 Everything is computed in 64-bit so central finite differences at step 1e-3
 are a meaningful oracle; ``fd_check`` is the verification harness.  Its
-kink bookkeeping (how close each ReLU/max node sits to a kink, and on which
-side) is computed on demand: ops hand ``_node`` thunks, and only
-``min_kink_margin`` and ``_kink_sides`` evaluate them, so training and
-evaluation never pay for it.  A grad_fn skips the gradient of any parent
-that does not require one.
+kink bookkeeping (the side of its kink each ReLU/max/clamp node sits on) is
+computed on demand: ops hand ``_node`` a thunk, and only ``_kink_sides``
+evaluates it, so training and evaluation never pay for it.  A grad_fn skips
+the gradient of any parent that does not require one.
 """
 
 from __future__ import annotations
@@ -49,15 +48,19 @@ def rng(*seeds: int) -> np.random.Generator:
     """Deterministic generator (PCG64): identical seeds, identical stream.
 
     Extra integers select independent substreams, e.g. ``rng(seed, epoch)``.
+    Every seed must be a non-negative integer.
     """
-    return np.random.default_rng([int(s) for s in seeds])
+    seeds = [int(s) for s in seeds]
+    if min(seeds, default=0) < 0:
+        raise ConfigError(f"seed must be non-negative, got {min(seeds)}")
+    return np.random.default_rng(seeds)
 
 
 class Value:
     """Node in the differentiation graph: data, grad, backward rule."""
 
     __slots__ = ("data", "_grad", "_flow", "requires_grad", "_parents", "_grad_fn", "_op",
-                 "_kink_margin", "_kink_side")
+                 "_kink_side")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -72,7 +75,6 @@ class Value:
         self._parents: tuple[Value, ...] = ()
         self._grad_fn: GradFn | None = None
         self._op = "leaf"
-        self._kink_margin = np.inf
         self._kink_side = None
 
     @property
@@ -92,33 +94,26 @@ def _lift(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
 
 
-def _node(data, parents: Sequence[Value], grad_fn: GradFn, op: str, kink_margin=np.inf,
-          kink_side=None) -> Value:
-    """A graph node.  kink_margin and kink_side are values or zero-argument thunks.
+def _node(data, parents: Sequence[Value], grad_fn: GradFn, op: str, kink_side=None) -> Value:
+    """A graph node.  kink_side is None or a zero-argument thunk.
 
-    A thunk reads the node's inputs when it is evaluated, so ask for the
-    bookkeeping before mutating a parameter the graph was built from.
+    The thunk reads the node's inputs when it is evaluated, so ask for the
+    side before mutating a parameter the graph was built from.
     """
     out = Value(data)
     out.requires_grad = any(p.requires_grad for p in parents)
     out._parents = tuple(parents)
     out._grad_fn = grad_fn if out.requires_grad else None
     out._op = op
+    # which side of its kinks the node sits on: relu masks, argmax indices;
     # kinks in constant subtrees cannot be crossed by perturbing parameters
-    out._kink_margin = kink_margin if out.requires_grad else np.inf
-    # which side of its kinks the node sits on: relu masks, argmax indices
     out._kink_side = kink_side if out.requires_grad else None
     return out
 
 
-def _evaluated(kink):
-    return kink() if callable(kink) else kink
-
-
 def zero_grads(params) -> None:
-    """Zero the grad buffers of Values or (name, Value) pairs."""
-    for p in params:
-        v = p[1] if isinstance(p, tuple) else p
+    """Zero the grad buffers of the given Values."""
+    for v in params:
         v.zero_grad()
 
 
@@ -210,18 +205,13 @@ def _walk(root: Value):
         stack.extend(node._parents)
 
 
-def min_kink_margin(root: Value) -> float:
-    """Smallest distance to a ReLU/max kink recorded anywhere in the graph."""
-    return min((float(_evaluated(node._kink_margin)) for node in _walk(root)), default=np.inf)
-
-
 def _kink_sides(root: Value) -> list[np.ndarray]:
     """The side of its kinks each trainable ReLU/max/clamp node sits on.
 
     Two graphs built by the same code sit on the same side of every kink
     exactly when their lists are equal element by element.
     """
-    return [_evaluated(node._kink_side) for node in _walk(root) if node._kink_side is not None]
+    return [node._kink_side() for node in _walk(root) if node._kink_side is not None]
 
 
 def _same_sides(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
@@ -279,7 +269,7 @@ def relu(x) -> Value:
     """Elementwise max(x, 0): x where x > 0, else +0.0, also for -0.0 and NaN.
 
     The mask x > 0 is rebuilt from the output when backward or the kink
-    bookkeeping asks for it.
+    side asks for it.
     """
     x = _lift(x)
     xd = x.data
@@ -290,8 +280,7 @@ def relu(x) -> Value:
     def grad_fn(g):
         return (g * (out > 0.0),)
 
-    return _node(out, (x,), grad_fn, "relu",
-                 kink_margin=lambda: np.abs(xd).min(), kink_side=lambda: out > 0.0)
+    return _node(out, (x,), grad_fn, "relu", kink_side=lambda: out > 0.0)
 
 
 def reshape(x, shape: tuple[int, ...]) -> Value:
@@ -466,9 +455,7 @@ def l2_normalize(v) -> Value:
         tangent = (g - y * np.sum(g * y, axis=-1, keepdims=True)) / denom
         return (np.where(norm < EPS_NORM, g / denom, tangent),)
 
-    return _node(y, (v,), grad_fn, "l2_normalize",
-                 kink_margin=lambda: np.abs(norm - EPS_NORM).min(),
-                 kink_side=lambda: norm < EPS_NORM)
+    return _node(y, (v,), grad_fn, "l2_normalize", kink_side=lambda: norm < EPS_NORM)
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +502,6 @@ def _max_time(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _top2_gap(x: np.ndarray) -> float:
-    """Smallest per-channel gap between the two largest frames; inf below 2 frames."""
-    t = x.shape[-2]
-    if t < 2:
-        return np.inf
-    top2 = np.partition(x, t - 2, axis=-2)[..., -2:, :]
-    return float((top2[..., 1, :] - top2[..., 0, :]).min())
-
-
 def adaptive_max_pool1d(x, n: int) -> Value:
     """Per-channel max over n contiguous segments [floor(iT/n), floor((i+1)T/n)).
 
@@ -532,7 +510,7 @@ def adaptive_max_pool1d(x, n: int) -> Value:
     frame and the input comes back unchanged.  The frames are gathered into
     [.. x n x width x C], short segments repeating their last frame (a repeat
     never precedes its original, so the earliest argmax is a real frame);
-    argmax and kink margin are computed on demand.
+    the argmax, which is also the kink side, is computed on demand.
     """
     x = _lift(x)
     if x.data.ndim < 2:
@@ -542,8 +520,7 @@ def adaptive_max_pool1d(x, n: int) -> Value:
         raise ConfigError(f"segment count {n} must lie in [1, {t}]")
     if n == t:
         return x
-    bounds = _segment_bounds(t, n)
-    lo, hi = np.array(bounds).T
+    lo, hi = np.array(_segment_bounds(t, n)).T
     index = np.minimum(lo[:, None] + np.arange((hi - lo).max()), hi[:, None] - 1)
     segments = np.take(x.data, index, axis=-2)
     argmax = functools.cache(lambda: np.argmax(segments, axis=-2))  # within each segment
@@ -554,16 +531,14 @@ def adaptive_max_pool1d(x, n: int) -> Value:
         np.put_along_axis(gx, argmax() + lo[:, None], g, axis=-2)
         return (gx,)
 
-    return _node(_max_time(segments), (x,), grad_fn, "adaptive_max_pool1d",
-                 kink_margin=lambda: min(_top2_gap(x.data[..., a:b, :]) for a, b in bounds),
-                 kink_side=argmax)
+    return _node(_max_time(segments), (x,), grad_fn, "adaptive_max_pool1d", kink_side=argmax)
 
 
 def global_max_pool_time(x) -> Value:
     """Per-channel max over the whole time axis (earliest argmax wins ties).
 
     [T x C] -> [C]; [B x T x C] -> [B x C].  The argmax is computed only for
-    backward or the kink bookkeeping.
+    backward or the kink side.
     """
     x = _lift(x)
     if x.data.ndim < 2:
@@ -576,8 +551,7 @@ def global_max_pool_time(x) -> Value:
         np.put_along_axis(gx, argmax()[..., None, :], g[..., None, :], axis=-2)
         return (gx,)
 
-    return _node(_max_time(xd), (x,), grad_fn, "global_max_pool_time",
-                 kink_margin=lambda: _top2_gap(xd), kink_side=argmax)
+    return _node(_max_time(xd), (x,), grad_fn, "global_max_pool_time", kink_side=argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -792,16 +766,19 @@ def fd_check(f: Callable[[], Value], params, step: float = 1e-3, tol: float = 1e
 
     `params` is a list of Values or (name, Value) pairs; their .data buffers
     are perturbed in place, one coordinate at a time, and restored.  Errors
-    are normalized by the largest gradient magnitude seen (floored at 1e-6)
-    so near-zero coordinates do not divide by noise.
+    are normalized by the largest finite gradient magnitude seen (floored at
+    1e-6) so near-zero coordinates do not divide by noise.  A coordinate
+    whose analytic or numeric derivative is not finite fails outright.
 
     Failing coordinates are probed again (``_step_explains``): when each
     one's step crossed a kink or was too coarse for the local curvature,
     the report says ``step_unfit`` and central differences at this step are
     no oracle for the sample.
     """
-    if not step > 0.0:
-        raise ConfigError("finite-difference step must be positive")
+    if not 0.0 < step < np.inf:
+        raise ConfigError(f"finite-difference step must be positive and finite, got {step}")
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"tolerance must be non-negative and finite, got {tol}")
     named = [p if isinstance(p, tuple) else (f"param{i}", p) for i, p in enumerate(params)]
     zero_grads(v for _, v in named)
     root = f()
@@ -822,15 +799,16 @@ def fd_check(f: Callable[[], Value], params, step: float = 1e-3, tol: float = 1e
             num[i] = (fp - fm) / (2.0 * step)
         numeric.append(num.reshape(v.data.shape))
 
-    scale = max(max((np.abs(a).max() for a in analytic), default=0.0),
-                max((np.abs(n).max() for n in numeric), default=0.0), 1e-6)
+    finite = [np.isfinite(a) & np.isfinite(n) for a, n in zip(analytic, numeric)]
+    scale = max([1e-6] + [float(np.abs(x[ok]).max(initial=0.0))
+                          for a, n, ok in zip(analytic, numeric, finite) for x in (a, n)])
     max_rel = 0.0
     worst = named[0][0] if named else ""
     coords = 0
     failing = []
-    for (name, v), a, n in zip(named, analytic, numeric):
+    for (name, v), a, n, ok in zip(named, analytic, numeric, finite):
         coords += a.size
-        err = np.abs(a - n)
+        err = np.abs(np.subtract(a, n, out=np.full(a.shape, np.inf), where=ok))
         rel = float(err.max()) / scale
         if rel >= max_rel:
             max_rel = rel
@@ -851,8 +829,11 @@ def _step_explains(f, v: Value, i: int, analytic: float, numeric: float, step: f
     than the unperturbed graph, or halving the step at least halves the
     error and keeps its sign: central differences converge at O(step^2) to
     the true slope, so an error that shrinks like that is truncation, not a
-    wrong gradient, whose error would stay put.
+    wrong gradient, whose error would stay put.  A non-finite slope is never
+    the step's fault.
     """
+    if not (np.isfinite(analytic) and np.isfinite(numeric)):
+        return False
     flat = v.data.reshape(-1)
     orig = flat[i]
     values = {}

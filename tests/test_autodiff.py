@@ -61,11 +61,14 @@ class TestBackward:
         zero_grads([x])
         assert_array_equal(x.grad, np.zeros(3))
 
-    def test_zero_grads_accepts_named_pairs(self):
-        x = Value(1.0, requires_grad=True)
-        x.grad[...] = 5.0
-        zero_grads([("x", x)])
+    def test_zero_grads_accepts_any_iterable_of_values(self):
+        x, w = Value(1.0, requires_grad=True), Value(np.ones((2, 3)), requires_grad=True)
+        named = [("x", x), ("w", w)]
+        for _, v in named:
+            v.grad[...] = 5.0
+        zero_grads(v for _, v in named)
         assert_array_equal(x.grad, 0.0)
+        assert_array_equal(w.grad, np.zeros((2, 3)))
 
     def test_pack_makes_leaves_views_of_one_flat_leaf(self):
         """Values and gradients carry over; backward and zero_grads reach the flat leaf."""
@@ -640,22 +643,28 @@ class TestFdCheck:
             assert not report.passed
             assert not report.step_unfit
 
+    def test_non_finite_gradient_is_not_blamed_on_the_step(self):
+        """NaN fails every comparison, so a non-finite slope must fail the check itself."""
+        def nan_grad_square(v):  # analytic slope NaN
+            return ad._node(v.data ** 2, (v,), lambda g: (g * np.nan,), "nan_grad_square")
+
+        def overflow_off_start(v):  # numeric slope inf - inf
+            out = np.where(np.isin(v.data, (0.01, 0.7, -1.3)), 1.0, np.inf)
+            return ad._node(out, (v,), lambda g: (np.zeros_like(g),), "overflow_off_start")
+
+        for op in (nan_grad_square, overflow_off_start):
+            for start in ([0.01], [0.7, -1.3]):
+                x = Value(np.array(start), requires_grad=True)
+                report = fd_check(lambda: ad.sum_all(op(x)), [("x", x)])
+                assert not report.passed
+                assert not report.step_unfit
+                assert report.summary().startswith("FAIL max_rel_error=inf")
+
     def test_restores_parameters_after_probing(self):
         x = Value(np.array([1.0, 2.0]), requires_grad=True)
         original = x.data.copy()
         fd_check(lambda: ad.sum_all(ad.mul(x, x)), [x])
         assert_array_equal(x.data, original)
-
-    def test_kink_margin_tracks_distance_to_relu(self):
-        """min_kink_margin reports how far inputs sit from the nearest kink."""
-        x = Value(np.array([0.5, -0.25]), requires_grad=True)
-        out = ad.sum_all(ad.relu(x))
-        assert ad.min_kink_margin(out) == pytest.approx(0.25)
-
-    def test_constant_subtree_margin_is_infinite(self):
-        """Kinks below non-trainable nodes cannot be crossed by perturbation."""
-        out = ad.sum_all(ad.relu(Value(np.zeros(3))))
-        assert ad.min_kink_margin(out) == np.inf
 
 
 class TestRng:
@@ -670,8 +679,9 @@ class TestRng:
 # one-pass txn ops against the implementations they replaced
 # ---------------------------------------------------------------------------
 # The ref_* functions below are the previous implementations, kept verbatim
-# as oracles: every value, gradient and kink record of the rewritten ops must
-# equal theirs bit for bit.  They compute kink bookkeeping eagerly.
+# but for their kink margins, as oracles: every value, gradient and kink side
+# of the rewritten ops must equal theirs bit for bit.  They compute the kink
+# side eagerly.
 
 
 def ref_relu(x) -> Value:
@@ -681,8 +691,7 @@ def ref_relu(x) -> Value:
     def grad_fn(g):
         return (g * mask,)
 
-    return ad._node(np.where(mask, x.data, 0.0), (x,), grad_fn, "relu",
-                    kink_margin=np.abs(x.data).min(), kink_side=mask)
+    return ad._node(np.where(mask, x.data, 0.0), (x,), grad_fn, "relu", kink_side=lambda: mask)
 
 
 def ref_adaptive_max_pool1d(x, n: int) -> Value:
@@ -695,15 +704,11 @@ def ref_adaptive_max_pool1d(x, n: int) -> Value:
     bounds = ad._segment_bounds(t, n)
     pieces = []
     argmax = []
-    margin = np.inf
     for lo, hi in bounds:
         seg = x.data[..., lo:hi, :]
         idx = np.argmax(seg, axis=-2)
         argmax.append(idx)
         pieces.append(np.take_along_axis(seg, idx[..., None, :], axis=-2))
-        if hi - lo >= 2:
-            top2 = np.partition(seg, hi - lo - 2, axis=-2)[..., -2:, :]
-            margin = min(margin, float((top2[..., 1, :] - top2[..., 0, :]).min()))
     out = np.concatenate(pieces, axis=-2)
 
     def grad_fn(g):
@@ -713,29 +718,23 @@ def ref_adaptive_max_pool1d(x, n: int) -> Value:
                               g[..., i:i + 1, :], axis=-2)
         return (gx,)
 
-    return ad._node(out, (x,), grad_fn, "adaptive_max_pool1d", kink_margin=margin,
-                    kink_side=np.stack(argmax))
+    side = np.stack(argmax)
+    return ad._node(out, (x,), grad_fn, "adaptive_max_pool1d", kink_side=lambda: side)
 
 
 def ref_global_max_pool_time(x) -> Value:
     x = ad._lift(x)
     if x.data.ndim < 2:
         raise ShapeError("global_max_pool_time expects a rank-2 or rank-3 value")
-    t = x.data.shape[-2]
     idx = np.argmax(x.data, axis=-2)
     out = np.take_along_axis(x.data, idx[..., None, :], axis=-2)[..., 0, :]
-    margin = np.inf
-    if t >= 2:
-        top2 = np.partition(x.data, t - 2, axis=-2)[..., -2:, :]
-        margin = float((top2[..., 1, :] - top2[..., 0, :]).min())
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
         np.put_along_axis(gx, idx[..., None, :], g[..., None, :], axis=-2)
         return (gx,)
 
-    return ad._node(out, (x,), grad_fn, "global_max_pool_time", kink_margin=margin,
-                    kink_side=idx)
+    return ad._node(out, (x,), grad_fn, "global_max_pool_time", kink_side=lambda: idx)
 
 
 def ref_depthwise_conv1d(x, kernels) -> Value:
@@ -831,22 +830,21 @@ def tie_heavy(gen, *shape):
 
 
 def run_op(op, arrays, trainable, *args, **kwargs):
-    """Forward, backward against a fixed cotangent, and the kink records."""
+    """Forward, backward against a fixed cotangent, and the kink sides."""
     leaves = [Value(a.copy(), requires_grad=t) for a, t in zip(arrays, trainable)]
     out = op(*leaves, *args, **kwargs)
     cot = Value(np.random.default_rng(7).normal(size=out.data.shape))
     root = ad.sum_all(ad.mul(out, cot))
     backward(root)
     grads = [leaf.grad for leaf in leaves]
-    return out.data, grads, ad.min_kink_margin(root), ad._kink_sides(root)
+    return out.data, grads, ad._kink_sides(root)
 
 
 def assert_same_run(new, ref):
-    (out, grads, margin, sides), (r_out, r_grads, r_margin, r_sides) = new, ref
+    (out, grads, sides), (r_out, r_grads, r_sides) = new, ref
     assert_same_bits(out, r_out)
     for g, r in zip(grads, r_grads):
         assert_same_bits(g, r)
-    assert margin == r_margin
     assert len(sides) == len(r_sides)
     for s, r in zip(sides, r_sides):
         assert_same_bits(s, r)
@@ -864,17 +862,17 @@ class TestOnePassOpsMatchReference:
                 new = run_op(ad.adaptive_max_pool1d, [x], [True], n)
                 ref = run_op(ref_adaptive_max_pool1d, [x], [True], n)
                 if n == t:  # one frame per segment: the input itself, with no kink side
-                    assert_same_run(new, ref[:3] + ([],))
+                    assert_same_run(new, ref[:2] + ([],))
                     continue
                 # the reference stacks its per-segment argmax segment-first
-                ref = ref[:3] + ([np.moveaxis(ref[3][0], 0, -2)],)
+                ref = ref[:2] + ([np.moveaxis(ref[2][0], 0, -2)],)
                 assert_same_run(new, ref)
 
     def test_adaptive_pool_routes_a_tie_to_the_earliest_frame(self):
         # segments [0, 2), [2, 4), [4, 7), each holding a tie
         x = np.array([[[2.0], [2.0], [1.0], [1.0], [-0.0], [0.0], [-1.0]]])
-        _, (grad,), _, _ = run_op(ad.adaptive_max_pool1d, [x], [True], 3)
-        _, (ref_grad,), _, _ = run_op(ref_adaptive_max_pool1d, [x], [True], 3)
+        _, (grad,), _ = run_op(ad.adaptive_max_pool1d, [x], [True], 3)
+        _, (ref_grad,), _ = run_op(ref_adaptive_max_pool1d, [x], [True], 3)
         assert_same_bits(grad, ref_grad)
         assert np.flatnonzero(grad[0, :, 0]).tolist() == [0, 2, 4]
 
@@ -900,7 +898,7 @@ class TestOnePassOpsMatchReference:
             ref = run_op(ref_relu, [x], [True])
             assert_same_bits(new[0], ref[0])
             assert_same_bits(new[1][0], ref[1][0])
-            assert_same_bits(new[3][0], ref[3][0])
+            assert_same_bits(new[2][0], ref[2][0])
         gen = np.random.default_rng(42)
         for x in (tie_heavy(gen, 3, 5, 4), gen.normal(size=(5, 4))):
             assert_same_run(run_op(ad.relu, [x], [True]), run_op(ref_relu, [x], [True]))
@@ -960,23 +958,37 @@ class TestGradientsNothingUses:
 
 
 class TestKinkBookkeepingOnDemand:
-    def test_txn_train_step_never_partitions(self, monkeypatch):
-        """Train and eval forwards compute no kink margin: np.partition and np.abs never run."""
-        from seqcls.training import TrainConfig, build_model, model_kwargs
+    @pytest.mark.parametrize("model", ["txn", "satt"])
+    def test_train_step_and_evaluate_never_ask_for_kink_sides(self, model, monkeypatch):
+        """Only gradcheck evaluates the kink-side thunks of relu and l2_normalize."""
+        from seqcls.data import FeatureSequence, VideoSample
+        from seqcls.training import TrainConfig, batch_logits, build_model, evaluate, model_kwargs
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("kink bookkeeping computed outside gradcheck")
+        def refuse():
+            raise AssertionError("kink side computed outside gradcheck")
+
+        node, guarded = ad._node, []
+
+        def refusing_node(data, parents, grad_fn, op, kink_side=None):
+            if op in ("relu", "l2_normalize"):
+                guarded.append(op)
+                kink_side = refuse
+            return node(data, parents, grad_fn, op, kink_side=kink_side)
 
         gen = np.random.default_rng(42)
-        cfg = TrainConfig(model="txn", txn_pad_len=6, txn_segments=3, txn_channels=4)
-        params = build_model("txn", [("rgb", 4)], 3, model_kwargs(cfg), rng(0))
-        batch = [{"rgb": Value(gen.normal(size=(int(t), 4)))} for t in (4, 6, 9)]
-        monkeypatch.setattr(np, "partition", refuse)
-        monkeypatch.setattr(np, "abs", refuse)
-        loss = ad.cross_entropy(params.forward_batch(batch, "train"), [0, 1, 2])
+        cfg = TrainConfig(model=model, txn_pad_len=6, txn_segments=3, txn_channels=4,
+                          satt_heads=2)
+        params = build_model(model, [("rgb", 4)], 3, model_kwargs(cfg), rng(0))
+        samples = [VideoSample(f"v{i}", i, [FeatureSequence("rgb", gen.normal(size=(t, 4)))])
+                   for i, t in enumerate((4, 6, 9))]
+        monkeypatch.setattr(ad, "_node", refusing_node)
+        loss = ad.cross_entropy(batch_logits(model, params, samples, "train"), [0, 1, 2])
         backward(loss)
         assert all(np.isfinite(v.grad).all() for _, v in params.parameters())
-        params.forward_batch(batch, "infer")
+        evaluate(model, params, samples)
+        assert guarded  # the guard was in the graph, and asking for the sides trips it
+        with pytest.raises(AssertionError, match="kink side"):
+            ad._kink_sides(loss)
 
     @pytest.mark.parametrize("case", ["txn_block", "txn_net"])
     def test_gradcheck_txn_cases_see_the_eager_values(self, case, monkeypatch):
@@ -986,16 +998,14 @@ class TestKinkBookkeepingOnDemand:
             out = []
             for seed in range(4):
                 f, _ = CASES[case](rng(seed, 0))
-                root = f()
-                out.append((ad.min_kink_margin(root), ad._kink_sides(root)))
+                out.append(ad._kink_sides(f()))
             return out
 
         lazy = records()
         for name, ref in REFERENCE_OPS.items():
             monkeypatch.setattr(ad, name, ref)
         eager = records()
-        for (margin, sides), (ref_margin, ref_sides) in zip(lazy, eager):
-            assert np.isfinite(margin) and margin == ref_margin
+        for sides, ref_sides in zip(lazy, eager):
             assert sides and len(sides) == len(ref_sides)
             for s, r in zip(sides, ref_sides):
                 assert_same_bits(s, r)

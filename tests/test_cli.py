@@ -516,6 +516,30 @@ class TestGradcheckCommand:
         code = main(["gradcheck", "--op", "mul", "--seeds", "0", "--tol", "0"])
         assert code == EXIT_GRADCHECK
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--step=inf", "finite-difference step"), ("--step=nan", "finite-difference step"),
+        ("--tol=inf", "tolerance"), ("--tol=nan", "tolerance")])
+    def test_non_finite_step_or_tolerance_exits_config(self, capsys, flag, message):
+        """A step or tolerance that is not finite checks nothing."""
+        assert main(["gradcheck", "--op", "relu", "--seeds", "0", flag]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", ["synthgen", "train", "gradcheck"])
+def test_negative_seed_exits_config_with_one_line(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    data = workspace["data"]
+    argv = {"synthgen": ["synthgen", "--out", str(out), "--seed", "-1"],
+            "train": ["train", "--train", str(data / "train.mmf"), "--val",
+                      str(data / "val.mmf"), "--out", str(out), "--seed", "-1", "--quiet"],
+            "gradcheck": ["gradcheck", "--op", "relu", "--seeds=-1"]}[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
 
 class TestArgparse:
     def test_no_arguments_is_usage_error(self, capsys):

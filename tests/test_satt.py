@@ -460,7 +460,7 @@ class TestCanonicalFrameOrder:
     @staticmethod
     def step(net, batch, labels, mode):
         """Logits and every parameter gradient of one cross-entropy step."""
-        ad.zero_grads(net.parameters())
+        ad.zero_grads(p for _, p in net.parameters())
         logits = net.forward_batch([{m: Value(x) for m, x in s.items()} for s in batch], mode)
         backward(ad.cross_entropy(logits, labels))
         return [logits.data.copy()] + [p.grad.copy() for _, p in net.parameters()]

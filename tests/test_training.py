@@ -193,7 +193,7 @@ class TestOptimizers:
         for step in range(50):
             if step % 7 == 3:
                 zero_grads([flat])  # a step on gradients zeroed through the arena
-                zero_grads(refs)
+                zero_grads(r for _, r in refs)
             else:
                 for v, (_, r) in zip(leaves, refs):
                     g = gen.normal(size=v.data.shape) * 10.0 ** float(gen.integers(-4, 3))
