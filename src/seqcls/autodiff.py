@@ -1,17 +1,14 @@
 """Minimal reverse-mode differentiation engine.
 
 A ``Value`` wraps a float64 numpy buffer of rank <= 3 (batch, time, channel
-as applicable) together with a gradient buffer of the same shape, parent
-references and a backward rule, forming an acyclic computation graph.
-``backward`` walks the graph in reverse topological order; gradients
-accumulate across calls, so callers must ``zero_grads`` between optimizer
-steps; ``pack`` turns a model's trainable leaves into views of one flat
-leaf, so that both run once over all of them.  Gradient buffers are
-allocated lazily: leaves created with ``requires_grad`` get one up front,
-every other node when ``.grad`` is first read.  Until then a node keeps
-the flows backward sent it as they are (flows may alias one another and
-are never written in place), and the first read copies them, so neither a
-forward-only graph nor a training step copies any intermediate gradient.
+as applicable) together with parent references and a backward rule,
+forming an acyclic computation graph.  ``backward`` walks the graph in
+reverse topological order and delivers gradients to trainable leaves only:
+a ``requires_grad`` leaf owns a ``.grad`` buffer of its shape, into which
+gradients accumulate across calls (callers ``zero_grads`` between optimizer
+steps); every other node passes its flow on and keeps ``.grad`` None.
+``pack`` turns a model's trainable leaves into views of one flat leaf, so
+that both run once over all of them.
 
 The operator set is exactly what the attention and temporal-convolution
 heads need.  The attention ops are batched: ``row_dot`` scores
@@ -57,10 +54,14 @@ def rng(*seeds: int) -> np.random.Generator:
 
 
 class Value:
-    """Node in the differentiation graph: data, grad, backward rule."""
+    """Node in the differentiation graph: data, grad, backward rule.
 
-    __slots__ = ("data", "_grad", "_flow", "requires_grad", "_parents", "_grad_fn", "_op",
-                 "_kink_side")
+    ``grad`` is a buffer of the data's shape, zeroed at creation, on a leaf
+    created with ``requires_grad`` (a view into the flat leaf after
+    ``pack``) and None on every other Value.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_op", "_kink_side")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -69,25 +70,12 @@ class Value:
         if arr.size == 0:
             raise ShapeError("all extents must be >= 1")
         self.data = arr
-        self._grad = np.zeros_like(arr) if requires_grad else None
-        self._flow = None  # backward's flows into a node without a buffer, not yet copied
+        self.grad = np.zeros_like(arr) if requires_grad else None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Value, ...] = ()
         self._grad_fn: GradFn | None = None
         self._op = "leaf"
         self._kink_side = None
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            flow, self._flow = self._flow, None
-            self._grad = np.zeros_like(self.data) if flow is None else np.array(flow)
-        return self._grad
-
-    def zero_grad(self) -> None:
-        self._flow = None
-        if self._grad is not None:
-            self._grad[...] = 0.0
 
 
 def _lift(x) -> Value:
@@ -112,9 +100,9 @@ def _node(data, parents: Sequence[Value], grad_fn: GradFn, op: str, kink_side=No
 
 
 def zero_grads(params) -> None:
-    """Zero the grad buffers of the given Values."""
+    """Zero the grad buffers of the given trainable leaves."""
     for v in params:
-        v.zero_grad()
+        v.grad[...] = 0.0
 
 
 def pack(values: Sequence[Value]) -> Value:
@@ -137,7 +125,7 @@ def pack(values: Sequence[Value]) -> Value:
     for v in values:
         stop = start + v.data.size
         v.data = flat.data[start:stop].reshape(v.data.shape)
-        v._grad = flat.grad[start:stop].reshape(v.data.shape)
+        v.grad = flat.grad[start:stop].reshape(v.data.shape)
         start = stop
     return flat
 
@@ -162,28 +150,26 @@ def _topo_order(root: Value) -> list[Value]:
 
 
 def backward(root: Value) -> None:
-    """Accumulate d(root)/d(node) into .grad of every reachable node.
+    """Accumulate d(root)/d(leaf) into .grad of every reachable trainable leaf.
 
     Repeated calls without zero_grads add up (multi-loss semantics).  The
-    per-call flow is kept in a scratch map so stale .grad contents never
-    contaminate the propagation itself.  A grad_fn may return its flow g or
-    views of it but never writes into g, because nodes keep flows uncopied.
+    per-call flows live in a scratch map: a node without a grad_fn, a
+    trainable leaf, adds its flow into its buffer, and every other node
+    hands its flow to its grad_fn and keeps nothing.  A grad_fn may return
+    its flow g or views of it but never writes into g, since flows may
+    alias one another.
     """
     if root.data.ndim != 0:
         raise UsageError("backward requires a scalar root")
     if not root.requires_grad:
         return
-    order = _topo_order(root)
     flows: dict[int, np.ndarray] = {id(root): np.ones(())}
-    for node in reversed(order):
+    for node in reversed(_topo_order(root)):
         g = flows.pop(id(node), None)
         if g is None:
             continue
-        if node._grad is not None:
-            node._grad += g
-        else:  # flows may alias one another: kept as is, copied on the first read of .grad
-            node._flow = g if node._flow is None else node._flow + g
         if node._grad_fn is None:
+            node.grad += g
             continue
         for parent, pg in zip(node._parents, node._grad_fn(g)):
             if pg is None or not parent.requires_grad:
@@ -192,26 +178,15 @@ def backward(root: Value) -> None:
             flows[id(parent)] = pg if acc is None else acc + pg
 
 
-def _walk(root: Value):
-    """Every node reachable from root, once each, in a fixed order."""
-    visited: set[int] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        yield node
-        stack.extend(node._parents)
-
-
 def _kink_sides(root: Value) -> list[np.ndarray]:
     """The side of its kinks each trainable ReLU/max/clamp node sits on.
 
     Two graphs built by the same code sit on the same side of every kink
-    exactly when their lists are equal element by element.
+    exactly when their lists are equal element by element.  backward's
+    topological order reaches every such node, since only nodes that
+    require grad get a side.
     """
-    return [node._kink_side() for node in _walk(root) if node._kink_side is not None]
+    return [node._kink_side() for node in _topo_order(root) if node._kink_side is not None]
 
 
 def _same_sides(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
@@ -307,27 +282,10 @@ def concat(values: Sequence, axis: int = 0) -> Value:
     splits = np.cumsum([v.data.shape[axis] for v in vals])[:-1]
 
     def grad_fn(g):
-        return tuple(piece.copy() if v.requires_grad else None
+        return tuple(piece if v.requires_grad else None
                      for v, piece in zip(vals, np.split(g, splits, axis=axis)))
 
     return _node(out, vals, grad_fn, "concat")
-
-
-def stack(values: Sequence, axis: int = 0) -> Value:
-    """Join values of equal shape along a new axis (numpy.stack)."""
-    vals = [_lift(v) for v in values]
-    if not vals:
-        raise ConfigError("stack requires at least one value")
-    ref = vals[0].data.shape
-    for v in vals[1:]:
-        if v.data.shape != ref:
-            raise ShapeError(f"stack shapes disagree: {ref} vs {v.data.shape}")
-    out = np.stack([v.data for v in vals], axis=axis)
-
-    def grad_fn(g):
-        return tuple(np.moveaxis(g, axis, 0))
-
-    return _node(out, vals, grad_fn, "stack")
 
 
 def take_rows(x, index) -> Value:
@@ -642,9 +600,6 @@ class BnState:
     def fresh(cls, channels: int) -> "BnState":
         return cls(mean=np.zeros(channels), var=np.ones(channels))
 
-    def copy(self) -> "BnState":
-        return BnState(self.mean.copy(), self.var.copy())
-
 
 def batch_norm(x, gamma, beta, state: BnState, mode: str = "train",
                momentum: float = BN_MOMENTUM, eps: float = EPS_BN) -> Value:
@@ -764,10 +719,11 @@ class FdReport:
 def fd_check(f: Callable[[], Value], params, step: float = 1e-3, tol: float = 1e-4) -> FdReport:
     """Compare analytic gradients of the scalar f() against central differences.
 
-    `params` is a list of Values or (name, Value) pairs; their .data buffers
-    are perturbed in place, one coordinate at a time, and restored.  Errors
-    are normalized by the largest finite gradient magnitude seen (floored at
-    1e-6) so near-zero coordinates do not divide by noise.  A coordinate
+    `params` is a list of (name, Value) pairs of trainable leaves; their
+    .data buffers are perturbed in place, one coordinate at a time, and
+    restored.  Errors are normalized by the largest finite gradient
+    magnitude seen (floored at 1e-6) so near-zero coordinates do not divide
+    by noise.  A coordinate
     whose analytic or numeric derivative is not finite fails outright.
 
     Failing coordinates are probed again (``_step_explains``): when each
@@ -779,7 +735,7 @@ def fd_check(f: Callable[[], Value], params, step: float = 1e-3, tol: float = 1e
         raise ConfigError(f"finite-difference step must be positive and finite, got {step}")
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"tolerance must be non-negative and finite, got {tol}")
-    named = [p if isinstance(p, tuple) else (f"param{i}", p) for i, p in enumerate(params)]
+    named = list(params)
     zero_grads(v for _, v in named)
     root = f()
     backward(root)

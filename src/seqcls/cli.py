@@ -93,6 +93,8 @@ def _parse_modalities(text: str) -> dict[str, int]:
         name, sep, dim = part.strip().partition(":")
         if not sep or not name:
             raise ConfigError(f"bad modality argument {part!r}, expected name:dim")
+        if name in modalities:
+            raise ConfigError(f"modality {name!r} given twice")
         try:
             modalities[name] = int(dim)
         except ValueError as exc:

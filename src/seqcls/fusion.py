@@ -85,15 +85,15 @@ def softmax_scores(logits: np.ndarray) -> np.ndarray:
 def late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
     """Convex combination of aligned score tables.
 
-    Weights must be non-negative and sum to 1 within 1e-9.  All tables
+    Weights must be non-negative, finite and sum to 1 within 1e-9.  All tables
     must cover the same video ids with the same class count.
     """
     if not tables:
         raise ConfigError("late_fuse requires at least one table")
     if len(weights) != len(tables):
         raise ConfigError(f"{len(tables)} tables but {len(weights)} weights")
-    if any(w < 0.0 for w in weights):
-        raise ConfigError(f"weights must be non-negative, got {weights}")
+    if not all(0.0 <= w < np.inf for w in weights):
+        raise ConfigError(f"weights must be non-negative and finite, got {weights}")
     if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
         raise ConfigError(f"weights sum to {sum(weights)!r}, expected 1")
     first = tables[0]

@@ -99,10 +99,10 @@ def _case_weighted_row_sum(gen):
     return _scalarized(gen, lambda: ad.weighted_row_sum(wts, x)), [("wts", wts), ("x", x)]
 
 
-def _case_stack(gen):
-    parts = [_param(gen, 2, 2) for _ in range(3)]
-    return (_scalarized(gen, lambda: ad.stack(parts, axis=1)),
-            [(f"p{i}", p) for i, p in enumerate(parts)])
+def _case_take_rows(gen):
+    # row 2 is taken twice and row 1 never, so backward must add repeats up
+    x = _param(gen, 4, 3)
+    return _scalarized(gen, lambda: ad.take_rows(x, [2, 0, 2, 3])), [("x", x)]
 
 
 def _case_softmax_sharp(gen):

@@ -87,14 +87,14 @@ class TrainConfig:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {tuple(MODELS)}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
-        if self.lr < 0.0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be >= 0 and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ConfigError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0.0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ConfigError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:

@@ -81,6 +81,14 @@ class TestSynthgen:
         assert code == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    def test_repeated_modality_exits_config_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["synthgen", "--out", str(out), "--modalities", "rgb:4,rgb:8"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "'rgb' given twice" in err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_metrics_scores(self, workspace):
@@ -482,6 +490,10 @@ class TestFuseCommand:
                      "--out", out]) == EXIT_CONFIG
         assert main(["fuse", "--scores", scores, scores, "--weights", "0.9,0.9",
                      "--out", out]) == EXIT_CONFIG
+        assert main(["fuse", "--scores", scores, scores, "--weights", "1.0,nan",
+                     "--out", out]) == EXIT_CONFIG
+        assert main(["fuse", "--scores", scores, "--weights", "nan", "--out", out]) == EXIT_CONFIG
+        assert not os.path.exists(out)
 
     def test_labels_that_are_not_utf8_exit_io_with_one_line(self, workspace, tmp_path, capsys):
         labels = tmp_path / "labels.csv"

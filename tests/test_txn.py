@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -75,7 +77,7 @@ class TestSeparableConv:
         gen = rng(42)
         params = SepConvParams.init(channels=4, kernel_size=3, gen=gen)
         x = Value(gen.normal(size=(6, 4)))
-        state = params.bn_state.copy()
+        state = copy.deepcopy(params.bn_state)
         h = ad.depthwise_conv1d(x, params.depthwise)
         h = ad.pointwise_conv1d(h, params.pointwise_w, params.pointwise_b)
         h = ad.batch_norm(h, params.bn_gamma, params.bn_beta, state, mode="train")
@@ -85,11 +87,11 @@ class TestSeparableConv:
     def test_train_mode_advances_running_stats(self):
         gen = rng(42)
         params = SepConvParams.init(channels=3, kernel_size=3, gen=gen)
-        before = params.bn_state.copy()
+        before = copy.deepcopy(params.bn_state)
         sep_conv_forward(params, Value(gen.normal(size=(6, 3))), "train")
         assert not np.array_equal(params.bn_state.mean, before.mean)
         sep_conv_forward(params, Value(gen.normal(size=(6, 3))), "infer")
-        after_infer = params.bn_state.copy()
+        after_infer = copy.deepcopy(params.bn_state)
         assert_array_equal(after_infer.mean, params.bn_state.mean)
 
 
@@ -108,7 +110,7 @@ class TestTxnBlock:
         gen = rng(42)
         block = TxnBlockParams.init(channels=4, kernel_size=3, gen=gen)
         x = Value(gen.normal(size=(6, 4)))
-        states = [layer.bn_state.copy() for layer in block.layers]
+        states = [copy.deepcopy(layer.bn_state) for layer in block.layers]
         h = x
         for layer, st in zip(block.layers, states):
             hh = ad.depthwise_conv1d(h, layer.depthwise)
@@ -219,8 +221,8 @@ class TestTxnNet:
         batch = [self.seqs(rng(i)) for i in range(3)]
         txn_forward_batch(net, batch, mode="train")
         for s in net.streams:
-            stacked = ad.stack([ad.zero_pad_time(seqs[s.config.modality], s.config.pad_len)
-                                for seqs in batch])
+            stacked = Value(np.stack([ad.zero_pad_time(seqs[s.config.modality],
+                                                       s.config.pad_len).data for seqs in batch]))
             h = ad.adaptive_max_pool1d(stacked, s.config.num_segments)
             h = ad.pointwise_conv1d(h, s.entry_w, s.entry_b)
             layer = s.blocks[0].layers[0]
@@ -245,8 +247,8 @@ class TestTxnNet:
         def oracle_logits(mode):
             reps = []
             for s in oracle.streams:
-                h = ad.stack([ad.zero_pad_time(seqs[s.config.modality], s.config.pad_len)
-                              for seqs in batch])
+                h = Value(np.stack([ad.zero_pad_time(seqs[s.config.modality], s.config.pad_len).data
+                                    for seqs in batch]))
                 h = ad.adaptive_max_pool1d(h, s.config.num_segments)
                 h = ad.pointwise_conv1d(h, s.entry_w, s.entry_b)
                 for block in s.blocks:
