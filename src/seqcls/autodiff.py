@@ -460,27 +460,39 @@ def _max_time(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def adaptive_max_pool1d(x, n: int) -> Value:
-    """Per-channel max over n contiguous segments [floor(iT/n), floor((i+1)T/n)).
+def segment_max(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Per-channel max of x over n contiguous segments [floor(iT/n), floor((i+1)T/n)).
 
-    Time is the second-to-last axis.  Backward routes each segment's
-    gradient to the earliest argmax frame.  With n == T every segment is one
-    frame and the input comes back unchanged.  The frames are gathered into
-    [.. x n x width x C], short segments repeating their last frame (a repeat
-    never precedes its original, so the earliest argmax is a real frame);
-    the argmax, which is also the kink side, is computed on demand.
+    Time is the second-to-last axis.  Returns the maxima, the frames
+    gathered into [.. x n x width x C] (short segments repeat their last
+    frame, and a repeat never precedes its original, so the earliest argmax
+    is a real frame) and each segment's first frame.  With n == T every
+    segment is one frame: the maxima are x itself and the other two None.
+    The forward of ``adaptive_max_pool1d``, for inputs no gradient reaches.
     """
-    x = _lift(x)
-    if x.data.ndim < 2:
+    if x.ndim < 2:
         raise ShapeError("adaptive_max_pool1d expects a rank-2 or rank-3 value")
-    t = x.data.shape[-2]
+    t = x.shape[-2]
     if not 1 <= n <= t:
         raise ConfigError(f"segment count {n} must lie in [1, {t}]")
     if n == t:
-        return x
+        return x, None, None
     lo, hi = np.array(_segment_bounds(t, n)).T
     index = np.minimum(lo[:, None] + np.arange((hi - lo).max()), hi[:, None] - 1)
-    segments = np.take(x.data, index, axis=-2)
+    segments = np.take(x, index, axis=-2)
+    return _max_time(segments), segments, lo
+
+
+def adaptive_max_pool1d(x, n: int) -> Value:
+    """``segment_max`` as a graph node; the input comes back unchanged at n == T.
+
+    Backward routes each segment's gradient to the earliest argmax frame;
+    the argmax, which is also the kink side, is computed on demand.
+    """
+    x = _lift(x)
+    out, segments, lo = segment_max(x.data, n)
+    if segments is None:
+        return x
     argmax = functools.cache(lambda: np.argmax(segments, axis=-2))  # within each segment
 
     def grad_fn(g):
@@ -489,7 +501,7 @@ def adaptive_max_pool1d(x, n: int) -> Value:
         np.put_along_axis(gx, argmax() + lo[:, None], g, axis=-2)
         return (gx,)
 
-    return _node(_max_time(segments), (x,), grad_fn, "adaptive_max_pool1d", kink_side=argmax)
+    return _node(out, (x,), grad_fn, "adaptive_max_pool1d", kink_side=argmax)
 
 
 def global_max_pool_time(x) -> Value:
@@ -517,13 +529,48 @@ def global_max_pool_time(x) -> Value:
 # ---------------------------------------------------------------------------
 
 
+def _tap_window(pad: np.ndarray, t: int) -> np.ndarray:
+    """Read-only [.. x K x T x C] view of a zero-padded [.. x (T+K-1) x C] array.
+
+    Tap j is pad[.., j:j+T, :]; the view copies nothing.
+    """
+    *lead, tp, c = pad.shape
+    s = pad.strides
+    window = np.ndarray((*lead, tp - t + 1, t, c), pad.dtype, pad, 0,
+                        (*s[:-2], s[-2], s[-2], s[-1]))
+    window.flags.writeable = False
+    return window
+
+
+def _tap_sum(window: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """sum_j kernels[j] * window[.., j, :, :], adding tap 0 first."""
+    if window.shape[-1] > 1:
+        return np.einsum("...ktc,kc->...tc", window, kernels)
+    out = np.zeros(window.shape[:-3] + window.shape[-2:])
+    prod = np.empty_like(out)
+    for j, kernel in enumerate(kernels):
+        out += np.multiply(kernel, window[..., j, :, :], out=prod)
+    return out
+
+
 def depthwise_conv1d(x, kernels) -> Value:
     """Per-channel temporal cross-correlation with same-length zero padding.
 
     y[.., t, c] = sum_j kernels[j, c] * x[.., t + j - (k-1)/2, c], with
     out-of-range x = 0.  Channels never mix; kernel length must be odd.
-    Input may be [T x C] or [B x T x C].  Every tap's products go through
-    one scratch buffer, forward and backward.
+    Input may be [T x C] or [B x T x C].
+
+    Each pass is one ``np.einsum`` over a read-only [.. x K x T x C] tap
+    window of a zero-padded copy: ``"...ktc,kc->...tc"`` over the input's
+    window (forward) and over the incoming gradient's with the tap axis
+    reversed (input gradient), ``"btc,bktc->kc"`` (``"tc,ktc->kc"`` at
+    rank 2) over the input's window (kernel gradient).  These add the taps
+    in the order of a loop with one multiply and add per tap, so they give
+    its bits for every C > 1, the kernel gradient only on a C-contiguous
+    incoming gradient (hence the copy).  At C = 1 einsum adds in another
+    order, so one channel keeps the loop.  On non-finite inputs a NaN's
+    sign or payload bits can differ from the loop's where two NaNs meet in
+    a sum; no artifact carries them, as training stops on a non-finite loss.
     """
     x, kernels = _lift(x), _lift(kernels)
     if x.data.ndim < 2 or kernels.data.ndim != 2:
@@ -537,24 +584,23 @@ def depthwise_conv1d(x, kernels) -> Value:
     p = (k - 1) // 2
     xpad = np.zeros(x.data.shape[:-2] + (t + 2 * p, c))
     xpad[..., p:p + t, :] = x.data
-    out = np.zeros_like(x.data)
-    prod = np.empty_like(x.data)
-    for j in range(k):
-        out += np.multiply(kernels.data[j], xpad[..., j:j + t, :], out=prod)
+    xwin = _tap_window(xpad, t)
+    out = _tap_sum(xwin, kernels.data)
 
     def grad_fn(g):
-        prod = np.empty_like(g)
+        g = np.ascontiguousarray(g)
         gx = gk = None
         if x.requires_grad:
             gpad = np.zeros(x.data.shape[:-2] + (t + 2 * p, c))
             gpad[..., p:p + t, :] = g
-            gx = np.zeros_like(x.data)
-            for j in range(k):
-                gx += np.multiply(kernels.data[j], gpad[..., 2 * p - j:2 * p - j + t, :], out=prod)
-        if kernels.requires_grad:
+            gx = _tap_sum(_tap_window(gpad, t)[..., ::-1, :, :], kernels.data)
+        if kernels.requires_grad and c > 1:
+            gk = np.einsum("btc,bktc->kc" if g.ndim == 3 else "tc,ktc->kc", g, xwin)
+        elif kernels.requires_grad:
             gk = np.empty_like(kernels.data)
+            prod = np.empty_like(g)
             for j in range(k):
-                gk[j] = np.multiply(g, xpad[..., j:j + t, :], out=prod).reshape(-1, c).sum(axis=0)
+                gk[j] = np.multiply(g, xwin[..., j, :, :], out=prod).sum()
         return gx, gk
 
     return _node(out, (x, kernels), grad_fn, "depthwise_conv1d")

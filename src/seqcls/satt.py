@@ -48,6 +48,10 @@ from .autodiff import Value
 from .data import array_extent, modality_frames
 from .errors import ConfigError, ShapeError
 
+# the most heads a group may have: a train config's head count has no arrays
+# behind it, and a group allocates a [H x D] bank and [B x H x T] scores
+MAX_NUM_HEADS = 2 ** 10
+
 
 @dataclass
 class SattHeadParams:
@@ -121,8 +125,8 @@ class AttentionGroupConfig:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.num_heads < 1:
-            raise ConfigError(f"group {self.modality!r} needs at least one head")
+        if not 1 <= self.num_heads <= MAX_NUM_HEADS:
+            raise ConfigError(f"group {self.modality!r} num_heads must lie in [1, {MAX_NUM_HEADS}]")
         if self.feature_dim < 1:
             raise ConfigError(f"group {self.modality!r} feature_dim must be >= 1")
         if not self.alpha > 0.0:

@@ -9,10 +9,11 @@ concatenated and classified with an affine map.
 
 Every forward is batched: ``txn_stream_forward`` cuts or zero-pads each
 video's frames to the clip length once, in NumPy, into one constant
-[B x pad_len x D] batch (the frames are graph constants; no gradient flows
-into them), and runs the stream over it once, so batch norm pools every
-batch x segment position and each training step folds exactly one batch
-statistic into the running averages.
+[B x pad_len x D] batch, max-pools its segments with ``ad.segment_max``
+(the frames are graph constants; no gradient flows into them, so the
+pooling is no graph node), and runs the stream over it once, so batch
+norm pools every batch x segment position and each training step folds
+exactly one batch statistic into the running averages.
 ``txn_forward`` is its B = 1 call.  One walker names the parameters and
 batch-norm statistics, in checkpoint order.
 """
@@ -32,6 +33,13 @@ from .errors import ConfigError
 # the longest clip a stream pads to: pad_len shapes no stored array, so a
 # checkpoint's arrays cannot bound it, and a batch holds [B x pad_len x D]
 MAX_PAD_LEN = 2 ** 16
+# the widest block, longest kernel and deepest stream a config may ask for: a
+# train config's sizes have no arrays behind them, and each layer allocates a
+# [C x C] pointwise map and [K x C] kernels; a longer kernel's outer taps read
+# only zero padding at every clip length
+MAX_BLOCK_CHANNELS = 2 ** 12
+MAX_KERNEL_SIZE = 2 * MAX_PAD_LEN - 1
+MAX_NUM_BLOCKS = 2 ** 8
 
 
 @dataclass
@@ -54,12 +62,15 @@ class TxnStreamConfig:
         if not 2 <= self.num_segments <= self.pad_len:
             raise ConfigError(
                 f"stream {self.modality!r} num_segments must lie in [2, pad_len]")
-        if self.kernel_size % 2 == 0 or self.kernel_size < 1:
-            raise ConfigError(f"stream {self.modality!r} kernel_size must be odd and >= 1")
-        if self.block_channels < 1:
-            raise ConfigError(f"stream {self.modality!r} block_channels must be >= 1")
-        if self.num_blocks < 1:
-            raise ConfigError(f"stream {self.modality!r} num_blocks must be >= 1")
+        if self.kernel_size % 2 == 0 or not 1 <= self.kernel_size <= MAX_KERNEL_SIZE:
+            raise ConfigError(f"stream {self.modality!r} kernel_size must be odd "
+                              f"and lie in [1, {MAX_KERNEL_SIZE}]")
+        if not 1 <= self.block_channels <= MAX_BLOCK_CHANNELS:
+            raise ConfigError(f"stream {self.modality!r} block_channels must lie "
+                              f"in [1, {MAX_BLOCK_CHANNELS}]")
+        if not 1 <= self.num_blocks <= MAX_NUM_BLOCKS:
+            raise ConfigError(
+                f"stream {self.modality!r} num_blocks must lie in [1, {MAX_NUM_BLOCKS}]")
 
 
 @dataclass
@@ -131,14 +142,14 @@ class TxnStreamParams:
 
 def txn_stream_forward(params: TxnStreamParams, batch: list[dict[str, Value]],
                        mode: str) -> Value:
-    """Stream vectors [B x C]; the frames are cut or zero-padded to pad_len in NumPy."""
+    """Stream vectors [B x C]; the frames are cut or zero-padded to pad_len and pooled in NumPy."""
     cfg = params.config
     frames = modality_frames(batch, cfg.modality, cfg.feature_dim)
     x = np.zeros((len(frames), cfg.pad_len, cfg.feature_dim))
     for row, f in zip(x, frames):
         row[:len(f)] = f[:cfg.pad_len]
-    h = ad.adaptive_max_pool1d(Value(x), cfg.num_segments)
-    h = ad.pointwise_conv1d(h, params.entry_w, params.entry_b)
+    pooled, _, _ = ad.segment_max(x, cfg.num_segments)
+    h = ad.pointwise_conv1d(pooled, params.entry_w, params.entry_b)
     for block in params.blocks:
         h = txn_block_forward(block, h, mode)
     return ad.global_max_pool_time(h)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -917,15 +918,56 @@ class TestOnePassOpsMatchReference:
             assert_same_bits(new_state.mean, ref_state.mean)
             assert_same_bits(new_state.var, ref_state.var)
 
-    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
     def test_depthwise_conv(self, k):
-        """Kernels shorter and longer than the sequence, with exact zeros in the input."""
+        """Rank 2 and B in {1, 2, 3, 16}; T from 1 to 64, so kernels longer than the
+        sequence too; C = 1 (the tap loop) and C > 1 (the einsum); both zeros."""
         gen = np.random.default_rng(42)
-        for shape in ((8, 3), (2, 8, 3), (3, 3), (2, 2, 3)):
-            x, kernels = tie_heavy(gen, *shape), gen.normal(size=(k, 3))
+        for lead, t, c in itertools.product([(), (1,), (2,), (3,), (16,)], [1, 2, 5, 16, 30, 64],
+                                            [1, 2, 3, 7, 16, 64]):
+            x, kernels = tie_heavy(gen, *lead, t, c), gen.normal(size=(k, c))
             for trainable in ([True, True], [False, True], [True, False]):
                 assert_same_run(run_op(ad.depthwise_conv1d, [x, kernels], trainable),
                                 run_op(ref_depthwise_conv1d, [x, kernels], trainable))
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "strided"])
+    def test_depthwise_conv_non_contiguous_incoming_gradient(self, layout):
+        """The kernel gradient's einsum gives the loop's bits on a C-contiguous gradient
+        only, so the op copies any other; both gradients must still be the oracle's."""
+        gen = np.random.default_rng(42)
+        for lead, t, c, k in itertools.product([(), (1,), (3,), (16,)], [1, 5, 30], [1, 2, 7, 64],
+                                               [1, 3, 7]):
+            shape = (*lead, t, c)
+            g = {"fortran": lambda: np.asfortranarray(gen.normal(size=shape)),
+                 "transposed": lambda: gen.normal(size=shape[::-1]).T,
+                 "strided": lambda: gen.normal(size=(*lead, t, 2 * c))[..., ::2]}[layout]()
+            x, kernels = gen.normal(size=shape), gen.normal(size=(k, c))
+            grads = [op(Value(x, requires_grad=True), Value(kernels, requires_grad=True))
+                     ._grad_fn(g) for op in (ad.depthwise_conv1d, ref_depthwise_conv1d)]
+            for new, ref in zip(*grads):
+                assert_same_bits(new, ref)
+
+    @pytest.mark.parametrize("c", [1, 4])
+    def test_depthwise_conv_non_finite_input(self, c):
+        """NaN and +-inf in the input.  Where two NaNs meet in a sum, einsum may keep the
+        other one's sign or payload bits: at C > 1 the forward and the kernel gradient
+        match the oracle bit for bit at every non-NaN element and hold NaN at the same
+        elements.  The input gradient does not read the input and stays bytewise, and
+        the tap loop at C = 1 is the oracle's arithmetic, so it stays bytewise too."""
+        gen = np.random.default_rng(42)
+        x = gen.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -2.5], size=(3, 16, c))
+        kernels = gen.normal(size=(5, c))
+        with np.errstate(invalid="ignore"):
+            new, ref = (run_op(op, [x, kernels], [True, True])
+                        for op in (ad.depthwise_conv1d, ref_depthwise_conv1d))
+        (out, (gx, gk), _), (r_out, (r_gx, r_gk), _) = new, ref
+        assert np.isnan(r_out).any() and not np.isnan(r_out).all() and np.isnan(r_gk).any()
+        if c == 1:
+            assert_same_run(new, ref)
+        assert_same_bits(gx, r_gx)
+        for got, want in ((out, r_out), (gk, r_gk)):
+            assert_array_equal(np.isnan(got), np.isnan(want))
+            assert_same_bits(got[~np.isnan(got)], want[~np.isnan(want)])
 
     def test_pointwise_conv(self):
         gen = np.random.default_rng(42)
@@ -1008,3 +1050,59 @@ class TestKinkBookkeepingOnDemand:
             assert sides and len(sides) == len(ref_sides)
             for s, r in zip(sides, ref_sides):
                 assert_same_bits(s, r)
+
+
+class TestTxnAgainstTheOracles:
+    @pytest.mark.parametrize("channels", [3, 1])
+    def test_training_writes_the_loop_oracle_bytes(self, channels, tmp_path, monkeypatch):
+        """Two epochs of txn with the einsum path (C = 3) or the tap loop (C = 1), then with
+        the oracle patched in: checkpoint, metrics and scores are equal bytes."""
+        from seqcls.cli import EXIT_OK, main
+
+        data = tmp_path / "data"
+        assert main(["synthgen", "--out", str(data), "--classes", "3", "--videos-per-class", "5",
+                     "--frames", "8", "--signal-frames", "3", "--modalities", "rgb:4,flow:3",
+                     "--seed", "5"]) == EXIT_OK
+        runs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(ad, "depthwise_conv1d", ref_depthwise_conv1d)
+            runs.append(tmp_path / f"run{int(patched)}")
+            assert main(["train", "--train", str(data / "train.mmf"),
+                         "--val", str(data / "val.mmf"), "--out", str(runs[-1]),
+                         "--model", "txn", "--epochs", "2",
+                         "--batch-size", "4", "--txn-pad-len", "8", "--txn-segments", "8",
+                         "--txn-channels", str(channels), "--quiet"]) == EXIT_OK
+        for name in ("checkpoint.ckpt", "metrics.txt", "scores.csv"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+    def test_frame_pooling_is_no_graph_node(self, monkeypatch):
+        """The input frames are constants, so txn pools them in NumPy: a train-mode graph
+        holds no adaptive_max_pool1d node, and its logits and gradients are the bytes of
+        one that pools through the oracle op."""
+        from seqcls.data import FeatureSequence, VideoSample
+        from seqcls.training import TrainConfig, batch_logits, build_model, model_kwargs
+
+        gen = np.random.default_rng(42)
+        samples = [VideoSample(f"v{i}", i % 3, [FeatureSequence("rgb", gen.normal(size=(t, 4))),
+                                                FeatureSequence("flow", gen.normal(size=(t, 3)))])
+                   for i, t in enumerate((4, 6, 9, 2))]
+        cfg = TrainConfig(model="txn", txn_pad_len=6, txn_segments=3, txn_channels=4)
+
+        def step():
+            params = build_model("txn", [("rgb", 4), ("flow", 3)], 3, model_kwargs(cfg), rng(0))
+            logits = batch_logits("txn", params, samples, "train")
+            loss = ad.cross_entropy(logits, [s.label for s in samples])
+            backward(loss)
+            pools = [n for n in graph_nodes(loss) if n._op == "adaptive_max_pool1d"]
+            return logits.data, [v.grad for _, v in params.parameters()], len(pools)
+
+        logits, grads, pools = step()
+        assert pools == 0
+        monkeypatch.setattr(ad, "segment_max",
+                            lambda x, n: (ref_adaptive_max_pool1d(Value(x), n), None, None))
+        ref_logits, ref_grads, ref_pools = step()
+        assert ref_pools == 2  # one per stream
+        assert_same_bits(logits, ref_logits)
+        for g, r in zip(grads, ref_grads):
+            assert_same_bits(g, r)

@@ -24,7 +24,9 @@ from seqcls.cli import (
 from seqcls.data import read_checkpoint, read_labels, read_mmf, write_checkpoint, write_mmf
 from seqcls.errors import ConfigError
 from seqcls.fusion import read_scores
+from seqcls.satt import MAX_NUM_HEADS
 from seqcls.training import MODELS, MetricsReport
+from seqcls.txn import MAX_BLOCK_CHANNELS, MAX_KERNEL_SIZE, MAX_NUM_BLOCKS
 
 SMALL_GEN = ["--classes", "3", "--videos-per-class", "5", "--frames", "6",
              "--signal-frames", "2", "--modalities", "m:4", "--seed", "7"]
@@ -170,6 +172,34 @@ class TestTrainCommand:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == EXIT_GRADCHECK
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:"), proc.stderr
+
+    @pytest.mark.parametrize("model, flag, value, field", [
+        ("txn", "--txn-channels", 100000, "block_channels"),
+        ("txn", "--txn-channels", MAX_BLOCK_CHANNELS + 1, "block_channels"),
+        ("txn", "--txn-kernel", 100000001, "kernel_size"),
+        ("txn", "--txn-kernel", MAX_KERNEL_SIZE + 2, "kernel_size"),
+        ("txn", "--txn-blocks", 100000000, "num_blocks"),
+        ("txn", "--txn-blocks", MAX_NUM_BLOCKS + 1, "num_blocks"),
+        ("satt", "--satt-heads", 1000000000, "num_heads"),
+        ("satt", "--satt-heads", MAX_NUM_HEADS + 1, "num_heads")])
+    def test_oversized_model_exits_config_before_the_build(self, workspace, tmp_path, capsys,
+                                                           monkeypatch, model, flag, value, field):
+        """A train config's sizes have no arrays behind them, so the model's configs bound them.
+
+        Only values the bound rejects are used, and building the model is
+        refused, so no case here can reach an allocation of that size.
+        """
+        def refuse(*args, **kwargs):
+            raise AssertionError("model built from an unbounded size")
+
+        monkeypatch.setattr(MODELS[model], "init", refuse)
+        data, out = workspace["data"], tmp_path / "r"
+        code = main(["train", "--train", str(data / "train.mmf"), "--val", str(data / "val.mmf"),
+                     "--out", str(out), "--model", model, "--quiet", flag, str(value)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("error:") and f"{field} must" in err
+        assert not out.exists()
 
     def test_bad_flag_value_exits_config(self, workspace, tmp_path):
         data = workspace["data"]

@@ -11,6 +11,7 @@ from seqcls.autodiff import Value, backward, fd_check, rng
 from seqcls.data import FeatureSequence, VideoSample
 from seqcls.errors import ConfigError, ShapeError
 from seqcls.satt import (
+    MAX_NUM_HEADS,
     AttentionGroupConfig,
     AttentionGroupParams,
     SattHeadParams,
@@ -182,8 +183,11 @@ class TestAttentionGroup:
         assert abs(np.linalg.norm(out.data) - 1.0) <= 1e-9
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            AttentionGroupConfig(modality="rgb", feature_dim=4, num_heads=0)
+        assert AttentionGroupConfig("rgb", 4, num_heads=MAX_NUM_HEADS).num_heads == MAX_NUM_HEADS
+        for bad in (0, MAX_NUM_HEADS + 1, 10**9):
+            with pytest.raises(ConfigError,
+                               match=f"num_heads must lie in \\[1, {MAX_NUM_HEADS}\\]"):
+                AttentionGroupConfig(modality="rgb", feature_dim=4, num_heads=bad)
         with pytest.raises(ConfigError):
             AttentionGroupConfig(modality="rgb", feature_dim=4, alpha=0.0)
         with pytest.raises(ConfigError):

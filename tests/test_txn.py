@@ -13,6 +13,9 @@ from seqcls.autodiff import Value, rng
 from seqcls.errors import ConfigError, ShapeError
 from seqcls.gradcheck import run_cases
 from seqcls.txn import (
+    MAX_BLOCK_CHANNELS,
+    MAX_KERNEL_SIZE,
+    MAX_NUM_BLOCKS,
     MAX_PAD_LEN,
     SepConvParams,
     TxnBlockParams,
@@ -167,6 +170,16 @@ class TestTxnStream:
         for bad in (0, MAX_PAD_LEN + 1, 10**9):
             with pytest.raises(ConfigError, match="pad_len must lie in"):
                 small_config(pad_len=bad)
+
+    @pytest.mark.parametrize("field, limit", [
+        ("block_channels", MAX_BLOCK_CHANNELS), ("kernel_size", MAX_KERNEL_SIZE),
+        ("num_blocks", MAX_NUM_BLOCKS)])
+    def test_sizes_without_arrays_are_bounded(self, field, limit):
+        """A train config's sizes have no arrays behind them, so the config bounds them."""
+        assert getattr(small_config(**{field: limit}), field) == limit
+        for bad in (0, limit + 2, 10**9 + 1):
+            with pytest.raises(ConfigError, match=f"{field} must .*lie in \\[1, {limit}\\]"):
+                small_config(**{field: bad})
 
 
 class TestTxnNet:
