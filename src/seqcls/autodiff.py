@@ -64,11 +64,7 @@ class Value:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_op", "_kink_side")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim > 3:
-            raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of 3")
-        if arr.size == 0:
-            raise ShapeError("all extents must be >= 1")
+        arr = _checked(np.asarray(data, dtype=np.float64))
         self.data = arr
         self.grad = np.zeros_like(arr) if requires_grad else None
         self.requires_grad = bool(requires_grad)
@@ -76,6 +72,14 @@ class Value:
         self._grad_fn: GradFn | None = None
         self._op = "leaf"
         self._kink_side = None
+
+
+def _checked(arr: np.ndarray) -> np.ndarray:
+    if arr.ndim > 3:
+        raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of 3")
+    if arr.size == 0:
+        raise ShapeError("all extents must be >= 1")
+    return arr
 
 
 def _lift(x) -> Value:
@@ -88,14 +92,22 @@ def _node(data, parents: Sequence[Value], grad_fn: GradFn, op: str, kink_side=No
     The thunk reads the node's inputs when it is evaluated, so ask for the
     side before mutating a parameter the graph was built from.
     """
-    out = Value(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    # built without Value.__init__: op results are float64 arrays already,
+    # except a few scalars such as cross_entropy's Python float
+    if type(data) is not np.ndarray or data.dtype != np.float64:
+        data = np.asarray(data, dtype=np.float64)
+    _checked(data)
+    requires_grad = any(p.requires_grad for p in parents)
+    out = Value.__new__(Value)
+    out.data = data
+    out.grad = None
+    out.requires_grad = requires_grad
     out._parents = tuple(parents)
-    out._grad_fn = grad_fn if out.requires_grad else None
+    out._grad_fn = grad_fn if requires_grad else None
     out._op = op
     # which side of its kinks the node sits on: relu masks, argmax indices;
     # kinks in constant subtrees cannot be crossed by perturbing parameters
-    out._kink_side = kink_side if out.requires_grad else None
+    out._kink_side = kink_side if requires_grad else None
     return out
 
 

@@ -17,9 +17,9 @@ prototype into a handful of frame slots shared across modalities.  Models
 must locate those frames to classify well; averaging over all frames
 mostly washes the signal out.
 
-``modality_frames`` is the heads' one input check: it reads a batch's frames
-as constants, or raises ``ShapeError`` for an empty batch, a missing
-modality or a wrong shape.
+``modality_frames`` is the heads' one input check: each model's ``prepare``
+reads a batch's frames through it as float64 arrays, and it raises
+``ShapeError`` for an empty batch, a missing modality or a wrong shape.
 
 Every artifact writer goes through ``atomic_write``, so a failed write
 leaves an existing file as it was and no half-written file behind.
@@ -36,11 +36,12 @@ import math
 import os
 import struct
 import uuid
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Value, rng
+from .autodiff import rng
 from .errors import ConfigError, DataError, FormatError, ShapeError
 
 MMF_MAGIC = b"MMF1"
@@ -72,15 +73,15 @@ class VideoSample:
         return {s.modality: s.features for s in self.sequences}
 
 
-def modality_frames(batch: list[dict[str, Value]], name: str, dim: int) -> list[np.ndarray]:
-    """Each video's frames [T x dim] of one modality, as constant arrays."""
+def modality_frames(batch: list[dict[str, np.ndarray]], name: str, dim: int) -> list[np.ndarray]:
+    """Each video's frames [T x dim] of one modality, checked, as float64 arrays."""
     if not batch:
         raise ShapeError("a batch needs at least one video")
     frames = []
     for sequences in batch:
         if name not in sequences:
             raise ShapeError(f"missing sequence for modality {name!r}")
-        x = sequences[name].data
+        x = np.asarray(sequences[name], dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != dim:
             raise ShapeError(f"modality {name!r} sequence shape {x.shape}, expected [T x {dim}]")
         frames.append(x)
@@ -390,8 +391,9 @@ def read_labels(path) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def batch_iter(samples: list[VideoSample], batch_size: int, seed):
-    """Yield shuffled batches; the permutation is fixed by the seed.
+def batch_iter(samples: Sequence, batch_size: int, seed):
+    """Yield shuffled batches of the samples (or of any sequence's items); the
+    permutation is fixed by the seed.
 
     `seed` is an int or a tuple of ints (e.g. (run_seed, epoch)).
     """

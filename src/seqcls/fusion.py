@@ -254,6 +254,10 @@ class MeanPoolParams:
                    classifier_b=Value(np.zeros(num_classes), requires_grad=True),
                    num_classes=num_classes)
 
+    @staticmethod
+    def check_kwargs(kwargs: dict) -> None:
+        """The baseline has no sizes to check."""
+
     @classmethod
     def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,
                     gen: np.random.Generator) -> "MeanPoolParams":
@@ -264,9 +268,20 @@ class MeanPoolParams:
         """The summed feature dims, the rows of the classifier in a checkpoint's arrays."""
         return {"summed dims": array_extent(arrays, "classifier.w", 0, 2)}
 
-    def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
-        """Logits [B x K]; the baseline has no train-only behaviour, so mode is unused."""
-        return mean_pool_forward(self, batch)
+    def prepare(self, batch: list[dict[str, np.ndarray]]) -> list[np.ndarray]:
+        """Each video's concatenated per-modality frame means [R].
+
+        Each mean sums the 1/T-scaled frames in sorted order, so it is
+        bit-identical under frame reordering.
+        """
+        means = [[np.sort(x * (1.0 / len(x)), axis=0).sum(axis=0)
+                  for x in modality_frames(batch, name, dim)]
+                 for name, dim in self.modalities]
+        return [np.concatenate(video) for video in zip(*means)]
+
+    def forward_batch(self, inputs: list[np.ndarray], mode: str) -> Value:
+        """Logits [B x K] of prepared inputs; the baseline has no train-only behaviour, so mode is unused."""
+        return mean_pool_forward(self, inputs)
 
     def parameters(self) -> list[tuple[str, Value]]:
         return [("classifier.w", self.classifier_w), ("classifier.b", self.classifier_b)]
@@ -275,14 +290,6 @@ class MeanPoolParams:
         return [(name, v.data) for name, v in self.parameters()]
 
 
-def mean_pool_forward(params: MeanPoolParams, batch: list[dict[str, Value]]) -> Value:
-    """Logits [B x K] from the concatenated per-modality frame means of each video.
-
-    The sequences are graph constants, so the means are NumPy; each sums the
-    1/T-scaled frames in sorted order, bit-identical under frame reordering.
-    """
-    means = [np.stack([np.sort(x * (1.0 / len(x)), axis=0).sum(axis=0)
-                       for x in modality_frames(batch, name, dim)])
-             for name, dim in params.modalities]
-    return ad.affine(Value(np.concatenate(means, axis=1)), params.classifier_w,
-                     params.classifier_b)
+def mean_pool_forward(params: MeanPoolParams, inputs: list[np.ndarray]) -> Value:
+    """Logits [B x K] from each video's prepared frame means [R], graph constants."""
+    return ad.affine(Value(np.stack(inputs)), params.classifier_w, params.classifier_b)

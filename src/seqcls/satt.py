@@ -24,17 +24,19 @@ padding or mask, and puts the rows back in input order.  The single-video
 entry point is a B = 1 call of the same path, so its numbers equal the
 batched ones bit for bit; the single-head entry point is a B = H = 1 call,
 whose one-row products may round differently from a group's.  The network's
-frames are graph constants, checked by ``modality_frames``, and each block's
-frames are one leaf; only ``satt_head_forward`` keeps its sequence in the
-graph, so a gradient check can differentiate it.
+frames are graph constants, checked by ``modality_frames`` in
+``SattNetParams.prepare``, and each block's frames are one leaf; only
+``satt_head_forward`` keeps its sequence in the graph, so a gradient check
+can differentiate it.
 
 Attention pooling is a weighted sum over frames, so a head must not depend
 on their order, and here it does not, bit for bit: every sequence enters in
 one canonical frame order (``_frame_order``, a sort by the frames' bit
-patterns), once per length block and modality in ``satt_representations``
-and through ``take_rows`` in ``satt_head_forward``.  Any permutation of a
-video's frames, per modality, thus puts the same bytes into every op, and
-logits and parameter gradients come out bit-identical.
+patterns).  ``prepare`` computes each sequence's order once, in bulk for
+the sequences of one modality and length, and a block gathers its frames
+in that order; ``satt_head_forward`` sorts through ``take_rows``.  Any
+permutation of a video's frames, per modality, thus puts the same bytes
+into every op, and logits and parameter gradients come out bit-identical.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ from .errors import ConfigError, ShapeError
 # the most heads a group may have: a train config's head count has no arrays
 # behind it, and a group allocates a [H x D] bank and [B x H x T] scores
 MAX_NUM_HEADS = 2 ** 10
+# the most frame values one bulk order computation stacks; the stack and its
+# byte keys hold twice that many float64s, so preparing a split stays small
+ORDER_CHUNK = 2 ** 16
 
 
 @dataclass
@@ -90,6 +95,27 @@ def _frame_order(x: np.ndarray) -> np.ndarray:
     return np.argsort(keys, axis=-1, kind="stable")
 
 
+def _frame_orders(xs: list[np.ndarray]) -> list[np.ndarray]:
+    """Each sequence's canonical frame order [T], for sequences [T x D] of one D.
+
+    The sequences of one length are sorted together, by ``_frame_order``
+    calls on stacks of at most ``ORDER_CHUNK`` frame values (one sequence
+    at least); a sequence's order depends on its own frames only, so
+    neither the grouping nor the chunking changes an index.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, x in enumerate(xs):
+        by_length.setdefault(len(x), []).append(i)
+    orders = [None] * len(xs)
+    for rows in by_length.values():
+        n = max(1, ORDER_CHUNK // xs[rows[0]].size)
+        for start in range(0, len(rows), n):
+            part = rows[start:start + n]
+            for i, order in zip(part, _frame_order(np.stack([xs[i] for i in part]))):
+                orders[i] = order
+    return orders
+
+
 def _pool_heads(x: Value, w: Value, a: Value, b: Value, alpha: float) -> Value:
     """Unit head outputs [B x H x D] for a block of sequences x [B x T x D]."""
     weights = ad.softmax_sharp(ad.row_dot(x, w), alpha)
@@ -115,6 +141,13 @@ def satt_head_forward(params: SattHeadParams, x: Value, alpha: float) -> Value:
     return ad.reshape(out, (d,))
 
 
+def _check_heads(num_heads: int, alpha: float) -> None:
+    if not 1 <= num_heads <= MAX_NUM_HEADS:
+        raise ConfigError(f"satt num_heads must lie in [1, {MAX_NUM_HEADS}], got {num_heads}")
+    if not alpha > 0.0:
+        raise ConfigError(f"satt alpha must be positive, got {alpha}")
+
+
 @dataclass
 class AttentionGroupConfig:
     """Head bank for one modality: how many heads, how sharp."""
@@ -125,12 +158,9 @@ class AttentionGroupConfig:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.num_heads <= MAX_NUM_HEADS:
-            raise ConfigError(f"group {self.modality!r} num_heads must lie in [1, {MAX_NUM_HEADS}]")
+        _check_heads(self.num_heads, self.alpha)
         if self.feature_dim < 1:
             raise ConfigError(f"group {self.modality!r} feature_dim must be >= 1")
-        if not self.alpha > 0.0:
-            raise ConfigError(f"group {self.modality!r} alpha must be positive")
 
 
 @dataclass
@@ -185,6 +215,11 @@ class SattNetParams:
                    classifier_b=Value(np.zeros(num_classes), requires_grad=True),
                    num_classes=num_classes)
 
+    @staticmethod
+    def check_kwargs(kwargs: dict) -> None:
+        """Raise ConfigError unless the head count and sharpness make valid groups."""
+        _check_heads(int(kwargs["num_heads"]), float(kwargs["alpha"]))
+
     @classmethod
     def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,
                     gen: np.random.Generator) -> "SattNetParams":
@@ -204,9 +239,15 @@ class SattNetParams:
         return {"num_heads": n, **{f"dim of {m!r}": array_extent(arrays, f"group.{m}.head0.w", 0, 1)
                                    for m, _ in modalities}}
 
-    def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
-        """Logits [B x K]; attention has no train-only behaviour, so mode is unused."""
-        return satt_forward_batch(self, batch)
+    def prepare(self, batch: list[dict[str, np.ndarray]]) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """Each video's inputs: per group, its checked frames [T x D] and their canonical order [T]."""
+        frames = [modality_frames(batch, g.config.modality, g.config.feature_dim)
+                  for g in self.groups]
+        return list(zip(*[zip(xs, _frame_orders(xs)) for xs in frames]))
+
+    def forward_batch(self, inputs: list, mode: str) -> Value:
+        """Logits [B x K] of prepared inputs; attention has no train-only behaviour, so mode is unused."""
+        return satt_forward_batch(self, inputs)
 
     def parameters(self) -> list[tuple[str, Value]]:
         return ([(f"group.{g.config.modality}.{f}", getattr(g, f))
@@ -226,24 +267,22 @@ class SattNetParams:
         return [(g.config.modality, g.config.feature_dim) for g in self.groups]
 
 
-def satt_representations(params: SattNetParams, batch: list[dict[str, Value]]) -> Value:
-    """Concatenated group representations [B x R] of a batch, in input order.
+def satt_representations(params: SattNetParams, inputs: list) -> Value:
+    """Concatenated group representations [B x R] of prepared inputs, in input order.
 
     Videos whose per-modality frame counts agree form one block; each
-    block runs every group once on its stacked frames [Bg x T x D], sorted
-    into canonical order, one constant leaf per group.
+    block runs every group once on its stacked frames [Bg x T x D],
+    gathered in canonical order, one constant leaf per group.
     """
-    frames = [modality_frames(batch, g.config.modality, g.config.feature_dim)
-              for g in params.groups]
     blocks: dict[tuple[int, ...], list[int]] = {}
-    for i, counts in enumerate(zip(*[[len(x) for x in xs] for xs in frames])):
+    lengths = [[len(video[k][1]) for video in inputs] for k in range(len(params.groups))]
+    for i, counts in enumerate(zip(*lengths)):
         blocks.setdefault(counts, []).append(i)
     reps = []
     for rows in blocks.values():
         groups = []
-        for g, xs in zip(params.groups, frames):
-            x = np.stack([xs[i] for i in rows])
-            x = x[np.arange(len(rows))[:, None], _frame_order(x)]
+        for k, g in enumerate(params.groups):
+            x = np.array([x.take(order, axis=0) for x, order in (inputs[i][k] for i in rows)])
             groups.append(_group_block(Value(x), g))
         reps.append(ad.concat(groups, axis=1))
     if len(reps) == 1:
@@ -252,12 +291,13 @@ def satt_representations(params: SattNetParams, batch: list[dict[str, Value]]) -
     return ad.take_rows(ad.concat(reps, axis=0), np.argsort(order))
 
 
-def satt_forward_batch(params: SattNetParams, batch: list[dict[str, Value]]) -> Value:
-    """Logits [B x K] for a batch of videos given per-modality sequences [T x D]."""
-    return ad.affine(satt_representations(params, batch), params.classifier_w,
+def satt_forward_batch(params: SattNetParams, inputs: list) -> Value:
+    """Logits [B x K] for a batch of videos' prepared inputs."""
+    return ad.affine(satt_representations(params, inputs), params.classifier_w,
                      params.classifier_b)
 
 
 def satt_net_forward(params: SattNetParams, sequences: dict[str, Value]) -> Value:
     """Logits [K] for one video given its per-modality sequences [T x D]."""
-    return ad.reshape(satt_forward_batch(params, [sequences]), (params.num_classes,))
+    inputs = params.prepare([{m: v.data for m, v in sequences.items()}])
+    return ad.reshape(satt_forward_batch(params, inputs), (params.num_classes,))

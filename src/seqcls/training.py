@@ -10,11 +10,18 @@ configuration produce byte-identical metrics, scores, and checkpoints.
 Models are reached only through ``MODELS``, a table from model name to
 parameter class; a new head is one new entry.  Each class provides
 ``CONFIG_FIELDS`` (checkpoint ``model_kwargs`` key -> ``TrainConfig``
-field), ``from_kwargs``, ``sizes_from_arrays`` (the ``model_kwargs`` sizes
-and feature dims that a checkpoint's arrays fix), ``forward_batch``
-(sequence dicts [B] -> logits [B x K], one graph), the named trainable
-leaves ``parameters()``, ``checkpoint_arrays()`` (a checkpoint's arrays by
-name, in file order, as views of the model's storage) and its modalities.
+field), ``check_kwargs`` (the bounds on those values, met by a train config
+before any file is read and by a checkpoint before its model is built),
+``from_kwargs``, ``sizes_from_arrays`` (the ``model_kwargs`` sizes and
+feature dims that a checkpoint's arrays fix), ``prepare`` (each video's
+per-modality frame arrays -> its model inputs, checked, with every
+parameter-free computation done), ``forward_batch`` (prepared inputs [B] ->
+logits [B x K], one graph), the named trainable leaves ``parameters()``,
+``checkpoint_arrays()`` (a checkpoint's arrays by name, in file order, as
+views of the model's storage) and its modalities.
+
+``train`` prepares the training split once per call and hands each step
+its batch's inputs; ``evaluate`` prepares each chunk as it scores it.
 
 ``train`` packs the model's parameters into one flat arena
 (``autodiff.pack``): each parameter's values and gradient are views of one
@@ -101,6 +108,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        MODELS[self.model].check_kwargs(model_kwargs(self))
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +225,20 @@ def build_model(model: str, modalities: list[tuple[str, int]], num_classes: int,
         if wrong:
             raise DataError(f"{model} sizes {wrong} disagree with the checkpoint arrays, "
                             f"which imply {implied}")
+    cls.check_kwargs(kwargs)
     return cls.from_kwargs(modalities, num_classes, kwargs, gen)
 
 
-def batch_logits(model: str, params, batch: list[VideoSample], mode: str) -> Value:
-    """Logits [B x K] in batch order, from one forward graph for the batch."""
-    seqs = [{m: Value(f) for m, f in s.by_modality().items()} for s in batch]
-    return MODELS[model].forward_batch(params, seqs, mode)
+def batch_logits(model: str, params, batch: list[VideoSample], mode: str,
+                 inputs: list | None = None) -> Value:
+    """Logits [B x K] in batch order, from one forward graph for the batch.
+
+    inputs are the batch's model inputs if they are prepared already;
+    otherwise the batch is prepared here.
+    """
+    if inputs is None:
+        inputs = params.prepare([s.by_modality() for s in batch])
+    return MODELS[model].forward_batch(params, inputs, mode)
 
 
 def snapshot_arrays(params) -> dict[str, np.ndarray]:
@@ -388,6 +403,7 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
     kwargs = model_kwargs(cfg)
     params = build_model(cfg.model, modalities, num_classes, kwargs, rng(cfg.seed))
     flat = ad.pack(v for _, v in params.parameters())
+    inputs = params.prepare([s.by_modality() for s in train_samples])
     optimizer = make_optimizer(cfg)
     val_labels = {s.video_id: s.label for s in val_samples}
     top_k = min(5, num_classes)
@@ -401,10 +417,11 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(cfg.epochs):
             loss_sum = 0.0
-            batches = batch_iter(train_samples, cfg.batch_size, (cfg.seed, epoch))
-            for step, batch in enumerate(batches):
+            batches = batch_iter(range(len(train_samples)), cfg.batch_size, (cfg.seed, epoch))
+            for step, rows in enumerate(batches):
+                batch = [train_samples[i] for i in rows]
                 zero_grads([flat])
-                logits = batch_logits(cfg.model, params, batch, "train")
+                logits = batch_logits(cfg.model, params, batch, "train", [inputs[i] for i in rows])
                 loss = ad.cross_entropy(logits, [s.label for s in batch])
                 if not np.isfinite(loss.data):
                     raise NumericError(f"training loss is {float(loss.data)} at epoch {epoch}, "

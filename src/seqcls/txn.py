@@ -7,8 +7,10 @@ temporal conv, pointwise channel mix, batch norm, relu).  A global
 temporal max pool reduces each stream to a vector; streams are
 concatenated and classified with an affine map.
 
-Every forward is batched: ``txn_stream_forward`` cuts or zero-pads each
-video's frames to the clip length once, in NumPy, into one constant
+Every forward is batched over prepared inputs, each video's frames as
+checked by ``modality_frames`` in ``TxnParams.prepare``:
+``txn_stream_forward`` cuts or zero-pads each video's frames to the clip
+length once, in NumPy, into one constant
 [B x pad_len x D] batch, max-pools its segments with ``ad.segment_max``
 (the frames are graph constants; no gradient flows into them, so the
 pooling is no graph node), and runs the stream over it once, so batch
@@ -57,20 +59,24 @@ class TxnStreamConfig:
     def __post_init__(self):
         if self.feature_dim < 1:
             raise ConfigError(f"stream {self.modality!r} feature_dim must be >= 1")
-        if not 1 <= self.pad_len <= MAX_PAD_LEN:
-            raise ConfigError(f"stream {self.modality!r} pad_len must lie in [1, {MAX_PAD_LEN}]")
-        if not 2 <= self.num_segments <= self.pad_len:
-            raise ConfigError(
-                f"stream {self.modality!r} num_segments must lie in [2, pad_len]")
-        if self.kernel_size % 2 == 0 or not 1 <= self.kernel_size <= MAX_KERNEL_SIZE:
-            raise ConfigError(f"stream {self.modality!r} kernel_size must be odd "
-                              f"and lie in [1, {MAX_KERNEL_SIZE}]")
-        if not 1 <= self.block_channels <= MAX_BLOCK_CHANNELS:
-            raise ConfigError(f"stream {self.modality!r} block_channels must lie "
-                              f"in [1, {MAX_BLOCK_CHANNELS}]")
-        if not 1 <= self.num_blocks <= MAX_NUM_BLOCKS:
-            raise ConfigError(
-                f"stream {self.modality!r} num_blocks must lie in [1, {MAX_NUM_BLOCKS}]")
+        _check_stream_sizes(self.pad_len, self.num_segments, self.kernel_size,
+                            self.block_channels, self.num_blocks)
+
+
+def _check_stream_sizes(pad_len: int, num_segments: int, kernel_size: int,
+                        block_channels: int, num_blocks: int) -> None:
+    if not 1 <= pad_len <= MAX_PAD_LEN:
+        raise ConfigError(f"txn pad_len must lie in [1, {MAX_PAD_LEN}], got {pad_len}")
+    if not 2 <= num_segments <= pad_len:
+        raise ConfigError(f"txn num_segments must lie in [2, pad_len], got {num_segments}")
+    if kernel_size % 2 == 0 or not 1 <= kernel_size <= MAX_KERNEL_SIZE:
+        raise ConfigError(f"txn kernel_size must be odd and lie in [1, {MAX_KERNEL_SIZE}], "
+                          f"got {kernel_size}")
+    if not 1 <= block_channels <= MAX_BLOCK_CHANNELS:
+        raise ConfigError(f"txn block_channels must lie in [1, {MAX_BLOCK_CHANNELS}], "
+                          f"got {block_channels}")
+    if not 1 <= num_blocks <= MAX_NUM_BLOCKS:
+        raise ConfigError(f"txn num_blocks must lie in [1, {MAX_NUM_BLOCKS}], got {num_blocks}")
 
 
 @dataclass
@@ -140,11 +146,12 @@ class TxnStreamParams:
                    blocks=blocks)
 
 
-def txn_stream_forward(params: TxnStreamParams, batch: list[dict[str, Value]],
-                       mode: str) -> Value:
-    """Stream vectors [B x C]; the frames are cut or zero-padded to pad_len and pooled in NumPy."""
+def txn_stream_forward(params: TxnStreamParams, frames: list[np.ndarray], mode: str) -> Value:
+    """Stream vectors [B x C] of each video's checked frames [T x D].
+
+    The frames are cut or zero-padded to pad_len and pooled in NumPy.
+    """
     cfg = params.config
-    frames = modality_frames(batch, cfg.modality, cfg.feature_dim)
     x = np.zeros((len(frames), cfg.pad_len, cfg.feature_dim))
     for row, f in zip(x, frames):
         row[:len(f)] = f[:cfg.pad_len]
@@ -188,6 +195,11 @@ class TxnParams:
                    num_classes=num_classes)
 
     @classmethod
+    def check_kwargs(cls, kwargs: dict) -> None:
+        """Raise ConfigError unless the sizes make valid streams."""
+        _check_stream_sizes(**{key: int(kwargs[key]) for key in cls.CONFIG_FIELDS})
+
+    @classmethod
     def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,
                     gen: np.random.Generator) -> "TxnParams":
         shape = {key: int(kwargs[key]) for key in cls.CONFIG_FIELDS}
@@ -212,8 +224,13 @@ class TxnParams:
                 **{f"dim of {m!r}": array_extent(arrays, f"stream.{m}.entry_w", 0, 2)
                    for m, _ in modalities}}
 
-    def forward_batch(self, batch: list[dict[str, Value]], mode: str) -> Value:
-        return txn_forward_batch(self, batch, mode)
+    def prepare(self, batch: list[dict[str, np.ndarray]]) -> list[tuple[np.ndarray, ...]]:
+        """Each video's checked frames [T x D], one array per stream."""
+        return list(zip(*[modality_frames(batch, s.config.modality, s.config.feature_dim)
+                          for s in self.streams]))
+
+    def forward_batch(self, inputs: list, mode: str) -> Value:
+        return txn_forward_batch(self, inputs, mode)
 
     def parameters(self) -> list[tuple[str, Value]]:
         return named_parameters(self)
@@ -255,15 +272,16 @@ def named_parameters(node) -> list[tuple[str, Value]]:
 
 def txn_forward(params: TxnParams, sequences: dict[str, Value], mode: str = "train") -> Value:
     """Logits [K] for one video: a batch of one through ``txn_forward_batch``."""
-    return ad.reshape(txn_forward_batch(params, [sequences], mode), (params.num_classes,))
+    inputs = params.prepare([{m: v.data for m, v in sequences.items()}])
+    return ad.reshape(txn_forward_batch(params, inputs, mode), (params.num_classes,))
 
 
-def txn_forward_batch(params: TxnParams, batch: list[dict[str, Value]],
-                      mode: str = "train") -> Value:
-    """Logits [B x K] for a batch, with batch-level normalization statistics.
+def txn_forward_batch(params: TxnParams, inputs: list, mode: str = "train") -> Value:
+    """Logits [B x K] for a batch's prepared inputs, with batch-level normalization statistics.
 
     Each stream runs once over the padded batch, so train-mode batch norm
     sees every video at once.
     """
-    reps = [txn_stream_forward(s, batch, mode) for s in params.streams]
+    reps = [txn_stream_forward(s, [video[k] for video in inputs], mode)
+            for k, s in enumerate(params.streams)]
     return ad.affine(ad.concat(reps, axis=1), params.classifier_w, params.classifier_b)

@@ -201,6 +201,19 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and err.startswith("error:") and f"{field} must" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, flag, value", [
+        ("txn", "--txn-channels", 100000), ("txn", "--txn-segments", 31),
+        ("satt", "--satt-heads", 0), ("satt", "--satt-alpha", -1.0)])
+    def test_rejected_size_wins_over_a_missing_file(self, workspace, tmp_path, capsys,
+                                                   model, flag, value):
+        """Model sizes are checked with the config, before either split is read."""
+        code = main(["train", "--train", str(tmp_path / "missing.mmf"),
+                     "--val", str(workspace["data"] / "val.mmf"), "--out", str(tmp_path / "r"),
+                     "--model", model, "--quiet", flag, str(value)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("error:") and "missing.mmf" not in err
+
     def test_bad_flag_value_exits_config(self, workspace, tmp_path):
         data = workspace["data"]
         code = main(["train", "--train", str(data / "train.mmf"),

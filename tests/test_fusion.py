@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import seqcls.fusion as fusion
-from seqcls.autodiff import Value, rng
+from seqcls.autodiff import rng
 from seqcls.errors import ConfigError, DataError, FormatError, ShapeError
 from seqcls.fusion import (
     MeanPoolParams,
@@ -360,7 +360,7 @@ class TestMeanPoolBaseline:
         batch = [{"rgb": gen.normal(size=(int(gen.integers(1, 9)), 3)),
                   "flow": gen.normal(size=(int(gen.integers(1, 9)), 2))} for _ in range(7)]
         assert len({x["rgb"].shape[0] for x in batch}) > 1
-        out = mean_pool_forward(params, [{m: Value(x) for m, x in s.items()} for s in batch])
+        out = mean_pool_forward(params, params.prepare(batch))
         assert out.data.shape == (7, 4)
         for row, s in zip(out.data, batch):
             rep = np.concatenate([s["rgb"].mean(axis=0), s["flow"].mean(axis=0)])
@@ -371,20 +371,20 @@ class TestMeanPoolBaseline:
         gen = rng(42)
         params = MeanPoolParams.init([("rgb", 3)], num_classes=2, gen=gen)
         x = gen.normal(size=(9, 3))
-        base = mean_pool_forward(params, [{"rgb": Value(x)}]).data
+        base = mean_pool_forward(params, params.prepare([{"rgb": x}])).data
         for _ in range(10):
-            shuffled = mean_pool_forward(params, [{"rgb": Value(x[gen.permutation(9)])}]).data
-            assert_array_equal(shuffled, base)
+            shuffled = mean_pool_forward(params, params.prepare([{"rgb": x[gen.permutation(9)]}]))
+            assert_array_equal(shuffled.data, base)
 
     def test_missing_modality_rejected(self):
         params = MeanPoolParams.init([("rgb", 3)], num_classes=2, gen=rng(42))
         with pytest.raises(ShapeError):
-            mean_pool_forward(params, [{}])
+            params.prepare([{}])
 
     def test_dim_mismatch_rejected(self):
         params = MeanPoolParams.init([("rgb", 3)], num_classes=2, gen=rng(42))
         with pytest.raises(ShapeError):
-            mean_pool_forward(params, [{"rgb": Value(np.ones((4, 5)))}])
+            params.prepare([{"rgb": np.ones((4, 5))}])
 
     def test_init_validation(self):
         with pytest.raises(ConfigError):

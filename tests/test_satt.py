@@ -7,8 +7,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from seqcls import autodiff as ad
+from seqcls import satt
 from seqcls.autodiff import Value, backward, fd_check, rng
-from seqcls.data import FeatureSequence, VideoSample
+from seqcls.data import FeatureSequence, VideoSample, modality_frames
 from seqcls.errors import ConfigError, ShapeError
 from seqcls.satt import (
     MAX_NUM_HEADS,
@@ -17,6 +18,8 @@ from seqcls.satt import (
     SattHeadParams,
     SattNetParams,
     _frame_order,
+    _group_block,
+    _frame_orders,
     satt_forward_batch,
     satt_head_forward,
     satt_net_forward,
@@ -154,7 +157,7 @@ class TestAttentionGroup:
         cfg = AttentionGroupConfig(modality="rgb", feature_dim=5, num_heads=2, alpha=1.3)
         net = SattNetParams.init([cfg], 2, gen)
         x = Value(gen.normal(size=(7, 5)))
-        rep = satt_representations(net, [{"rgb": x}]).data[0]
+        rep = satt_representations(net, net.prepare([{"rgb": x.data}])).data[0]
         assert_array_equal(rep, group_oracle_bitwise(x.data, net.groups[0]))
         expected = ad.l2_normalize(ad.concat(
             [satt_head_forward(h, x, cfg.alpha) for h in group_heads(net.groups[0])], axis=0))
@@ -178,7 +181,7 @@ class TestAttentionGroup:
         group = AttentionGroupParams.init(cfg, rng(42))
         assert group.output_dim == 18
         net = SattNetParams.init([cfg], 2, rng(42))
-        out = satt_representations(net, [{"rgb": Value(rng(1).normal(size=(4, 6)))}])
+        out = satt_representations(net, net.prepare([{"rgb": rng(1).normal(size=(4, 6))}]))
         assert out.data.shape == (1, 18)
         assert abs(np.linalg.norm(out.data) - 1.0) <= 1e-9
 
@@ -320,26 +323,22 @@ class TestBatchedPath:
             batch.append({"rgb": gen.normal(size=(t_rgb, 4)), "flow": gen.normal(size=(t_flow, 3))})
         return batch
 
-    @staticmethod
-    def values(sequences):
-        return {m: Value(x) for m, x in sequences.items()}
-
     def test_ragged_representations_equal_per_video_bitwise(self):
         """Grouping by frame counts changes no bit of any video's representation."""
         gen = rng(42)
         net = self.make_net(gen)
         batch = self.ragged_batch(gen)
         assert len({(s["rgb"].shape[0], s["flow"].shape[0]) for s in batch}) > 1
-        reps = satt_representations(net, [self.values(s) for s in batch]).data
+        reps = satt_representations(net, net.prepare(batch)).data
         for i, s in enumerate(batch):
-            single = satt_representations(net, [self.values(s)]).data
+            single = satt_representations(net, net.prepare([s])).data
             assert_array_equal(reps[i], single[0])
 
     def test_group_rows_match_numpy_oracle_bitwise(self):
         gen = rng(7)
         net = self.make_net(gen)
         batch = self.ragged_batch(gen, n=5)
-        reps = satt_representations(net, [self.values(s) for s in batch]).data
+        reps = satt_representations(net, net.prepare(batch)).data
         for i, s in enumerate(batch):
             expected = np.concatenate([group_oracle_bitwise(s[g.config.modality], g)
                                        for g in net.groups])
@@ -350,7 +349,7 @@ class TestBatchedPath:
         for _ in range(5):
             net = self.make_net(gen)
             batch = self.ragged_batch(gen)
-            logits = satt_forward_batch(net, [self.values(s) for s in batch]).data
+            logits = satt_forward_batch(net, net.prepare(batch)).data
             assert logits.shape == (len(batch), 5)
             for i, s in enumerate(batch):
                 assert_allclose(logits[i], net_oracle(net, s), rtol=1e-12, atol=1e-12)
@@ -358,14 +357,15 @@ class TestBatchedPath:
     def test_single_video_is_a_batch_of_one(self):
         gen = rng(3)
         net = self.make_net(gen)
-        s = self.values(self.ragged_batch(gen, n=1)[0])
-        assert_array_equal(satt_net_forward(net, s).data, satt_forward_batch(net, [s]).data[0])
+        s = self.ragged_batch(gen, n=1)[0]
+        assert_array_equal(satt_net_forward(net, {m: Value(x) for m, x in s.items()}).data,
+                           satt_forward_batch(net, net.prepare([s])).data[0])
 
     def test_ragged_batch_gradients_match_finite_differences(self):
         """The regrouped rows route their gradients back to the right videos."""
         gen = rng(11)
         net = self.make_net(gen)
-        batch = [self.values(s) for s in self.ragged_batch(gen, n=5)]
+        batch = net.prepare(self.ragged_batch(gen, n=5))
         labels = [int(v) for v in gen.integers(0, 5, size=5)]
         f = lambda: ad.cross_entropy(satt_forward_batch(net, batch), labels)
         report = fd_check(f, net.parameters())
@@ -374,13 +374,13 @@ class TestBatchedPath:
     def test_missing_modality_or_bad_dim_rejected(self):
         gen = rng(42)
         net = self.make_net(gen)
-        good = self.values(self.ragged_batch(gen, n=1)[0])
+        good = self.ragged_batch(gen, n=1)[0]
         with pytest.raises(ShapeError):
-            satt_forward_batch(net, [good, {"rgb": good["rgb"]}])
+            net.prepare([good, {"rgb": good["rgb"]}])
         with pytest.raises(ShapeError):
-            satt_forward_batch(net, [{"rgb": good["rgb"], "flow": Value(np.ones((4, 5)))}])
+            net.prepare([{"rgb": good["rgb"], "flow": np.ones((4, 5))}])
         with pytest.raises(ShapeError):
-            satt_forward_batch(net, [])
+            net.prepare([])
 
 
 # The attention ops as they were when each one kept frame-order invariance
@@ -465,7 +465,7 @@ class TestCanonicalFrameOrder:
     def step(net, batch, labels, mode):
         """Logits and every parameter gradient of one cross-entropy step."""
         ad.zero_grads(p for _, p in net.parameters())
-        logits = net.forward_batch([{m: Value(x) for m, x in s.items()} for s in batch], mode)
+        logits = net.forward_batch(net.prepare(batch), mode)
         backward(ad.cross_entropy(logits, labels))
         return [logits.data.copy()] + [p.grad.copy() for _, p in net.parameters()]
 
@@ -489,8 +489,7 @@ class TestCanonicalFrameOrder:
         for _ in range(8):
             for got, want in zip(self.step(net, self.shuffled(gen, batch), labels, mode), base):
                 assert_same_bits(got, want)
-        assert_same_bits(satt_forward_batch(net, [{m: Value(x) for m, x in s.items()}
-                                                  for s in batch]).data, base[0])
+        assert_same_bits(satt_forward_batch(net, net.prepare(batch)).data, base[0])
 
     def test_evaluate_scores_bitwise(self):
         gen = rng(19)
@@ -544,13 +543,15 @@ class TestCanonicalFrameOrder:
         for got, want in zip(new, self.step(net, batch, labels, mode)):
             assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
-    def test_sorts_once_per_block_and_modality_and_never_per_op(self, monkeypatch):
-        """A train step and evaluate run one argsort of frame keys per length block and
-        modality, np.sort and np.lexsort never."""
+    def test_sorts_once_per_modality_and_length_and_never_per_op(self, monkeypatch):
+        """Preparing a train step's batch and evaluate's chunk each run one argsort of
+        frame keys per modality and frame count, np.sort and np.lexsort never."""
         gen = rng(31)
         net = TestBatchedPath.make_net(gen)
         batch = self.ragged(gen, n=9)
-        blocks = len({(len(s["rgb"]), len(s["flow"])) for s in batch})
+        lengths = len({(m, len(x)) for s in batch for m, x in s.items()})
+        # fewer sorts than one per length block and modality
+        assert lengths < 2 * len({(len(s["rgb"]), len(s["flow"])) for s in batch})
         calls = []
         argsort = np.argsort
 
@@ -566,11 +567,11 @@ class TestCanonicalFrameOrder:
         monkeypatch.setattr(np, "sort", refuse)
         monkeypatch.setattr(np, "lexsort", refuse)
         self.step(net, batch, [0] * len(batch), "train")
-        assert len(calls) == 2 * blocks
+        assert len(calls) == lengths
         samples = [VideoSample(f"v{i}", 0, [FeatureSequence(m, x) for m, x in s.items()])
                    for i, s in enumerate(batch)]
-        evaluate("satt", net, samples)  # nine videos: one chunk, the same blocks
-        assert len(calls) == 4 * blocks
+        evaluate("satt", net, samples)  # nine videos: one chunk, the same frame counts
+        assert len(calls) == 2 * lengths
 
 
 SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, -2.5])
@@ -588,3 +589,86 @@ def test_frame_order_equals_lexsort_of_the_bit_patterns(b, t, d):
             x = np.round(gen.normal(size=(b, t, d)), 1)  # ties only through rounding
         want = np.lexsort(x.view(np.uint64).transpose(2, 0, 1), axis=-1)
         assert_array_equal(_frame_order(x), want)
+
+
+def per_block_logits(params, batch):
+    """Logits [B x K] the way the batched path ran before inputs were prepared.
+
+    Every forward read the frames through ``modality_frames``, stacked each
+    length block's frames per modality and sorted the stack with one
+    ``_frame_order`` call, then ran the groups and the classifier.
+    """
+    frames = [modality_frames(batch, g.config.modality, g.config.feature_dim)
+              for g in params.groups]
+    blocks = {}
+    for i, counts in enumerate(zip(*[[len(x) for x in xs] for xs in frames])):
+        blocks.setdefault(counts, []).append(i)
+    reps = []
+    for rows in blocks.values():
+        groups = []
+        for g, xs in zip(params.groups, frames):
+            x = np.stack([xs[i] for i in rows])
+            x = x[np.arange(len(rows))[:, None], _frame_order(x)]
+            groups.append(_group_block(Value(x), g))
+        reps.append(ad.concat(groups, axis=1))
+    rep = reps[0]
+    if len(reps) > 1:
+        order = [i for rows in blocks.values() for i in rows]
+        rep = ad.take_rows(ad.concat(reps, axis=0), np.argsort(order))
+    return ad.affine(rep, params.classifier_w, params.classifier_b)
+
+
+class TestPreparedInputs:
+    """Orders computed once per video give the per-block path's bits."""
+
+    @staticmethod
+    def ragged(gen, n):
+        """Frame counts mixed per modality, T = 1 among them, some videos repeated."""
+        batch = []
+        for _ in range(n):
+            if batch and gen.uniform() < 0.2:
+                batch.append(batch[int(gen.integers(len(batch)))])
+                continue
+            batch.append({"rgb": with_signed_zero_ties(gen, int(gen.choice([6, 9])), 4)
+                          if gen.uniform() < 0.7 else gen.normal(size=(1, 4)),
+                          "flow": gen.normal(size=(int(gen.choice([1, 7, 8])), 3))})
+        return batch
+
+    @staticmethod
+    def grads(net, logits, labels):
+        ad.zero_grads(p for _, p in net.parameters())
+        backward(ad.cross_entropy(logits, labels))
+        return [logits.data.copy()] + [p.grad.copy() for _, p in net.parameters()]
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_logits_and_gradients_equal_the_per_block_path_bitwise(self, mode):
+        gen = rng(37)
+        net = TestBatchedPath.make_net(gen)
+        for b in range(1, 18):
+            batch = self.ragged(gen, b)
+            labels = [int(v) for v in gen.integers(0, 5, size=b)]
+            want = self.grads(net, per_block_logits(net, batch), labels)
+            shuffled = [{m: x[gen.permutation(len(x))] for m, x in s.items()} for s in batch]
+            for frames in (batch, shuffled):
+                got = self.grads(net, net.forward_batch(net.prepare(frames), mode), labels)
+                for g, w in zip(got, want):
+                    assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("t, d", [(1, 1), (1, 4), (6, 4), (30, 16)])
+    def test_chunked_orders_equal_one_order_of_the_whole_group(self, t, d, monkeypatch):
+        gen = rng(t, d)
+        xs = list(gen.choice(SPECIALS, size=(13, t, d)))
+        want = _frame_order(np.stack(xs))
+        for chunk in (1, t * d - 1, t * d, 2 * t * d + 1, 5 * t * d, 10 ** 9):
+            monkeypatch.setattr(satt, "ORDER_CHUNK", chunk)
+            got = _frame_orders(xs)
+            assert len(got) == len(xs)
+            assert_array_equal(np.stack(got), want)
+
+    def test_mixed_lengths_are_ordered_per_length_group(self, monkeypatch):
+        gen = rng(41)
+        xs = [gen.choice(SPECIALS, size=(int(t), 3)) for t in gen.choice([1, 2, 5], size=17)]
+        for chunk in (1, 7, 10 ** 9):
+            monkeypatch.setattr(satt, "ORDER_CHUNK", chunk)
+            for x, order in zip(xs, _frame_orders(xs)):
+                assert_array_equal(order, _frame_order(x[None])[0])

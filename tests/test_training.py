@@ -274,12 +274,13 @@ class TestModelDispatch:
     def test_missing_modality_or_bad_dim_is_a_shape_error(self, model):
         params = build_model(model, [("rgb", 4), ("flow", 3)], 3,
                              model_kwargs(small_cfg(model=model)), rng(0))
-        good = {"rgb": Value(np.ones((6, 4))), "flow": Value(np.ones((6, 3)))}
+        good = {"rgb": np.ones((6, 4)), "flow": np.ones((6, 3))}
         for batch in ([good, {"rgb": good["rgb"]}],
-                      [good, {"rgb": good["rgb"], "flow": Value(np.ones((6, 5)))}],
+                      [good, {"rgb": good["rgb"], "flow": np.ones((6, 5))}],
+                      [good, {"rgb": good["rgb"], "flow": np.ones(6)}],
                       []):
             with pytest.raises(ShapeError):
-                MODELS[model].forward_batch(params, batch, "infer")
+                params.prepare(batch)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_input_frames_are_graph_constants(self, model):
@@ -652,30 +653,59 @@ class TestTrainLoop:
     @pytest.mark.parametrize("optimizer", training.OPTIMIZERS)
     def test_zero_grads_and_the_step_run_once_per_batch(self, optimizer, small_dataset,
                                                          monkeypatch):
-        """The traced benchmark cuts steps at zero_grads in train and the optimizer step."""
-        calls = {"zero_grads": [], "step": 0}
-        zero_grads_fn = ad.zero_grads
+        """The traced benchmark cuts steps at zero_grads in train and the optimizer step,
+        and times the step's forward as its one batch_logits call, on prepared inputs."""
+        events = []
+        zero_grads_fn, logits_fn = ad.zero_grads, training.batch_logits
 
         def counted_zero_grads(params):
-            calls["zero_grads"].append(sys._getframe(1).f_code.co_name)
+            events.append(("zero_grads", sys._getframe(1).f_code.co_name))
             return zero_grads_fn(params)
 
         cls = {"adam": Adam, "sgd": SgdMomentum}[optimizer]
         step = cls.step
 
         def counted_step(self, flat):
-            calls["step"] += 1
+            events.append(("step",))
             return step(self, flat)
+
+        def counted_logits(model, params, batch, mode, inputs=None):
+            events.append(("batch_logits", mode, inputs is not None))
+            return logits_fn(model, params, batch, mode, inputs)
 
         monkeypatch.setattr(ad, "zero_grads", counted_zero_grads)
         monkeypatch.setattr(training, "zero_grads", counted_zero_grads)
         monkeypatch.setattr(cls, "step", counted_step)
+        monkeypatch.setattr(training, "batch_logits", counted_logits)
         train_samples, val_samples = small_dataset
         cfg = small_cfg(optimizer=optimizer, epochs=3, batch_size=4)
         train(cfg, train_samples, val_samples)
-        batches = cfg.epochs * -(-len(train_samples) // cfg.batch_size)
-        assert calls["zero_grads"] == ["train"] * batches
-        assert calls["step"] == batches
+        steps = [("zero_grads", "train"), ("batch_logits", "train", True), ("step",)]
+        scoring = [("batch_logits", "infer", False)] * -(-len(val_samples) // EVAL_CHUNK)
+        batches = -(-len(train_samples) // cfg.batch_size)
+        assert events == (steps * batches + scoring) * cfg.epochs
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_split_prepared_once_equals_each_batch_prepared_afresh(self, model, monkeypatch):
+        """Preparing the training split once per run changes no byte of any artifact."""
+        samples = TestEvaluate.ragged_set(40, seed=13)
+        train_samples, val_samples = samples[:30], samples[30:]
+        cfg = small_cfg(model=model, epochs=3, txn_pad_len=5, txn_segments=2)
+        once = train(cfg, train_samples, val_samples)
+        prepared = training.batch_logits
+
+        def afresh(model, params, batch, mode, inputs=None):
+            return prepared(model, params, batch, mode)
+
+        monkeypatch.setattr(training, "batch_logits", afresh)
+        fresh = train(cfg, train_samples, val_samples)
+        assert once.report.to_text() == fresh.report.to_text()
+        assert list(once.best_table.rows) == list(fresh.best_table.rows)
+        for vid, row in fresh.best_table.rows.items():
+            assert once.best_table.rows[vid].tobytes() == row.tobytes(), vid
+        assert list(once.best_arrays) == list(fresh.best_arrays)
+        for name, array in fresh.best_arrays.items():
+            assert once.best_arrays[name].tobytes() == array.tobytes(), name
 
     def test_sgd_optimizer_path(self, small_dataset):
         train_samples, val_samples = small_dataset

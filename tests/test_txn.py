@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from seqcls import autodiff as ad
 from seqcls.autodiff import Value, rng
+from seqcls.data import modality_frames
 from seqcls.errors import ConfigError, ShapeError
 from seqcls.gradcheck import run_cases
 from seqcls.txn import (
@@ -126,8 +127,9 @@ class TestTxnBlock:
 
 class TestTxnStream:
     @staticmethod
-    def batch(xs):
-        return [{"rgb": Value(x)} for x in xs]
+    def batch(xs, modality="rgb"):
+        """The checked rgb frames of videos xs, as TxnParams.prepare hands them to a stream."""
+        return modality_frames([{modality: x} for x in xs], "rgb", 4)
 
     def test_output_shapes(self):
         gen = rng(42)
@@ -154,7 +156,7 @@ class TestTxnStream:
         with pytest.raises(ShapeError):
             txn_stream_forward(stream, self.batch([np.ones((6, 5))]), "infer")
         with pytest.raises(ShapeError):
-            txn_stream_forward(stream, [{"flow": Value(np.ones((6, 4)))}], "infer")
+            txn_stream_forward(stream, self.batch([np.ones((6, 4))], modality="flow"), "infer")
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -192,6 +194,11 @@ class TestTxnNet:
         return {"rgb": Value(gen.normal(size=(t, 4))),
                 "flow": Value(gen.normal(size=(t, 3)))}
 
+    @staticmethod
+    def prepared(net, batch):
+        """The model inputs of a batch of Value sequence dicts."""
+        return net.prepare([{m: v.data for m, v in seqs.items()} for seqs in batch])
+
     def test_zero_initialized_classifier_gives_zero_logits(self):
         """Before any training step the logits are exactly the zero bias."""
         net = self.make_net(rng(42))
@@ -223,7 +230,7 @@ class TestTxnNet:
         gen = rng(42)
         net = self.make_net(gen)
         batch = [self.seqs(rng(i), t=int(rng(i, 99).integers(3, 10))) for i in range(4)]
-        stacked = txn_forward_batch(net, batch, mode="infer").data
+        stacked = txn_forward_batch(net, self.prepared(net, batch), mode="infer").data
         for i, seqs in enumerate(batch):
             assert_array_equal(stacked[i], txn_forward(net, seqs, mode="infer").data)
 
@@ -232,7 +239,7 @@ class TestTxnNet:
         gen = rng(42)
         net = self.make_net(gen)
         batch = [self.seqs(rng(i)) for i in range(3)]
-        txn_forward_batch(net, batch, mode="train")
+        txn_forward_batch(net, self.prepared(net, batch), mode="train")
         for s in net.streams:
             stacked = Value(np.stack([ad.zero_pad_time(seqs[s.config.modality],
                                                        s.config.pad_len).data for seqs in batch]))
@@ -270,7 +277,8 @@ class TestTxnNet:
             return ad.affine(ad.concat(reps, axis=1), oracle.classifier_w, oracle.classifier_b)
 
         for mode in ("train", "train", "infer"):
-            assert_array_equal(txn_forward_batch(net, batch, mode).data, oracle_logits(mode).data)
+            assert_array_equal(txn_forward_batch(net, self.prepared(net, batch), mode).data,
+                               oracle_logits(mode).data)
             for (name, got), (_, expected) in zip(net.checkpoint_arrays(),
                                                   oracle.checkpoint_arrays()):
                 assert_array_equal(got, expected, err_msg=name)
@@ -280,7 +288,7 @@ class TestTxnNet:
         with pytest.raises(ShapeError):
             txn_forward(net, {"rgb": Value(np.ones((5, 4)))})
         with pytest.raises(ShapeError):
-            txn_forward_batch(net, [{"rgb": Value(np.ones((5, 4)))}])
+            net.prepare([{"rgb": np.ones((5, 4))}])
 
     def test_parameter_and_buffer_names(self):
         """Names and their order are the checkpoint layout, so both are pinned."""
