@@ -243,10 +243,6 @@ class MeanPoolParams:
     @classmethod
     def init(cls, modalities: list[tuple[str, int]], num_classes: int,
              gen: np.random.Generator) -> "MeanPoolParams":
-        if not modalities:
-            raise ConfigError("at least one modality is required")
-        if num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
         rep_dim = sum(d for _, d in modalities)
         w = gen.normal(scale=np.sqrt(2.0 / rep_dim), size=(rep_dim, num_classes))
         return cls(modalities=list(modalities),

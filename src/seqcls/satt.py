@@ -141,26 +141,14 @@ def satt_head_forward(params: SattHeadParams, x: Value, alpha: float) -> Value:
     return ad.reshape(out, (d,))
 
 
-def _check_heads(num_heads: int, alpha: float) -> None:
-    if not 1 <= num_heads <= MAX_NUM_HEADS:
-        raise ConfigError(f"satt num_heads must lie in [1, {MAX_NUM_HEADS}], got {num_heads}")
-    if not alpha > 0.0:
-        raise ConfigError(f"satt alpha must be positive, got {alpha}")
-
-
 @dataclass
 class AttentionGroupConfig:
-    """Head bank for one modality: how many heads, how sharp."""
+    """Head bank for one modality: how many heads, how sharp (``build_model`` checks them)."""
 
     modality: str
     feature_dim: int
     num_heads: int = 4
     alpha: float = 1.0
-
-    def __post_init__(self):
-        _check_heads(self.num_heads, self.alpha)
-        if self.feature_dim < 1:
-            raise ConfigError(f"group {self.modality!r} feature_dim must be >= 1")
 
 
 @dataclass
@@ -200,13 +188,6 @@ class SattNetParams:
     @classmethod
     def init(cls, group_configs: list[AttentionGroupConfig], num_classes: int,
              gen: np.random.Generator) -> "SattNetParams":
-        if not group_configs:
-            raise ConfigError("at least one modality group is required")
-        if num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
-        names = [c.modality for c in group_configs]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate modality group in {names}")
         groups = [AttentionGroupParams.init(c, gen) for c in group_configs]
         rep_dim = sum(g.output_dim for g in groups)
         w = gen.normal(scale=np.sqrt(2.0 / rep_dim), size=(rep_dim, num_classes))
@@ -218,7 +199,11 @@ class SattNetParams:
     @staticmethod
     def check_kwargs(kwargs: dict) -> None:
         """Raise ConfigError unless the head count and sharpness make valid groups."""
-        _check_heads(int(kwargs["num_heads"]), float(kwargs["alpha"]))
+        num_heads, alpha = int(kwargs["num_heads"]), float(kwargs["alpha"])
+        if not 1 <= num_heads <= MAX_NUM_HEADS:
+            raise ConfigError(f"satt num_heads must lie in [1, {MAX_NUM_HEADS}], got {num_heads}")
+        if not 0.0 < alpha < np.inf:
+            raise ConfigError(f"satt alpha must lie in (0, inf), got {alpha}")
 
     @classmethod
     def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,

@@ -10,15 +10,19 @@ configuration produce byte-identical metrics, scores, and checkpoints.
 Models are reached only through ``MODELS``, a table from model name to
 parameter class; a new head is one new entry.  Each class provides
 ``CONFIG_FIELDS`` (checkpoint ``model_kwargs`` key -> ``TrainConfig``
-field), ``check_kwargs`` (the bounds on those values, met by a train config
-before any file is read and by a checkpoint before its model is built),
-``from_kwargs``, ``sizes_from_arrays`` (the ``model_kwargs`` sizes and
-feature dims that a checkpoint's arrays fix), ``prepare`` (each video's
+field), ``check_kwargs`` (the bounds on those values, which a train config
+also meets before any file is read), ``from_kwargs``, ``sizes_from_arrays``
+(the ``model_kwargs`` sizes and feature dims that a checkpoint's arrays
+fix), ``prepare`` (each video's
 per-modality frame arrays -> its model inputs, checked, with every
 parameter-free computation done), ``forward_batch`` (prepared inputs [B] ->
 logits [B x K], one graph), the named trainable leaves ``parameters()``,
 ``checkpoint_arrays()`` (a checkpoint's arrays by name, in file order, as
 views of the model's storage) and its modalities.
+
+Every model, from a train config or a checkpoint, is built by
+``build_model``, the one check of its shape (class count, modalities and
+sizes); the constructors behind ``from_kwargs`` check nothing.
 
 ``train`` prepares the training split once per call and hands each step
 its batch's inputs; ``evaluate`` prepares each chunk as it scores it.
@@ -80,7 +84,6 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 30
     seed: int = 42
-    threads: int = 1
     satt_heads: int = 4
     satt_alpha: float = 1.0
     txn_pad_len: int = 30
@@ -106,8 +109,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         MODELS[self.model].check_kwargs(model_kwargs(self))
 
 
@@ -195,18 +196,34 @@ def model_kwargs(cfg: TrainConfig) -> dict:
             for key, field_name in MODELS[cfg.model].CONFIG_FIELDS.items()}
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true and false load as bools, which count as ints in Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_model(model: str, modalities: list[tuple[str, int]], num_classes: int,
                 kwargs: dict, gen: np.random.Generator, arrays: dict | None = None):
-    """A freshly initialized model.
+    """A freshly initialized model, from a train config or a checkpoint.
 
+    The one check of a model's shape; the constructors check nothing.  In
+    order: the model name, the class count, the modalities, the kwargs'
+    keys and values, each value's type before it is hashed or compared.
     Given a checkpoint's arrays, every size that shapes an array (the class
-    count, the modality dims and the kwargs the model's ``sizes_from_arrays``
-    names) must agree with them before anything is built, so that a forged
-    size cannot make the build loop or allocate without bound.
+    count, the modality dims and the kwargs the model's
+    ``sizes_from_arrays`` names) must then agree with them, and last the
+    kwargs meet the model's ``check_kwargs`` bounds, so that a forged size
+    cannot make the build loop or allocate without bound.
     """
-    cls = MODELS.get(model)
+    cls = MODELS.get(model) if isinstance(model, str) else None
     if cls is None:
         raise ConfigError(f"unknown model {model!r}, expected one of {tuple(MODELS)}")
+    if not _is_int(num_classes) or num_classes < 2:
+        raise DataError(f"num_classes must be an integer >= 2, got {num_classes!r}")
+    if not (modalities and all(isinstance(m, str) and _is_int(d) and d >= 1 for m, d in modalities)
+            and len({m for m, _ in modalities}) == len(modalities)):
+        raise DataError(f"modalities must be (name, dim >= 1) pairs with distinct names, "
+                        f"at least one, got {modalities!r}")
+    modalities = [(m, d) for m, d in modalities]
     missing = sorted(set(cls.CONFIG_FIELDS) - set(kwargs))
     unknown = sorted(set(kwargs) - set(cls.CONFIG_FIELDS))
     if missing or unknown:
@@ -272,11 +289,6 @@ def save_model(path, model: str, params, kwargs: dict, meta_extra: dict | None =
     write_checkpoint(path, snapshot_arrays(params), meta)
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; JSON true and false load as bools, which count as ints in Python."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_model(path):
     """Rebuild (model_name, params, meta) from a checkpoint file."""
     arrays, meta = read_checkpoint(path)
@@ -285,23 +297,15 @@ def load_model(path):
     for key in ("model", "num_classes", "modalities", "model_kwargs"):
         if key not in meta:
             raise DataError(f"checkpoint metadata missing {key!r}")
-    model, modalities = meta["model"], meta["modalities"]
-    num_classes, kwargs = meta["num_classes"], meta["model_kwargs"]
-    if not isinstance(model, str) or model not in MODELS:
-        raise DataError(f"checkpoint names unknown model {model!r}")
-    if not (isinstance(modalities, list) and modalities
-            and all(isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
-                    and _is_int(pair[1]) and pair[1] >= 1 for pair in modalities)):
-        raise DataError(
-            f"checkpoint modalities must be [name, dim >= 1] pairs, at least one, got {modalities!r}")
-    if not _is_int(num_classes) or num_classes < 2:
-        raise DataError(f"checkpoint num_classes must be an integer >= 2, got {num_classes!r}")
+    modalities, kwargs = meta["modalities"], meta["model_kwargs"]
+    if not (isinstance(modalities, list)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in modalities)):
+        raise DataError(f"checkpoint modalities must be [name, dim] pairs, got {modalities!r}")
     if not isinstance(kwargs, dict):
         raise DataError(f"checkpoint model_kwargs must be a JSON object, got {kwargs!r}")
-    params = build_model(model, [(m, d) for m, d in modalities], num_classes, kwargs, rng(0),
-                         arrays)
+    params = build_model(meta["model"], modalities, meta["num_classes"], kwargs, rng(0), arrays)
     restore_arrays(params, arrays)
-    return model, params, meta
+    return meta["model"], params, meta
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +400,6 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
         if dims.get(name) != d:
             raise DataError(f"validation modality {name!r} does not match training data")
     num_classes = 1 + max(s.label for s in train_samples + val_samples)
-    if num_classes < 2:
-        raise DataError("need at least two classes to train a classifier")
 
     modalities = list(dims.items())
     kwargs = model_kwargs(cfg)
@@ -431,7 +433,7 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
                 loss_sum += float(loss.data) * len(batch)
             train_loss = loss_sum / len(train_samples)
 
-            table = evaluate(cfg.model, params, val_samples, threads=cfg.threads)
+            table = evaluate(cfg.model, params, val_samples)
             top1 = top_k_accuracy(table, val_labels, 1)
             top5 = top_k_accuracy(table, val_labels, top_k)
             history.append(EpochMetrics(epoch=epoch, train_loss=train_loss,

@@ -46,37 +46,15 @@ MAX_NUM_BLOCKS = 2 ** 8
 
 @dataclass
 class TxnStreamConfig:
-    """Shape of one modality stream of the convolution head."""
+    """Shape of one modality stream; ``TrainConfig`` has the defaults, ``build_model`` the checks."""
 
     modality: str
     feature_dim: int
-    pad_len: int = 64
-    num_segments: int = 16
-    kernel_size: int = 3
-    block_channels: int = 64
-    num_blocks: int = 1
-
-    def __post_init__(self):
-        if self.feature_dim < 1:
-            raise ConfigError(f"stream {self.modality!r} feature_dim must be >= 1")
-        _check_stream_sizes(self.pad_len, self.num_segments, self.kernel_size,
-                            self.block_channels, self.num_blocks)
-
-
-def _check_stream_sizes(pad_len: int, num_segments: int, kernel_size: int,
-                        block_channels: int, num_blocks: int) -> None:
-    if not 1 <= pad_len <= MAX_PAD_LEN:
-        raise ConfigError(f"txn pad_len must lie in [1, {MAX_PAD_LEN}], got {pad_len}")
-    if not 2 <= num_segments <= pad_len:
-        raise ConfigError(f"txn num_segments must lie in [2, pad_len], got {num_segments}")
-    if kernel_size % 2 == 0 or not 1 <= kernel_size <= MAX_KERNEL_SIZE:
-        raise ConfigError(f"txn kernel_size must be odd and lie in [1, {MAX_KERNEL_SIZE}], "
-                          f"got {kernel_size}")
-    if not 1 <= block_channels <= MAX_BLOCK_CHANNELS:
-        raise ConfigError(f"txn block_channels must lie in [1, {MAX_BLOCK_CHANNELS}], "
-                          f"got {block_channels}")
-    if not 1 <= num_blocks <= MAX_NUM_BLOCKS:
-        raise ConfigError(f"txn num_blocks must lie in [1, {MAX_NUM_BLOCKS}], got {num_blocks}")
+    pad_len: int
+    num_segments: int
+    kernel_size: int
+    block_channels: int
+    num_blocks: int
 
 
 @dataclass
@@ -179,13 +157,6 @@ class TxnParams:
     @classmethod
     def init(cls, stream_configs: list[TxnStreamConfig], num_classes: int,
              gen: np.random.Generator) -> "TxnParams":
-        if not stream_configs:
-            raise ConfigError("at least one modality stream is required")
-        if num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
-        names = [c.modality for c in stream_configs]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate modality stream in {names}")
         streams = [TxnStreamParams.init(c, gen) for c in stream_configs]
         rep_dim = sum(s.config.block_channels for s in streams)
         # zero-initialized classifier: first-step logits are exactly the bias
@@ -197,7 +168,20 @@ class TxnParams:
     @classmethod
     def check_kwargs(cls, kwargs: dict) -> None:
         """Raise ConfigError unless the sizes make valid streams."""
-        _check_stream_sizes(**{key: int(kwargs[key]) for key in cls.CONFIG_FIELDS})
+        pad_len, num_segments, kernel_size, block_channels, num_blocks = (
+            int(kwargs[key]) for key in cls.CONFIG_FIELDS)
+        if not 1 <= pad_len <= MAX_PAD_LEN:
+            raise ConfigError(f"txn pad_len must lie in [1, {MAX_PAD_LEN}], got {pad_len}")
+        if not 2 <= num_segments <= pad_len:
+            raise ConfigError(f"txn num_segments must lie in [2, pad_len], got {num_segments}")
+        if kernel_size % 2 == 0 or not 1 <= kernel_size <= MAX_KERNEL_SIZE:
+            raise ConfigError(f"txn kernel_size must be odd and lie in [1, {MAX_KERNEL_SIZE}], "
+                              f"got {kernel_size}")
+        if not 1 <= block_channels <= MAX_BLOCK_CHANNELS:
+            raise ConfigError(f"txn block_channels must lie in [1, {MAX_BLOCK_CHANNELS}], "
+                              f"got {block_channels}")
+        if not 1 <= num_blocks <= MAX_NUM_BLOCKS:
+            raise ConfigError(f"txn num_blocks must lie in [1, {MAX_NUM_BLOCKS}], got {num_blocks}")
 
     @classmethod
     def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,

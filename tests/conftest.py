@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqcls.autodiff import rng
 from seqcls.data import SynthConfig, synth_generate, synth_prototypes
-from seqcls.training import MODELS, TrainConfig, train
+from seqcls.errors import ConfigError, DataError
+from seqcls.training import MODELS, TrainConfig, build_model, train
 
 FIXTURES_PATH = Path(__file__).with_name("reference_fixtures.json")
 
@@ -68,6 +70,27 @@ def reference():
     """Pinned reference numbers; regenerate with make_reference_fixtures.py."""
     with FIXTURES_PATH.open() as fh:
         return json.load(fh)
+
+
+@pytest.fixture
+def refused(monkeypatch):
+    """refused(model, modalities, num_classes, kwargs): build_model's error message.
+
+    Every model's from_kwargs is refused, so the shape must be rejected
+    (with an exit-2 error) before any constructor runs.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("model built from a shape build_model should refuse")
+
+    for cls in MODELS.values():
+        monkeypatch.setattr(cls, "from_kwargs", refuse)
+
+    def check(model, modalities, num_classes, kwargs) -> str:
+        with pytest.raises((ConfigError, DataError)) as info:
+            build_model(model, modalities, num_classes, kwargs, rng(0))
+        return str(info.value)
+
+    return check
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import pytest
 
 import seqcls
 
+from seqcls.autodiff import rng
 from seqcls.cli import (
     EXIT_CONFIG,
     EXIT_GRADCHECK,
@@ -25,7 +26,7 @@ from seqcls.data import read_checkpoint, read_labels, read_mmf, write_checkpoint
 from seqcls.errors import ConfigError
 from seqcls.fusion import read_scores
 from seqcls.satt import MAX_NUM_HEADS
-from seqcls.training import MODELS, MetricsReport
+from seqcls.training import MODELS, MetricsReport, build_model
 from seqcls.txn import MAX_BLOCK_CHANNELS, MAX_KERNEL_SIZE, MAX_NUM_BLOCKS
 
 SMALL_GEN = ["--classes", "3", "--videos-per-class", "5", "--frames", "6",
@@ -184,7 +185,7 @@ class TestTrainCommand:
         ("satt", "--satt-heads", MAX_NUM_HEADS + 1, "num_heads")])
     def test_oversized_model_exits_config_before_the_build(self, workspace, tmp_path, capsys,
                                                            monkeypatch, model, flag, value, field):
-        """A train config's sizes have no arrays behind them, so the model's configs bound them.
+        """A train config's sizes have no arrays behind them, so the model's bounds hold them.
 
         Only values the bound rejects are used, and building the model is
         refused, so no case here can reach an allocation of that size.
@@ -203,7 +204,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("model, flag, value", [
         ("txn", "--txn-channels", 100000), ("txn", "--txn-segments", 31),
-        ("satt", "--satt-heads", 0), ("satt", "--satt-alpha", -1.0)])
+        ("satt", "--satt-heads", 0), ("satt", "--satt-alpha", -1.0),
+        ("satt", "--satt-alpha", float("inf"))])
     def test_rejected_size_wins_over_a_missing_file(self, workspace, tmp_path, capsys,
                                                    model, flag, value):
         """Model sizes are checked with the config, before either split is read."""
@@ -383,7 +385,7 @@ class TestEvalCommand:
     def test_huge_txn_clip_exits_config_before_the_forward(self, two_modality_runs, tmp_path,
                                                            capsys, monkeypatch, key, value):
         """pad_len and num_segments shape no stored array, so the arrays cannot contradict
-        them; the stream config bounds them as the model is built, at train and at eval.
+        them; build_model's bounds hold them before the model is built, at train and at eval.
 
         The model is built for real here; only its forward, which would allocate
         a [B x pad_len x D] batch, is refused.
@@ -422,6 +424,32 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and "disagree with the checkpoint arrays" in err
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_repeated_modality_exits_config(self, two_modality_runs, tmp_path, capsys,
+                                            monkeypatch, model):
+        """Metadata naming rgb twice, every array sized to match: exit 2 before the build.
+
+        The flow arrays go and the classifier takes the rows of two rgb
+        modalities, so the arrays agree with every size the metadata states.
+        """
+        def refuse(*args, **kwargs):
+            raise AssertionError("model built with a repeated modality")
+
+        def edit(arrays, meta):
+            twin = build_model(model, [("rgb", 4), ("twin", 4)], meta["num_classes"],
+                               meta["model_kwargs"], rng(0))
+            for name in [n for n in arrays if ".flow." in n]:
+                del arrays[name]
+            arrays["classifier.w"] = twin.classifier_w.data
+            meta["modalities"] = [["rgb", 4], ["rgb", 4]]
+            monkeypatch.setattr(MODELS[model], "from_kwargs", refuse)  # after the twin's build
+
+        code = self.eval_rewritten(two_modality_runs, model, tmp_path, edit)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "distinct names" in err and "[['rgb', 4], ['rgb', 4]]" in err
 
     @pytest.mark.parametrize("key, value", [
         ("modalities", [["rgb"]]), ("modalities", "rgb"), ("modalities", [[4, 4]]),

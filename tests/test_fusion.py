@@ -386,8 +386,7 @@ class TestMeanPoolBaseline:
         with pytest.raises(ShapeError):
             params.prepare([{"rgb": np.ones((4, 5))}])
 
-    def test_init_validation(self):
-        with pytest.raises(ConfigError):
-            MeanPoolParams.init([], 2, rng(42))
-        with pytest.raises(ConfigError):
-            MeanPoolParams.init([("rgb", 3)], 1, rng(42))
+    def test_init_validation(self, refused):
+        """No modality or one class: build_model refuses the baseline."""
+        assert "modalities" in refused("meanpool", [], 2, {})
+        assert "num_classes" in refused("meanpool", [("rgb", 3)], 1, {})

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from seqcls import autodiff as ad
 from seqcls.autodiff import affine, rng
-from seqcls.training import MODELS, build_model
+from seqcls.data import FeatureSequence, VideoSample
+from seqcls.fusion import write_scores
+from seqcls.training import MODELS, build_model, evaluate, load_model, save_model
 
 PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -48,7 +50,7 @@ def model_cases(draw, model: str):
     # rounded frames repeat values, and round small negatives to -0.0
     batch = [{m: np.round(gen.normal(size=(t, d)), int(gen.integers(0, 3)))
               for (m, d), t in zip(modalities, counts)} for counts in lengths]
-    return params, batch, gen
+    return params, batch, gen, kwargs
 
 
 def logits(params, batch, mode):
@@ -93,7 +95,7 @@ def test_each_row_equals_the_video_scored_alone(model):
     @PROPERTIES
     @given(model_cases(model))
     def check(case):
-        params, batch, _ = case
+        params, batch, _, _ = case
         w, b = params.classifier_w.data, params.classifier_b.data
         for mode in BATCH_FREE_MODES[model]:
             out, reps = classified(params, batch, mode)
@@ -109,8 +111,36 @@ def test_each_row_equals_the_video_scored_alone(model):
 @PROPERTIES
 @given(model_cases("satt"))
 def test_satt_logits_ignore_frame_order(case):
-    params, batch, gen = case
+    params, batch, gen, _ = case
     want = logits(params, batch, "train")
     for _ in range(3):
         shuffled = [{m: x[gen.permutation(len(x))] for m, x in video.items()} for video in batch]
         assert_same_bits(logits(params, shuffled, "train"), want)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_checkpoint_round_trip_writes_the_same_scores(model, tmp_path):
+    """save_model, load_model, evaluate: the score bytes evaluate wrote before the save.
+
+    Loading rebuilds the model through build_model from the checkpoint's
+    metadata and arrays, so every drawn shape must pass its checks and
+    come back exactly.
+    """
+    before, after, path = tmp_path / "before.csv", tmp_path / "after.csv", tmp_path / "m.ckpt"
+
+    @PROPERTIES
+    @given(model_cases(model))
+    def check(case):
+        params, batch, gen, kwargs = case
+        for name, view in params.checkpoint_arrays():
+            if name.endswith((".mean", ".var")):  # txn's running statistics, fresh until trained
+                view[...] = gen.uniform(0.5, 2.0, size=view.shape)
+        samples = [VideoSample(f"v{i}", 0, [FeatureSequence(m, x) for m, x in video.items()])
+                   for i, video in enumerate(batch)]
+        write_scores(before, evaluate(model, params, samples))
+        save_model(path, model, params, kwargs)
+        name, loaded, _ = load_model(path)
+        write_scores(after, evaluate(name, loaded, samples))
+        assert after.read_bytes() == before.read_bytes()
+
+    check()

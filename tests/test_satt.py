@@ -185,16 +185,17 @@ class TestAttentionGroup:
         assert out.data.shape == (1, 18)
         assert abs(np.linalg.norm(out.data) - 1.0) <= 1e-9
 
-    def test_config_validation(self):
-        assert AttentionGroupConfig("rgb", 4, num_heads=MAX_NUM_HEADS).num_heads == MAX_NUM_HEADS
+    def test_config_validation(self, refused):
+        """build_model bounds a group's head count, sharpness and feature dim."""
+        assert SattNetParams.check_kwargs({"num_heads": MAX_NUM_HEADS, "alpha": 1.0}) is None
         for bad in (0, MAX_NUM_HEADS + 1, 10**9):
-            with pytest.raises(ConfigError,
-                               match=f"num_heads must lie in \\[1, {MAX_NUM_HEADS}\\]"):
-                AttentionGroupConfig(modality="rgb", feature_dim=4, num_heads=bad)
-        with pytest.raises(ConfigError):
-            AttentionGroupConfig(modality="rgb", feature_dim=4, alpha=0.0)
-        with pytest.raises(ConfigError):
-            AttentionGroupConfig(modality="rgb", feature_dim=0)
+            err = refused("satt", [("rgb", 4)], 2, {"num_heads": bad, "alpha": 1.0})
+            assert f"num_heads must lie in [1, {MAX_NUM_HEADS}], got {bad}" in err
+        err = refused("satt", [("rgb", 4)], 2, {"num_heads": 4, "alpha": 0.0})
+        assert "alpha must lie in (0, inf), got 0.0" in err
+        with pytest.raises(ConfigError, match=r"alpha must lie in \(0, inf\), got inf"):
+            SattNetParams.check_kwargs({"num_heads": 4, "alpha": float("inf")})
+        assert "[('rgb', 0)]" in refused("satt", [("rgb", 0)], 2, {"num_heads": 4, "alpha": 1.0})
 
 
 class TestSattNet:
@@ -247,15 +248,12 @@ class TestSattNet:
         assert_array_equal(net.classifier_b.data, np.zeros(3))
         assert net.classifier_w.data.shape == (2 * 4 + 1 * 3, 3)
 
-    def test_init_validation(self):
-        gen = rng(42)
-        cfg = AttentionGroupConfig(modality="rgb", feature_dim=4)
-        with pytest.raises(ConfigError):
-            SattNetParams.init([], 3, gen)
-        with pytest.raises(ConfigError):
-            SattNetParams.init([cfg], 1, gen)
-        with pytest.raises(ConfigError):
-            SattNetParams.init([cfg, cfg], 3, gen)
+    def test_init_validation(self, refused):
+        """No modality, one class or a modality named twice: build_model refuses the net."""
+        kwargs = {"num_heads": 4, "alpha": 1.0}
+        assert "modalities" in refused("satt", [], 3, kwargs)
+        assert "num_classes" in refused("satt", [("rgb", 4)], 1, kwargs)
+        assert "distinct names" in refused("satt", [("rgb", 4), ("rgb", 4)], 3, kwargs)
 
     def test_gradients_match_finite_differences(self):
         gen = rng(42)

@@ -66,7 +66,7 @@ class TestTrainConfig:
         {"adam_eps": 0.0},
         {"batch_size": 0},
         {"epochs": 0},
-        {"threads": 0},
+        {"satt_alpha": float("inf")},
         {"lr": float("nan")},
         {"lr": float("inf")},
         {"adam_eps": float("nan")},

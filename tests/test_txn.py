@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from seqcls import autodiff as ad
 from seqcls.autodiff import Value, rng
 from seqcls.data import modality_frames
-from seqcls.errors import ConfigError, ShapeError
+from seqcls.errors import ShapeError
 from seqcls.gradcheck import run_cases
 from seqcls.txn import (
     MAX_BLOCK_CHANNELS,
@@ -51,6 +52,11 @@ def small_config(**overrides):
                 kernel_size=3, block_channels=5, num_blocks=1)
     base.update(overrides)
     return TxnStreamConfig(**base)
+
+
+def small_kwargs(**overrides):
+    """The model_kwargs of small_config(**overrides)."""
+    return {key: getattr(small_config(**overrides), key) for key in TxnParams.CONFIG_FIELDS}
 
 
 def zero_block(block: TxnBlockParams) -> None:
@@ -158,30 +164,25 @@ class TestTxnStream:
         with pytest.raises(ShapeError):
             txn_stream_forward(stream, self.batch([np.ones((6, 4))], modality="flow"), "infer")
 
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            small_config(num_segments=9)  # above pad_len
-        with pytest.raises(ConfigError):
-            small_config(num_segments=1)
-        with pytest.raises(ConfigError):
-            small_config(kernel_size=2)
-        with pytest.raises(ConfigError):
-            small_config(num_blocks=0)
-        # pad_len shapes no stored array, so the config alone bounds it
-        assert small_config(pad_len=MAX_PAD_LEN).pad_len == MAX_PAD_LEN
+    def test_config_validation(self, refused):
+        for field, bad in (("num_segments", 9), ("num_segments", 1),  # 9 is above pad_len
+                           ("kernel_size", 2), ("num_blocks", 0)):
+            assert f"{field} must" in refused("txn", [("rgb", 4)], 3, small_kwargs(**{field: bad}))
+        assert "[('rgb', 0)]" in refused("txn", [("rgb", 0)], 3, small_kwargs())
+        # pad_len shapes no stored array, so only the bounds hold it
+        assert TxnParams.check_kwargs(small_kwargs(pad_len=MAX_PAD_LEN)) is None
         for bad in (0, MAX_PAD_LEN + 1, 10**9):
-            with pytest.raises(ConfigError, match="pad_len must lie in"):
-                small_config(pad_len=bad)
+            assert "pad_len must lie in" in refused("txn", [("rgb", 4)], 3, small_kwargs(pad_len=bad))
 
     @pytest.mark.parametrize("field, limit", [
         ("block_channels", MAX_BLOCK_CHANNELS), ("kernel_size", MAX_KERNEL_SIZE),
         ("num_blocks", MAX_NUM_BLOCKS)])
-    def test_sizes_without_arrays_are_bounded(self, field, limit):
-        """A train config's sizes have no arrays behind them, so the config bounds them."""
-        assert getattr(small_config(**{field: limit}), field) == limit
+    def test_sizes_without_arrays_are_bounded(self, refused, field, limit):
+        """A train config's sizes have no arrays behind them, so build_model bounds them."""
+        assert TxnParams.check_kwargs(small_kwargs(**{field: limit})) is None
         for bad in (0, limit + 2, 10**9 + 1):
-            with pytest.raises(ConfigError, match=f"{field} must .*lie in \\[1, {limit}\\]"):
-                small_config(**{field: bad})
+            err = refused("txn", [("rgb", 4)], 3, small_kwargs(**{field: bad}))
+            assert re.search(f"{field} must .*lie in \\[1, {limit}\\], got {bad}", err)
 
 
 class TestTxnNet:
@@ -313,9 +314,8 @@ class TestTxnNet:
         assert stored["stream.rgb.block0.layer0.bn.mean"] is layer.bn_state.mean
         assert stored["stream.rgb.entry_w"] is net.streams[0].entry_w.data
 
-    def test_duplicate_streams_rejected(self):
-        with pytest.raises(ConfigError):
-            TxnParams.init([small_config(), small_config()], 3, rng(42))
+    def test_duplicate_streams_rejected(self, refused):
+        assert "distinct names" in refused("txn", [("rgb", 4), ("rgb", 4)], 3, small_kwargs())
 
     def test_gradients_match_finite_differences(self):
         """The registry's block and net cases pass at the default tolerance."""
