@@ -240,16 +240,6 @@ class MeanPoolParams:
     # the baseline has no architecture knobs
     CONFIG_FIELDS = {}
 
-    @classmethod
-    def init(cls, modalities: list[tuple[str, int]], num_classes: int,
-             gen: np.random.Generator) -> "MeanPoolParams":
-        rep_dim = sum(d for _, d in modalities)
-        w = gen.normal(scale=np.sqrt(2.0 / rep_dim), size=(rep_dim, num_classes))
-        return cls(modalities=list(modalities),
-                   classifier_w=Value(w, requires_grad=True),
-                   classifier_b=Value(np.zeros(num_classes), requires_grad=True),
-                   num_classes=num_classes)
-
     @staticmethod
     def check_kwargs(kwargs: dict) -> None:
         """The baseline has no sizes to check."""
@@ -257,7 +247,12 @@ class MeanPoolParams:
     @classmethod
     def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,
                     gen: np.random.Generator) -> "MeanPoolParams":
-        return cls.init(modalities, num_classes, gen)
+        rep_dim = sum(d for _, d in modalities)
+        w = gen.normal(scale=np.sqrt(2.0 / rep_dim), size=(rep_dim, num_classes))
+        return cls(modalities=[(m, d) for m, d in modalities],
+                   classifier_w=Value(w, requires_grad=True),
+                   classifier_b=Value(np.zeros(num_classes), requires_grad=True),
+                   num_classes=num_classes)
 
     @staticmethod
     def sizes_from_arrays(modalities: list[tuple[str, int]], arrays: dict) -> dict:

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BnState, FdReport, Value, rng
 from .errors import ConfigError, NumericError
-from .satt import AttentionGroupConfig, SattHeadParams, SattNetParams, satt_head_forward, satt_net_forward
+from .satt import AttentionGroupParams, SattHeadParams, SattNetParams, satt_head_forward, satt_net_forward
 from .txn import TxnBlockParams, TxnParams, TxnStreamConfig, named_parameters, txn_block_forward, txn_forward
 
 MAX_RESAMPLE = 200
@@ -179,9 +179,9 @@ def _case_satt_head(gen):
 
 
 def _case_satt_net(gen):
-    configs = [AttentionGroupConfig("m0", feature_dim=3, num_heads=2, alpha=1.0),
-               AttentionGroupConfig("m1", feature_dim=4, num_heads=2, alpha=2.0)]
-    net = SattNetParams.init(configs, num_classes=3, gen=gen)
+    groups = [AttentionGroupParams.init("m0", feature_dim=3, num_heads=2, alpha=1.0, gen=gen),
+              AttentionGroupParams.init("m1", feature_dim=4, num_heads=2, alpha=2.0, gen=gen)]
+    net = SattNetParams.init(groups, num_classes=3, gen=gen)
     seqs = {"m0": Value(gen.normal(size=(5, 3))), "m1": Value(gen.normal(size=(5, 4)))}
     return _scalarized(gen, lambda: satt_net_forward(net, seqs)), net.parameters()
 

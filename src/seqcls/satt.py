@@ -12,13 +12,15 @@ group runs several heads over the same sequence and unit-normalizes their
 concatenation; the network concatenates all groups and applies an affine
 classifier.
 
-Everything runs as one batched path.  A modality group owns its H heads
-as three trainable leaves, w [H x D] and a, b [H x 1], and a checkpoint
-stores head i's three arrays as views of their row i; a block of B videos
-with T frames each, x [B x T x D], then takes a handful of ops:
-scores [B x H x T], attention weights [B x H x T], pooled heads
-[B x H x D], and the group representation [B x H*D].  Videos of a batch may
-differ in length: ``satt_representations`` groups the videos whose
+Everything runs as one batched path.  A modality group is its name, its
+sharpness alpha and its H heads as three trainable leaves, w [H x D] and
+a, b [H x 1], whose shapes alone record H and D; ``from_kwargs`` builds
+the groups and ``SattNetParams.init`` draws the classifier over them.  A
+checkpoint stores head i's three arrays as views of their row i.  A block
+of B videos with T frames each, x [B x T x D], takes a handful of ops:
+scores and attention weights [B x H x T], pooled heads [B x H x D], and
+the group representation [B x H*D].  Videos of a batch may differ in
+length: ``satt_representations`` groups the videos whose
 per-modality frame counts agree, runs each group as one block without any
 padding or mask, and puts the rows back in input order.  The single-video
 entry point is a B = 1 call of the same path, so its numbers equal the
@@ -125,7 +127,7 @@ def _pool_heads(x: Value, w: Value, a: Value, b: Value, alpha: float) -> Value:
 
 def _group_block(x: Value, group: AttentionGroupParams) -> Value:
     """Unit group representations [B x H*D]: the heads concatenated, normalized."""
-    out = _pool_heads(x, group.w, group.a, group.b, group.config.alpha)
+    out = _pool_heads(x, group.w, group.a, group.b, group.alpha)
     b, h, d = out.data.shape
     return ad.l2_normalize(ad.reshape(out, (b, h * d)))
 
@@ -142,34 +144,23 @@ def satt_head_forward(params: SattHeadParams, x: Value, alpha: float) -> Value:
 
 
 @dataclass
-class AttentionGroupConfig:
-    """Head bank for one modality: how many heads, how sharp (``build_model`` checks them)."""
+class AttentionGroupParams:
+    """One modality's H heads as one bank: vectors w [H x D] (H and D are its shape),
+    scales a and shifts b [H x 1], and their sharpness alpha."""
 
     modality: str
-    feature_dim: int
-    num_heads: int = 4
-    alpha: float = 1.0
-
-
-@dataclass
-class AttentionGroupParams:
-    """One modality's H heads as one bank: vectors w [H x D], scales a and shifts b [H x 1]."""
-
-    config: AttentionGroupConfig
+    alpha: float
     w: Value
     a: Value
     b: Value
 
     @classmethod
-    def init(cls, config: AttentionGroupConfig, gen: np.random.Generator) -> "AttentionGroupParams":
-        h, d = config.num_heads, config.feature_dim
+    def init(cls, modality: str, feature_dim: int, num_heads: int, alpha: float,
+             gen: np.random.Generator) -> "AttentionGroupParams":
+        h, d = num_heads, feature_dim
         w = gen.normal(scale=1.0 / np.sqrt(d), size=(h, d))  # = H SattHeadParams draws, bitwise
-        return cls(config, *(Value(v, requires_grad=True)
-                             for v in (w, np.ones((h, 1)), np.zeros((h, 1)))))
-
-    @property
-    def output_dim(self) -> int:
-        return self.config.num_heads * self.config.feature_dim
+        return cls(modality, alpha, *(Value(v, requires_grad=True)
+                                      for v in (w, np.ones((h, 1)), np.zeros((h, 1)))))
 
 
 @dataclass
@@ -186,10 +177,10 @@ class SattNetParams:
     CONFIG_FIELDS = {"num_heads": "satt_heads", "alpha": "satt_alpha"}
 
     @classmethod
-    def init(cls, group_configs: list[AttentionGroupConfig], num_classes: int,
+    def init(cls, groups: list[AttentionGroupParams], num_classes: int,
              gen: np.random.Generator) -> "SattNetParams":
-        groups = [AttentionGroupParams.init(c, gen) for c in group_configs]
-        rep_dim = sum(g.output_dim for g in groups)
+        """The net over built groups, with a freshly drawn classifier."""
+        rep_dim = sum(g.w.data.size for g in groups)
         w = gen.normal(scale=np.sqrt(2.0 / rep_dim), size=(rep_dim, num_classes))
         return cls(groups=groups,
                    classifier_w=Value(w, requires_grad=True),
@@ -199,7 +190,7 @@ class SattNetParams:
     @staticmethod
     def check_kwargs(kwargs: dict) -> None:
         """Raise ConfigError unless the head count and sharpness make valid groups."""
-        num_heads, alpha = int(kwargs["num_heads"]), float(kwargs["alpha"])
+        num_heads, alpha = kwargs["num_heads"], kwargs["alpha"]
         if not 1 <= num_heads <= MAX_NUM_HEADS:
             raise ConfigError(f"satt num_heads must lie in [1, {MAX_NUM_HEADS}], got {num_heads}")
         if not 0.0 < alpha < np.inf:
@@ -208,7 +199,7 @@ class SattNetParams:
     @classmethod
     def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,
                     gen: np.random.Generator) -> "SattNetParams":
-        return cls.init([AttentionGroupConfig(m, d, int(kwargs["num_heads"]), float(kwargs["alpha"]))
+        return cls.init([AttentionGroupParams.init(m, d, kwargs["num_heads"], kwargs["alpha"], gen)
                          for m, d in modalities], num_classes, gen)
 
     @staticmethod
@@ -226,8 +217,7 @@ class SattNetParams:
 
     def prepare(self, batch: list[dict[str, np.ndarray]]) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
         """Each video's inputs: per group, its checked frames [T x D] and their canonical order [T]."""
-        frames = [modality_frames(batch, g.config.modality, g.config.feature_dim)
-                  for g in self.groups]
+        frames = [modality_frames(batch, m, d) for m, d in self.modalities]
         return list(zip(*[zip(xs, _frame_orders(xs)) for xs in frames]))
 
     def forward_batch(self, inputs: list, mode: str) -> Value:
@@ -235,21 +225,21 @@ class SattNetParams:
         return satt_forward_batch(self, inputs)
 
     def parameters(self) -> list[tuple[str, Value]]:
-        return ([(f"group.{g.config.modality}.{f}", getattr(g, f))
+        return ([(f"group.{g.modality}.{f}", getattr(g, f))
                  for g in self.groups for f in ("w", "a", "b")]
                 + [("classifier.w", self.classifier_w), ("classifier.b", self.classifier_b)])
 
     def checkpoint_arrays(self) -> list[tuple[str, np.ndarray]]:
         """Head i's w, a and b as views of row i of its group's leaves, then the classifier."""
-        return [(f"group.{g.config.modality}.head{i}.{f}", view)
-                for g in self.groups for i in range(g.config.num_heads)
+        return [(f"group.{g.modality}.head{i}.{f}", view)
+                for g in self.groups for i in range(len(g.w.data))
                 for f, view in (("w", g.w.data[i]), ("a", g.a.data[i, 0, ...]),
                                 ("b", g.b.data[i, 0, ...]))] + [
             ("classifier.w", self.classifier_w.data), ("classifier.b", self.classifier_b.data)]
 
     @property
     def modalities(self) -> list[tuple[str, int]]:
-        return [(g.config.modality, g.config.feature_dim) for g in self.groups]
+        return [(g.modality, g.w.data.shape[1]) for g in self.groups]
 
 
 def satt_representations(params: SattNetParams, inputs: list) -> Value:

@@ -10,19 +10,21 @@ configuration produce byte-identical metrics, scores, and checkpoints.
 Models are reached only through ``MODELS``, a table from model name to
 parameter class; a new head is one new entry.  Each class provides
 ``CONFIG_FIELDS`` (checkpoint ``model_kwargs`` key -> ``TrainConfig``
-field), ``check_kwargs`` (the bounds on those values, which a train config
-also meets before any file is read), ``from_kwargs``, ``sizes_from_arrays``
-(the ``model_kwargs`` sizes and feature dims that a checkpoint's arrays
-fix), ``prepare`` (each video's
-per-modality frame arrays -> its model inputs, checked, with every
-parameter-free computation done), ``forward_batch`` (prepared inputs [B] ->
-logits [B x K], one graph), the named trainable leaves ``parameters()``,
+field), ``check_kwargs`` (the bounds on those values), ``from_kwargs``,
+``sizes_from_arrays`` (the ``model_kwargs`` sizes and feature dims that a
+checkpoint's arrays fix), ``prepare`` (each video's per-modality frame
+arrays -> its model inputs, checked, with every parameter-free computation
+done), ``forward_batch`` (prepared inputs [B] -> logits [B x K], one
+graph), the named trainable leaves ``parameters()``,
 ``checkpoint_arrays()`` (a checkpoint's arrays by name, in file order, as
 views of the model's storage) and its modalities.
 
-Every model, from a train config or a checkpoint, is built by
+``model_kwargs`` is the one record of a model's sizes: each value has the
+type of its ``TrainConfig`` default (a size is an int, ``alpha`` a float),
+so nothing casts one, and ``check_model_kwargs`` checks types and bounds,
+for a train config before any file is read.  Every model is built by
 ``build_model``, the one check of its shape (class count, modalities and
-sizes); the constructors behind ``from_kwargs`` check nothing.
+``model_kwargs``); the constructors behind ``from_kwargs`` check nothing.
 
 ``train`` prepares the training split once per call and hands each step
 its batch's inputs; ``evaluate`` prepares each chunk as it scores it.
@@ -109,7 +111,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        MODELS[self.model].check_kwargs(model_kwargs(self))
+        check_model_kwargs(self.model, model_kwargs(self))
 
 
 # ---------------------------------------------------------------------------
@@ -196,38 +198,46 @@ def model_kwargs(cfg: TrainConfig) -> dict:
             for key, field_name in MODELS[cfg.model].CONFIG_FIELDS.items()}
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; JSON true and false load as bools, which count as ints in Python."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def check_model_kwargs(model: str, kwargs: dict) -> None:
+    """Raise ConfigError unless each value has exactly the type of its ``TrainConfig``
+    default (a size is an int, never a float or a bool) and the model's bounds hold."""
+    cls = MODELS[model]
+    for key, field_name in cls.CONFIG_FIELDS.items():
+        kind = type(getattr(TrainConfig, field_name))
+        if type(kwargs[key]) is not kind:
+            raise ConfigError(f"{model} {key} must be of type {kind.__name__}, "
+                              f"got {kwargs[key]!r}")
+    cls.check_kwargs(kwargs)
 
 
 def build_model(model: str, modalities: list[tuple[str, int]], num_classes: int,
                 kwargs: dict, gen: np.random.Generator, arrays: dict | None = None):
     """A freshly initialized model, from a train config or a checkpoint.
 
-    The one check of a model's shape; the constructors check nothing.  In
-    order: the model name, the class count, the modalities, the kwargs'
-    keys and values, each value's type before it is hashed or compared.
+    The one check of a model's shape, from a train config or checkpoint
+    metadata; the constructors check nothing.  In order: the model name,
+    the class count, the modalities (a list of pairs), the kwargs (a dict:
+    keys, then values), each value's type before it is hashed or compared.
     Given a checkpoint's arrays, every size that shapes an array (the class
     count, the modality dims and the kwargs the model's
-    ``sizes_from_arrays`` names) must then agree with them, and last the
-    kwargs meet the model's ``check_kwargs`` bounds, so that a forged size
-    cannot make the build loop or allocate without bound.
+    ``sizes_from_arrays`` names) must then agree with them, and last
+    ``check_model_kwargs``, so that a forged size cannot make the build
+    loop or allocate without bound.
     """
     cls = MODELS.get(model) if isinstance(model, str) else None
     if cls is None:
         raise ConfigError(f"unknown model {model!r}, expected one of {tuple(MODELS)}")
-    if not _is_int(num_classes) or num_classes < 2:
+    if type(num_classes) is not int or num_classes < 2:
         raise DataError(f"num_classes must be an integer >= 2, got {num_classes!r}")
-    if not (modalities and all(isinstance(m, str) and _is_int(d) and d >= 1 for m, d in modalities)
+    if not (isinstance(modalities, list) and modalities
+            and all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in modalities)
+            and all(isinstance(m, str) and type(d) is int and d >= 1 for m, d in modalities)
             and len({m for m, _ in modalities}) == len(modalities)):
         raise DataError(f"modalities must be (name, dim >= 1) pairs with distinct names, "
                         f"at least one, got {modalities!r}")
-    modalities = [(m, d) for m, d in modalities]
-    missing = sorted(set(cls.CONFIG_FIELDS) - set(kwargs))
-    unknown = sorted(set(kwargs) - set(cls.CONFIG_FIELDS))
-    if missing or unknown:
-        raise DataError(f"{model} model_kwargs: missing {missing}, unknown {unknown}")
+    if not isinstance(kwargs, dict) or set(kwargs) != set(cls.CONFIG_FIELDS):
+        raise DataError(f"{model} model_kwargs must be a dict of {sorted(cls.CONFIG_FIELDS)}, "
+                        f"got {kwargs!r}")
     # a JSON number is an int, which is finite, or a float, which may not be
     if not all(isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
                for v in kwargs.values()):
@@ -242,7 +252,7 @@ def build_model(model: str, modalities: list[tuple[str, int]], num_classes: int,
         if wrong:
             raise DataError(f"{model} sizes {wrong} disagree with the checkpoint arrays, "
                             f"which imply {implied}")
-    cls.check_kwargs(kwargs)
+    check_model_kwargs(model, kwargs)
     return cls.from_kwargs(modalities, num_classes, kwargs, gen)
 
 
@@ -297,13 +307,8 @@ def load_model(path):
     for key in ("model", "num_classes", "modalities", "model_kwargs"):
         if key not in meta:
             raise DataError(f"checkpoint metadata missing {key!r}")
-    modalities, kwargs = meta["modalities"], meta["model_kwargs"]
-    if not (isinstance(modalities, list)
-            and all(isinstance(pair, list) and len(pair) == 2 for pair in modalities)):
-        raise DataError(f"checkpoint modalities must be [name, dim] pairs, got {modalities!r}")
-    if not isinstance(kwargs, dict):
-        raise DataError(f"checkpoint model_kwargs must be a JSON object, got {kwargs!r}")
-    params = build_model(meta["model"], modalities, meta["num_classes"], kwargs, rng(0), arrays)
+    params = build_model(meta["model"], meta["modalities"], meta["num_classes"],
+                         meta["model_kwargs"], rng(0), arrays)
     restore_arrays(params, arrays)
     return meta["model"], params, meta
 

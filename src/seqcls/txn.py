@@ -169,7 +169,7 @@ class TxnParams:
     def check_kwargs(cls, kwargs: dict) -> None:
         """Raise ConfigError unless the sizes make valid streams."""
         pad_len, num_segments, kernel_size, block_channels, num_blocks = (
-            int(kwargs[key]) for key in cls.CONFIG_FIELDS)
+            kwargs[key] for key in cls.CONFIG_FIELDS)
         if not 1 <= pad_len <= MAX_PAD_LEN:
             raise ConfigError(f"txn pad_len must lie in [1, {MAX_PAD_LEN}], got {pad_len}")
         if not 2 <= num_segments <= pad_len:
@@ -186,8 +186,7 @@ class TxnParams:
     @classmethod
     def from_kwargs(cls, modalities: list[tuple[str, int]], num_classes: int, kwargs: dict,
                     gen: np.random.Generator) -> "TxnParams":
-        shape = {key: int(kwargs[key]) for key in cls.CONFIG_FIELDS}
-        return cls.init([TxnStreamConfig(modality=m, feature_dim=d, **shape)
+        return cls.init([TxnStreamConfig(modality=m, feature_dim=d, **kwargs)
                          for m, d in modalities], num_classes, gen)
 
     @staticmethod

@@ -345,6 +345,41 @@ class TestEvalCommand:
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and "must be finite numbers" in err
 
+    @pytest.mark.parametrize("model, edits", [
+        ("txn", {"pad_len": 6.5, "num_segments": 3.9}), ("txn", {"kernel_size": 3.0}),
+        ("satt", {"num_heads": True}), ("satt", {"alpha": 1}), ("satt", {})])
+    def test_model_kwargs_of_the_wrong_type_exit_config(self, two_modality_runs, tmp_path,
+                                                        capsys, monkeypatch, model, edits):
+        """A size that is not an int, or an alpha that is not a float: exit 2 before the build.
+
+        No such value contradicts the arrays: pad_len and num_segments shape
+        none, 3.0 == 3, and True == 1 on a checkpoint rebuilt with one head
+        (which, unedited, scores with exit 0).
+        """
+        def refuse(*args, **kwargs):
+            raise AssertionError("model built from a model_kwargs value of the wrong type")
+
+        def edit(arrays, meta):
+            kwargs = meta["model_kwargs"]
+            if model == "satt":
+                kwargs["num_heads"] = 1
+                one = build_model(model, meta["modalities"], meta["num_classes"], kwargs, rng(0))
+                arrays.clear()
+                arrays.update(one.checkpoint_arrays())
+            kwargs.update(edits)
+            if edits:
+                monkeypatch.setattr(MODELS[model], "from_kwargs", refuse)  # after the rebuild
+
+        code = self.eval_rewritten(two_modality_runs, model, tmp_path, edit)
+        err = capsys.readouterr().err
+        if not edits:
+            assert (code, err) == (EXIT_OK, "")
+            return
+        key, value = next(iter(edits.items()))
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"{model} {key} must be of type" in err and f"got {value!r}" in err
+
     @pytest.mark.parametrize("model, key, value", [
         ("satt", "num_heads", 10**9), ("satt", "num_heads", 1e300),
         ("txn", "block_channels", 10**9), ("txn", "kernel_size", 1e300),

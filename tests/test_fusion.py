@@ -355,7 +355,7 @@ class TestMeanPoolBaseline:
     def test_matches_concat_of_means_oracle(self):
         """A ragged batch scores each video as concat(frame means) @ W + b."""
         gen = rng(42)
-        params = MeanPoolParams.init([("rgb", 3), ("flow", 2)], num_classes=4, gen=gen)
+        params = MeanPoolParams.from_kwargs([("rgb", 3), ("flow", 2)], 4, {}, gen)
         params.classifier_b.data[...] = gen.normal(size=4)
         batch = [{"rgb": gen.normal(size=(int(gen.integers(1, 9)), 3)),
                   "flow": gen.normal(size=(int(gen.integers(1, 9)), 2))} for _ in range(7)]
@@ -369,7 +369,7 @@ class TestMeanPoolBaseline:
 
     def test_frame_order_changes_no_bit(self):
         gen = rng(42)
-        params = MeanPoolParams.init([("rgb", 3)], num_classes=2, gen=gen)
+        params = MeanPoolParams.from_kwargs([("rgb", 3)], 2, {}, gen)
         x = gen.normal(size=(9, 3))
         base = mean_pool_forward(params, params.prepare([{"rgb": x}])).data
         for _ in range(10):
@@ -377,12 +377,12 @@ class TestMeanPoolBaseline:
             assert_array_equal(shuffled.data, base)
 
     def test_missing_modality_rejected(self):
-        params = MeanPoolParams.init([("rgb", 3)], num_classes=2, gen=rng(42))
+        params = MeanPoolParams.from_kwargs([("rgb", 3)], 2, {}, rng(42))
         with pytest.raises(ShapeError):
             params.prepare([{}])
 
     def test_dim_mismatch_rejected(self):
-        params = MeanPoolParams.init([("rgb", 3)], num_classes=2, gen=rng(42))
+        params = MeanPoolParams.from_kwargs([("rgb", 3)], 2, {}, rng(42))
         with pytest.raises(ShapeError):
             params.prepare([{"rgb": np.ones((4, 5))}])
 

@@ -19,7 +19,7 @@ from seqcls import autodiff as ad
 from seqcls.autodiff import affine, rng
 from seqcls.data import FeatureSequence, VideoSample
 from seqcls.fusion import write_scores
-from seqcls.training import MODELS, build_model, evaluate, load_model, save_model
+from seqcls.training import MODELS, Adam, build_model, evaluate, load_model, save_model
 
 PROPERTIES = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -116,6 +116,63 @@ def test_satt_logits_ignore_frame_order(case):
     for _ in range(3):
         shuffled = [{m: x[gen.permutation(len(x))] for m, x in video.items()} for video in batch]
         assert_same_bits(logits(params, shuffled, "train"), want)
+
+
+def train_loss(params, batch, labels):
+    """Cross-entropy of a train-mode forward of the batch."""
+    return ad.cross_entropy(params.forward_batch(params.prepare(batch), "train"), labels)
+
+
+def drawn_labels(params, batch, gen):
+    return [int(k) for k in gen.integers(0, params.num_classes, size=len(batch))]
+
+
+@PROPERTIES
+@given(model_cases("satt"))
+def test_satt_gradients_ignore_frame_order(case):
+    """Each video's frames permuted per modality: every parameter gradient, bitwise."""
+    params, batch, gen, _ = case
+    leaves = [v for _, v in params.parameters()]
+    labels = drawn_labels(params, batch, gen)
+
+    def grads(videos):
+        ad.zero_grads(leaves)
+        ad.backward(train_loss(params, videos, labels))
+        return [v.grad.copy() for v in leaves]
+
+    want = grads(batch)
+    for _ in range(3):
+        shuffled = [{m: x[gen.permutation(len(x))] for m, x in video.items()} for video in batch]
+        for got, expected in zip(grads(shuffled), want):
+            assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_parameters_stay_views_of_the_arena_after_a_step(model):
+    """After ``ad.pack`` and one Adam step, every parameter's values and gradient are
+    still views of the flat leaf's, and every checkpoint array still a view of its
+    leaf: the views taken before the step show the stepped values."""
+    @PROPERTIES
+    @given(model_cases(model))
+    def check(case):
+        params, batch, gen, _ = case
+        flat = ad.pack(v for _, v in params.parameters())
+        before = params.checkpoint_arrays()
+        ad.zero_grads([flat])
+        ad.backward(train_loss(params, batch, drawn_labels(params, batch, gen)))
+        Adam(lr=0.1).step(flat)
+        for name, v in params.parameters():
+            assert np.shares_memory(v.data, flat.data) and np.shares_memory(v.grad, flat.grad), name
+        after = params.checkpoint_arrays()
+        assert [name for name, _ in after] == [name for name, _ in before]
+        for (name, old), (_, new) in zip(before, after):
+            # txn's batch-norm running statistics live outside the arena, in its BnStates
+            in_arena = not name.endswith((".mean", ".var"))
+            assert np.shares_memory(new, flat.data) == in_arena, name
+            assert np.shares_memory(old, new), name
+            assert_same_bits(old, new)
+
+    check()
 
 
 @pytest.mark.parametrize("model", MODELS)

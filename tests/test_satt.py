@@ -13,7 +13,6 @@ from seqcls.data import FeatureSequence, VideoSample, modality_frames
 from seqcls.errors import ConfigError, ShapeError
 from seqcls.satt import (
     MAX_NUM_HEADS,
-    AttentionGroupConfig,
     AttentionGroupParams,
     SattHeadParams,
     SattNetParams,
@@ -53,7 +52,7 @@ def group_oracle_bitwise(x, group):
     x = x[np.lexsort(x.view(np.uint64).T)]
     w, a, b = group.w.data, group.a.data, group.b.data
     s = np.matmul(w, x.T)
-    e = np.exp(group.config.alpha * (s - s.max(axis=-1, keepdims=True)))
+    e = np.exp(group.alpha * (s - s.max(axis=-1, keepdims=True)))
     lam = e / np.sum(e, axis=-1, keepdims=True)
     return unit(unit(np.matmul(lam, x) * a + b).reshape(-1))
 
@@ -65,7 +64,7 @@ def make_head(gen, dim):
 def group_heads(group):
     """A group's heads as single-head parameters: row i of its w, a and b."""
     return [SattHeadParams(w=Value(group.w.data[i]), a=Value(group.a.data[i, 0]),
-                           b=Value(group.b.data[i, 0])) for i in range(group.config.num_heads)]
+                           b=Value(group.b.data[i, 0])) for i in range(len(group.w.data))]
 
 
 class TestSattHead:
@@ -154,22 +153,21 @@ class TestAttentionGroup:
         its own, so it agrees to within rounding.
         """
         gen = rng(42)
-        cfg = AttentionGroupConfig(modality="rgb", feature_dim=5, num_heads=2, alpha=1.3)
-        net = SattNetParams.init([cfg], 2, gen)
+        group = AttentionGroupParams.init("rgb", feature_dim=5, num_heads=2, alpha=1.3, gen=gen)
+        net = SattNetParams.init([group], 2, gen)
         x = Value(gen.normal(size=(7, 5)))
         rep = satt_representations(net, net.prepare([{"rgb": x.data}])).data[0]
         assert_array_equal(rep, group_oracle_bitwise(x.data, net.groups[0]))
         expected = ad.l2_normalize(ad.concat(
-            [satt_head_forward(h, x, cfg.alpha) for h in group_heads(net.groups[0])], axis=0))
+            [satt_head_forward(h, x, group.alpha) for h in group_heads(group)], axis=0))
         assert_allclose(rep, expected.data, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("heads, dim", [(1, 1), (1, 5), (3, 4), (4, 16)])
     def test_init_draws_the_bits_of_successive_heads(self, heads, dim):
         """One H x D draw gives what H single-head draws gave, and leaves the generator
         where they left it, so the classifier and every later group draw the same too."""
-        cfg = AttentionGroupConfig(modality="rgb", feature_dim=dim, num_heads=heads)
         gen_group, gen_heads = rng(5), rng(5)
-        group = AttentionGroupParams.init(cfg, gen_group)
+        group = AttentionGroupParams.init("rgb", dim, heads, 1.0, gen_group)
         single = [SattHeadParams.init(dim, gen_heads) for _ in range(heads)]
         assert_same_bits(group.w.data, np.stack([h.w.data for h in single]))
         assert_same_bits(group.a.data, np.stack([h.a.data for h in single])[:, None])
@@ -177,10 +175,13 @@ class TestAttentionGroup:
         assert_same_bits(gen_group.normal(size=3), gen_heads.normal(size=3))
 
     def test_output_dim_counts_heads(self):
-        cfg = AttentionGroupConfig(modality="rgb", feature_dim=6, num_heads=3)
-        group = AttentionGroupParams.init(cfg, rng(42))
-        assert group.output_dim == 18
-        net = SattNetParams.init([cfg], 2, rng(42))
+        """A group's head count and dim are its w's shape; its representation is H*D wide."""
+        gen = rng(42)
+        group = AttentionGroupParams.init("rgb", 6, 3, 1.0, gen)
+        assert group.w.data.shape == (3, 6)
+        net = SattNetParams.init([group], 2, gen)
+        assert net.modalities == [("rgb", 6)] and net.classifier_w.data.shape == (18, 2)
+        assert len(net.checkpoint_arrays()) == 3 * 3 + 2
         out = satt_representations(net, net.prepare([{"rgb": rng(1).normal(size=(4, 6))}]))
         assert out.data.shape == (1, 18)
         assert abs(np.linalg.norm(out.data) - 1.0) <= 1e-9
@@ -200,9 +201,9 @@ class TestAttentionGroup:
 
 class TestSattNet:
     def make_net(self, gen, num_classes=3):
-        configs = [AttentionGroupConfig(modality="rgb", feature_dim=4, num_heads=2),
-                   AttentionGroupConfig(modality="flow", feature_dim=3, num_heads=1)]
-        return SattNetParams.init(configs, num_classes, gen)
+        groups = [AttentionGroupParams.init("rgb", feature_dim=4, num_heads=2, alpha=1.0, gen=gen),
+                  AttentionGroupParams.init("flow", feature_dim=3, num_heads=1, alpha=1.0, gen=gen)]
+        return SattNetParams.init(groups, num_classes, gen)
 
     def seqs(self, gen):
         return {"rgb": Value(gen.normal(size=(6, 4))),
@@ -278,7 +279,7 @@ class TestSattNet:
         gen = rng(42)
         net = self.make_net(gen)
         for g in net.groups:
-            for i in range(g.config.num_heads):
+            for i in range(len(g.w.data)):
                 g.b.data[i] = gen.normal()
         seqs = self.seqs(rng(3))
         backward(ad.cross_entropy(ad.reshape(satt_net_forward(net, seqs), (1, 3)), [0]))
@@ -292,9 +293,9 @@ def net_oracle(net, sequences):
     """Plain-numpy logits for one video: heads, groups, classifier."""
     reps = []
     for g in net.groups:
-        x = sequences[g.config.modality]
+        x = sequences[g.modality]
         heads = [head_oracle(x, g.w.data[i], float(g.a.data[i, 0]), float(g.b.data[i, 0]),
-                             g.config.alpha)[0] for i in range(g.config.num_heads)]
+                             g.alpha)[0] for i in range(len(g.w.data))]
         v = np.concatenate(heads)
         reps.append(v / max(np.linalg.norm(v), 1e-12))
     return np.concatenate(reps) @ net.classifier_w.data + net.classifier_b.data
@@ -303,11 +304,11 @@ def net_oracle(net, sequences):
 class TestBatchedPath:
     @staticmethod
     def make_net(gen):
-        configs = [AttentionGroupConfig(modality="rgb", feature_dim=4, num_heads=3, alpha=1.5),
-                   AttentionGroupConfig(modality="flow", feature_dim=3, num_heads=2, alpha=0.7)]
-        net = SattNetParams.init(configs, 5, gen)
+        groups = [AttentionGroupParams.init("rgb", feature_dim=4, num_heads=3, alpha=1.5, gen=gen),
+                  AttentionGroupParams.init("flow", feature_dim=3, num_heads=2, alpha=0.7, gen=gen)]
+        net = SattNetParams.init(groups, 5, gen)
         for g in net.groups:
-            for i in range(g.config.num_heads):
+            for i in range(len(g.w.data)):
                 g.a.data[i] = gen.uniform(0.5, 2.0)
                 g.b.data[i] = gen.normal()
         net.classifier_b.data[...] = gen.normal(size=5)
@@ -338,7 +339,7 @@ class TestBatchedPath:
         batch = self.ragged_batch(gen, n=5)
         reps = satt_representations(net, net.prepare(batch)).data
         for i, s in enumerate(batch):
-            expected = np.concatenate([group_oracle_bitwise(s[g.config.modality], g)
+            expected = np.concatenate([group_oracle_bitwise(s[g.modality], g)
                                        for g in net.groups])
             assert_array_equal(reps[i], expected)
 
@@ -596,8 +597,7 @@ def per_block_logits(params, batch):
     length block's frames per modality and sorted the stack with one
     ``_frame_order`` call, then ran the groups and the classifier.
     """
-    frames = [modality_frames(batch, g.config.modality, g.config.feature_dim)
-              for g in params.groups]
+    frames = [modality_frames(batch, m, d) for m, d in params.modalities]
     blocks = {}
     for i, counts in enumerate(zip(*[[len(x) for x in xs] for xs in frames])):
         blocks.setdefault(counts, []).append(i)

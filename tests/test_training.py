@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pytest
@@ -71,10 +71,21 @@ class TestTrainConfig:
         {"lr": float("inf")},
         {"adam_eps": float("nan")},
         {"adam_eps": float("inf")},
+        {"model": "txn", "txn_pad_len": 6.5, "txn_segments": 3},
+        {"satt_heads": True},
+        {"satt_alpha": 2},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    def test_model_kwargs_name_int_or_float_fields(self):
+        """A model_kwargs value must have its TrainConfig default's type, so every
+        CONFIG_FIELDS entry names a field whose default is exactly an int or a float."""
+        defaults = {f.name: f.default for f in fields(TrainConfig)}
+        for cls in MODELS.values():
+            for key, name in cls.CONFIG_FIELDS.items():
+                assert name in defaults and type(defaults[name]) in (int, float), (key, name)
 
 
 def graph_nodes(root):
