@@ -27,6 +27,7 @@ the gradient of any parent that does not require one.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,9 +46,9 @@ def rng(*seeds: int) -> np.random.Generator:
     """Deterministic generator (PCG64): identical seeds, identical stream.
 
     Extra integers select independent substreams, e.g. ``rng(seed, epoch)``.
-    Every seed must be a non-negative integer.
+    Every seed must be a non-negative integer; a float raises TypeError.
     """
-    seeds = [int(s) for s in seeds]
+    seeds = [operator.index(s) for s in seeds]
     if min(seeds, default=0) < 0:
         raise ConfigError(f"seed must be non-negative, got {min(seeds)}")
     return np.random.default_rng(seeds)

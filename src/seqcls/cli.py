@@ -143,25 +143,17 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-def _coerce(name: str, raw: str, target_type) -> object:
-    try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"config value {name}={raw!r} is not a valid {target_type.__name__}") from exc
-
-
 def make_train_config(file_values: dict[str, str], flag_values: dict[str, str]) -> TrainConfig:
-    """Defaults, overridden by the config file, overridden by flags."""
-    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    pytypes = {"int": int, "float": float, "str": str}
+    """Defaults, overridden by the config file, overridden by flags; each value is
+    read as its field's default's type, the one type ``TrainConfig`` accepts."""
     merged: dict[str, object] = {}
-    for source in (file_values, flag_values):
-        for name, raw in source.items():
-            merged[name] = _coerce(name, raw, pytypes.get(str(types[name]), str))
+    for name, raw in [*file_values.items(), *flag_values.items()]:
+        kind = type(getattr(TrainConfig, name))
+        try:
+            merged[name] = kind(raw)
+        except ValueError as exc:
+            raise ConfigError(f"config value {name}={raw!r} is not a valid "
+                              f"{kind.__name__}") from exc
     return TrainConfig(**merged)
 
 

@@ -19,12 +19,13 @@ graph), the named trainable leaves ``parameters()``,
 ``checkpoint_arrays()`` (a checkpoint's arrays by name, in file order, as
 views of the model's storage) and its modalities.
 
-``model_kwargs`` is the one record of a model's sizes: each value has the
-type of its ``TrainConfig`` default (a size is an int, ``alpha`` a float),
-so nothing casts one, and ``check_model_kwargs`` checks types and bounds,
-for a train config before any file is read.  Every model is built by
-``build_model``, the one check of its shape (class count, modalities and
-``model_kwargs``); the constructors behind ``from_kwargs`` check nothing.
+Every ``TrainConfig`` field has exactly its default's type (an int is never
+a float or a bool), which ``_check_type`` tests before any range, the seed
+or the model's ``check_kwargs`` bounds, all before any file is read; so
+nothing casts a ``model_kwargs`` size, and ``check_model_kwargs`` holds a
+checkpoint's to the same rule.  Every model is built by ``build_model``, the
+one check of its shape (class count, modalities and ``model_kwargs``); the
+constructors behind ``from_kwargs`` check nothing.
 
 ``train`` prepares the training split once per call and hands each step
 its batch's inputs; ``evaluate`` prepares each chunk as it scores it.
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -95,6 +96,8 @@ class TrainConfig:
     txn_blocks: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), f.default)
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {tuple(MODELS)}")
         if self.optimizer not in OPTIMIZERS:
@@ -111,7 +114,9 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        check_model_kwargs(self.model, model_kwargs(self))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        MODELS[self.model].check_kwargs(model_kwargs(self))
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +203,17 @@ def model_kwargs(cfg: TrainConfig) -> dict:
             for key, field_name in MODELS[cfg.model].CONFIG_FIELDS.items()}
 
 
+def _check_type(name: str, value, default) -> None:
+    """Raise ConfigError unless value has exactly default's type (a bool is no int)."""
+    if type(value) is not type(default):
+        raise ConfigError(f"{name} must be of type {type(default).__name__}, got {value!r}")
+
+
 def check_model_kwargs(model: str, kwargs: dict) -> None:
-    """Raise ConfigError unless each value has exactly the type of its ``TrainConfig``
-    default (a size is an int, never a float or a bool) and the model's bounds hold."""
+    """Raise ConfigError unless each value has its default's type and the bounds hold."""
     cls = MODELS[model]
     for key, field_name in cls.CONFIG_FIELDS.items():
-        kind = type(getattr(TrainConfig, field_name))
-        if type(kwargs[key]) is not kind:
-            raise ConfigError(f"{model} {key} must be of type {kind.__name__}, "
-                              f"got {kwargs[key]!r}")
+        _check_type(f"{model} {key}", kwargs[key], getattr(TrainConfig, field_name))
     cls.check_kwargs(kwargs)
 
 

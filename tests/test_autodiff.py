@@ -674,6 +674,16 @@ class TestRng:
     def test_substreams_differ(self):
         assert not np.array_equal(rng(42).normal(size=5), rng(42, 1).normal(size=5))
 
+    def test_float_seed_raises_and_numpy_integer_seed_is_its_int(self):
+        """A fractional seed is refused, never truncated to another seed's stream."""
+        with pytest.raises(TypeError):
+            rng(1.5)
+        with pytest.raises(TypeError):
+            rng(3, 1.0)
+        assert_array_equal(rng(np.int64(3)).normal(size=5), rng(3).normal(size=5))
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+            rng(np.int64(-1))
+
 
 # ---------------------------------------------------------------------------
 # one-pass txn ops against the implementations they replaced

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -26,7 +27,7 @@ from seqcls.data import read_checkpoint, read_labels, read_mmf, write_checkpoint
 from seqcls.errors import ConfigError
 from seqcls.fusion import read_scores
 from seqcls.satt import MAX_NUM_HEADS
-from seqcls.training import MODELS, MetricsReport, build_model
+from seqcls.training import MODELS, MetricsReport, TrainConfig, build_model
 from seqcls.txn import MAX_BLOCK_CHANNELS, MAX_KERNEL_SIZE, MAX_NUM_BLOCKS
 
 SMALL_GEN = ["--classes", "3", "--videos-per-class", "5", "--frames", "6",
@@ -205,10 +206,10 @@ class TestTrainCommand:
     @pytest.mark.parametrize("model, flag, value", [
         ("txn", "--txn-channels", 100000), ("txn", "--txn-segments", 31),
         ("satt", "--satt-heads", 0), ("satt", "--satt-alpha", -1.0),
-        ("satt", "--satt-alpha", float("inf"))])
+        ("satt", "--satt-alpha", float("inf")), ("satt", "--seed", -1)])
     def test_rejected_size_wins_over_a_missing_file(self, workspace, tmp_path, capsys,
                                                    model, flag, value):
-        """Model sizes are checked with the config, before either split is read."""
+        """Model sizes and the seed are checked with the config, before either split is read."""
         code = main(["train", "--train", str(tmp_path / "missing.mmf"),
                      "--val", str(workspace["data"] / "val.mmf"), "--out", str(tmp_path / "r"),
                      "--model", model, "--quiet", flag, str(value)])
@@ -263,6 +264,15 @@ class TestConfigFile:
     def test_type_coercion_failure_rejected(self):
         with pytest.raises(ConfigError):
             make_train_config({"epochs": "many"}, {})
+
+    def test_every_field_is_read_as_its_defaults_type(self):
+        """Every default is exactly an int, a float or a str, and the string of each
+        default reads back as that default, so the command line and the type rule
+        of ``TrainConfig`` cannot drift apart."""
+        defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        assert all(type(d) in (int, float, str) for d in defaults.values()), defaults
+        cfg = make_train_config({name: str(d) for name, d in defaults.items()}, {})
+        assert cfg == TrainConfig()
 
     def test_config_file_drives_training(self, workspace, tmp_path, capsys):
         data = workspace["data"]

@@ -74,6 +74,14 @@ class TestTrainConfig:
         {"model": "txn", "txn_pad_len": 6.5, "txn_segments": 3},
         {"satt_heads": True},
         {"satt_alpha": 2},
+        {"epochs": 2.5},
+        {"batch_size": 2.5},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": -1},
+        {"lr": "0.1"},
+        {"model": ["satt"]},
+        {"model": "satt", "txn_pad_len": "x"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
