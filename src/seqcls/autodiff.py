@@ -46,8 +46,10 @@ def rng(*seeds: int) -> np.random.Generator:
     """Deterministic generator (PCG64): identical seeds, identical stream.
 
     Extra integers select independent substreams, e.g. ``rng(seed, epoch)``.
-    Every seed must be a non-negative integer; a float raises TypeError.
+    Every seed must be a non-negative integer; a float or a bool raises TypeError.
     """
+    if any(isinstance(s, bool) for s in seeds):
+        raise TypeError(f"a seed must be an integer, not a bool, got {seeds}")
     seeds = [operator.index(s) for s in seeds]
     if min(seeds, default=0) < 0:
         raise ConfigError(f"seed must be non-negative, got {min(seeds)}")

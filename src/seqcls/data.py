@@ -21,6 +21,9 @@ mostly washes the signal out.
 reads a batch's frames through it as float64 arrays, and it raises
 ``ShapeError`` for an empty batch, a missing modality or a wrong shape.
 
+Every ``SynthConfig`` field has exactly its default's type (modalities map
+str to int), checked by ``check_type``, which ``TrainConfig`` shares.
+
 Every artifact writer goes through ``atomic_write``, so a failed write
 leaves an existing file as it was and no half-written file behind.
 """
@@ -37,7 +40,7 @@ import os
 import struct
 import uuid
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -268,6 +271,12 @@ def modality_dims(samples: list[VideoSample]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
+def check_type(name: str, value, default) -> None:
+    """Raise ConfigError unless value has exactly default's type (a bool is no int)."""
+    if type(value) is not type(default):
+        raise ConfigError(f"{name} must be of type {type(default).__name__}, got {value!r}")
+
+
 @dataclass
 class SynthConfig:
     # noise_std 0.4 keeps the planted frames recoverable by trainable frame
@@ -283,6 +292,11 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for f in fields(self):
+            default = f.default_factory() if f.default is MISSING else f.default
+            check_type(f.name, getattr(self, f.name), default)
+        if not all(type(m) is str and type(d) is int for m, d in self.modalities.items()):
+            raise ConfigError(f"modalities must map names to int dims, got {self.modalities!r}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.videos_per_class < 5:

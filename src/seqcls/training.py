@@ -20,15 +20,15 @@ graph), the named trainable leaves ``parameters()``,
 views of the model's storage) and its modalities.
 
 Every ``TrainConfig`` field has exactly its default's type (an int is never
-a float or a bool), which ``_check_type`` tests before any range, the seed
+a float or a bool), which ``check_type`` tests before any range, the seed
 or the model's ``check_kwargs`` bounds, all before any file is read; so
 nothing casts a ``model_kwargs`` size, and ``check_model_kwargs`` holds a
 checkpoint's to the same rule.  Every model is built by ``build_model``, the
 one check of its shape (class count, modalities and ``model_kwargs``); the
 constructors behind ``from_kwargs`` check nothing.
 
-``train`` prepares the training split once per call and hands each step
-its batch's inputs; ``evaluate`` prepares each chunk as it scores it.
+Each split is prepared once, by its holder: ``train`` prepares both splits
+per call, and ``evaluate`` only samples handed to it without their inputs.
 
 ``train`` packs the model's parameters into one flat arena
 (``autodiff.pack``): each parameter's values and gradient are views of one
@@ -53,6 +53,7 @@ from .data import (
     VideoSample,
     array_extent,
     batch_iter,
+    check_type,
     modality_dims,
     read_checkpoint,
     read_mmf,
@@ -97,7 +98,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_type(f.name, getattr(self, f.name), f.default)
+            check_type(f.name, getattr(self, f.name), f.default)
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {tuple(MODELS)}")
         if self.optimizer not in OPTIMIZERS:
@@ -203,17 +204,11 @@ def model_kwargs(cfg: TrainConfig) -> dict:
             for key, field_name in MODELS[cfg.model].CONFIG_FIELDS.items()}
 
 
-def _check_type(name: str, value, default) -> None:
-    """Raise ConfigError unless value has exactly default's type (a bool is no int)."""
-    if type(value) is not type(default):
-        raise ConfigError(f"{name} must be of type {type(default).__name__}, got {value!r}")
-
-
 def check_model_kwargs(model: str, kwargs: dict) -> None:
     """Raise ConfigError unless each value has its default's type and the bounds hold."""
     cls = MODELS[model]
     for key, field_name in cls.CONFIG_FIELDS.items():
-        _check_type(f"{model} {key}", kwargs[key], getattr(TrainConfig, field_name))
+        check_type(f"{model} {key}", kwargs[key], getattr(TrainConfig, field_name))
     cls.check_kwargs(kwargs)
 
 
@@ -325,28 +320,35 @@ def load_model(path):
 # ---------------------------------------------------------------------------
 
 
-def evaluate(model: str, params, samples: list[VideoSample], threads: int = 1) -> ScoreTable:
+def evaluate(model: str, params, samples: list[VideoSample], threads: int = 1, *,
+             inputs: list | None = None) -> ScoreTable:
     """Score every sample in infer mode; the table lists them in dataset order.
 
     Samples are sorted by their (modality, T) pairs, ties in dataset order,
     and scored in chunks of EVAL_CHUNK cut from that order, one forward graph
-    per chunk; one softmax and one validation cover the whole table.  Rows
-    equal those of chunks cut in dataset order bit for bit, except that a
-    chunk of one video (N % EVAL_CHUNK == 1) runs its affine map as a
-    matrix-vector product, whose last bit can differ from a matrix product's:
-    up to two rows can move by about 1 ulp.  Evaluation runs on the calling
-    thread; ``threads`` must be >= 1 and changes nothing.
+    per chunk on its slice of ``inputs``, the samples' prepared inputs (one
+    ``prepare`` call's if None); one softmax and one validation cover the
+    table.  Rows equal those of chunks cut in dataset order bit for bit,
+    except that a chunk of one video (N % EVAL_CHUNK == 1) runs its affine
+    map as a matrix-vector product, whose last bit can differ from a matrix
+    product's: up to two rows can move by about 1 ulp.  Evaluation runs on
+    the calling thread; ``threads`` must be an int >= 1 and changes nothing.
     """
+    if type(threads) is not int:
+        raise ConfigError(f"threads must be an int, got {threads!r}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     if not samples:
         raise DataError("nothing to evaluate")
+    if inputs is None:
+        inputs = params.prepare([s.by_modality() for s in samples])
     counts = [sorted((q.modality, len(q.features)) for q in s.sequences) for s in samples]
     order = sorted(range(len(samples)), key=counts.__getitem__)
     logits = np.empty((len(samples), params.num_classes))
     for start in range(0, len(order), EVAL_CHUNK):
         rows = order[start:start + EVAL_CHUNK]
-        logits[rows] = batch_logits(model, params, [samples[i] for i in rows], "infer").data
+        logits[rows] = batch_logits(model, params, [samples[i] for i in rows], "infer",
+                                    [inputs[i] for i in rows]).data
     return ScoreTable.from_rows(params.num_classes, [s.video_id for s in samples],
                                 softmax_scores(logits))
 
@@ -418,6 +420,7 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
     params = build_model(cfg.model, modalities, num_classes, kwargs, rng(cfg.seed))
     flat = ad.pack(v for _, v in params.parameters())
     inputs = params.prepare([s.by_modality() for s in train_samples])
+    val_inputs = params.prepare([s.by_modality() for s in val_samples])
     optimizer = make_optimizer(cfg)
     val_labels = {s.video_id: s.label for s in val_samples}
     top_k = min(5, num_classes)
@@ -445,7 +448,7 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
                 loss_sum += float(loss.data) * len(batch)
             train_loss = loss_sum / len(train_samples)
 
-            table = evaluate(cfg.model, params, val_samples)
+            table = evaluate(cfg.model, params, val_samples, inputs=val_inputs)
             top1 = top_k_accuracy(table, val_labels, 1)
             top5 = top_k_accuracy(table, val_labels, top_k)
             history.append(EpochMetrics(epoch=epoch, train_loss=train_loss,

@@ -1,0 +1,52 @@
+"""Planted defects that the oracle tests must catch.
+
+Each entry names a file, a text that occurs exactly once in it, the text
+that replaces it, and the tests that must fail once it is replaced.
+``run_mutants.py`` applies each entry to a temporary copy of the
+repository and runs its tests there; ``test_mutants.py`` (Tier-1) checks
+only that every old text still occurs exactly once, so that a refactor
+cannot leave an entry pointing at code that is gone.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, at least one of which must fail
+
+
+MUTANTS = (
+    Mutant("train-reprepares-validation", "src/seqcls/training.py",
+           "evaluate(cfg.model, params, val_samples, inputs=val_inputs)",
+           "evaluate(cfg.model, params, val_samples)",
+           ("tests/test_training.py::TestTrainLoop::test_prepare_runs_twice_per_train_call",
+            "tests/test_training.py::TestTrainLoop::test_each_epoch_scores_through_one_evaluate_call")),
+    Mutant("satt-skips-canonical-order", "src/seqcls/satt.py",
+           "zip(xs, _frame_orders(xs))",
+           "zip(xs, [np.arange(len(x)) for x in xs])",
+           ("tests/test_satt.py::TestCanonicalFrameOrder::test_evaluate_scores_bitwise",
+            "tests/test_satt.py::TestSattNet::test_per_modality_permutation_invariance",
+            "tests/test_model_properties.py::test_satt_logits_ignore_frame_order")),
+    Mutant("pack-copies", "src/seqcls/autodiff.py",
+           "v.data = flat.data[start:stop].reshape(v.data.shape)",
+           "v.data = flat.data[start:stop].reshape(v.data.shape).copy()",
+           ("tests/test_autodiff.py::TestBackward::test_pack_makes_leaves_views_of_one_flat_leaf",
+            "tests/test_training.py::TestTrainLoop::test_parameters_stay_views_of_the_packed_leaf",
+            "tests/test_model_properties.py::test_parameters_stay_views_of_the_arena_after_a_step")),
+    Mutant("segment-max-drops-last-frame", "src/seqcls/autodiff.py",
+           "np.arange((hi - lo).max())",
+           "np.arange((hi - lo).max() - 1)",
+           ("tests/test_autodiff.py::TestTemporalOps::test_adaptive_pool_matches_brute_force",
+            "tests/test_autodiff.py::TestOnePassOpsMatchReference::test_adaptive_pool")),
+    Mutant("read-mmf-offsets-one-sequence", "src/seqcls/data.py",
+           'flat[a:b] = np.frombuffer(blob, "<f4", b - a, offset)',
+           'flat[a:b] = np.frombuffer(blob, "<f4", b - a, offset + 4 * (a == starts[1]))',
+           ("tests/test_bulk_io.py::TestReadMmfMatchesReference::"
+            "test_valid_files_give_equal_bytes_shapes_and_ids",)),
+)

@@ -680,6 +680,10 @@ class TestRng:
             rng(1.5)
         with pytest.raises(TypeError):
             rng(3, 1.0)
+        with pytest.raises(TypeError):  # operator.index(True) is 1: a bool would draw seed 1
+            rng(True)
+        with pytest.raises(TypeError):
+            rng(3, False)
         assert_array_equal(rng(np.int64(3)).normal(size=5), rng(3).normal(size=5))
         with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
             rng(np.int64(-1))

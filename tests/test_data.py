@@ -374,6 +374,14 @@ class TestSynthGenerator:
             SynthConfig(modalities={"rgb": 1})
         with pytest.raises(ConfigError):
             SynthConfig(noise_std=-0.1)
+        # every field has exactly its default's type, checked before any range
+        for bad in ({"frames": 4.0}, {"num_classes": 2.0}, {"seed": True}, {"noise_std": 1},
+                    {"modalities": [("rgb", 4)]}):
+            with pytest.raises(ConfigError, match=f"^{next(iter(bad))} must be of type"):
+                SynthConfig(**bad)
+        for bad in ({"rgb": 4.0}, {"rgb": True}, {1: 4}):
+            with pytest.raises(ConfigError, match="^modalities must map names to int dims"):
+                SynthConfig(modalities=bad)
 
     def test_prototype_helper_matches_planted_signal(self):
         """synth_prototypes reproduces the vectors the generator embeds."""

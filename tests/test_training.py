@@ -518,8 +518,11 @@ class TestEvaluate:
     def test_thread_count_below_one_rejected(self, small_dataset):
         _, val = small_dataset
         params = build_model("meanpool", [("m", 4)], 3, {}, rng(0))
-        with pytest.raises(ConfigError, match="threads"):
+        with pytest.raises(ConfigError, match="^threads must be >= 1, got 0$"):
             evaluate("meanpool", params, val, threads=0)
+        for threads in (True, 1.5, 2.0, "2"):  # no bool, float or string stands for a count
+            with pytest.raises(ConfigError, match="^threads must be an int, got "):
+                evaluate("meanpool", params, val, threads=threads)
 
 
 def ref_softmax_scores(logits: np.ndarray) -> np.ndarray:
@@ -594,6 +597,40 @@ class TestLengthOrderedEvaluate:
         assert calls[4] == calls[3] <= chunks + len(pairs) - 1
 
     @pytest.mark.parametrize("model", MODELS)
+    def test_prepared_inputs_give_the_bytes_of_samples_alone(self, model, monkeypatch, tmp_path):
+        """Handing evaluate the split's inputs, preparing them in evaluate with one
+        call, and preparing each chunk on its own all write the same score file."""
+        samples = wide_ragged_set(2 * EVAL_CHUNK + 1)
+        params = ragged_params(model)
+        paths = [tmp_path / name for name in ("handed.csv", "alone.csv", "per_chunk.csv")]
+        inputs = params.prepare([s.by_modality() for s in samples])
+        write_scores(paths[0], evaluate(model, params, samples, inputs=inputs))
+        write_scores(paths[1], evaluate(model, params, samples))
+        prepared = training.batch_logits
+        monkeypatch.setattr(training, "batch_logits", lambda model, params, batch, mode,
+                            inputs=None: prepared(model, params, batch, mode))
+        write_scores(paths[2], evaluate(model, params, samples))
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_prepare_runs_once_per_call_without_inputs(self, model, monkeypatch):
+        samples = wide_ragged_set(3 * EVAL_CHUNK + 5)
+        params = ragged_params(model)
+        inputs = params.prepare([s.by_modality() for s in samples])
+        calls = []
+        prepare = MODELS[model].prepare
+
+        def counted(self, batch):
+            calls.append(len(batch))
+            return prepare(self, batch)
+
+        monkeypatch.setattr(MODELS[model], "prepare", counted)
+        evaluate(model, params, samples)
+        assert calls == [len(samples)]
+        evaluate(model, params, samples, inputs=inputs)
+        assert calls == [len(samples)]
+
+    @pytest.mark.parametrize("model", MODELS)
     def test_missing_modality_is_a_shape_error(self, model):
         samples = wide_ragged_set(40)
         samples[29] = VideoSample("lacks-flow", 0, samples[29].sequences[:1])
@@ -612,8 +649,8 @@ class TestLengthOrderedEvaluate:
                             for b in range(a + 1, len(samples)) if rank[b] + EVAL_CHUNK < rank[a])
         poisoned = {samples[first].video_id, samples[later].video_id}
 
-        def poisoning_batch_logits(model, params, batch, mode):
-            logits = batch_logits(model, params, batch, mode)
+        def poisoning_batch_logits(model, params, batch, mode, inputs=None):
+            logits = batch_logits(model, params, batch, mode, inputs)
             for row, s in zip(logits.data, batch):
                 if s.video_id in poisoned:
                     row[0] = np.nan
@@ -700,13 +737,15 @@ class TestTrainLoop:
         cfg = small_cfg(optimizer=optimizer, epochs=3, batch_size=4)
         train(cfg, train_samples, val_samples)
         steps = [("zero_grads", "train"), ("batch_logits", "train", True), ("step",)]
-        scoring = [("batch_logits", "infer", False)] * -(-len(val_samples) // EVAL_CHUNK)
+        scoring = [("batch_logits", "infer", True)] * -(-len(val_samples) // EVAL_CHUNK)
         batches = -(-len(train_samples) // cfg.batch_size)
         assert events == (steps * batches + scoring) * cfg.epochs
 
     @pytest.mark.parametrize("model", MODELS)
     def test_split_prepared_once_equals_each_batch_prepared_afresh(self, model, monkeypatch):
-        """Preparing the training split once per run changes no byte of any artifact."""
+        """Preparing the training and validation splits once per run changes no byte of
+        any artifact: ``afresh`` drops the prepared inputs of every step and every
+        scoring chunk, so each batch of either split is prepared on its own."""
         samples = TestEvaluate.ragged_set(40, seed=13)
         train_samples, val_samples = samples[:30], samples[30:]
         cfg = small_cfg(model=model, epochs=3, txn_pad_len=5, txn_segments=2)
@@ -725,6 +764,37 @@ class TestTrainLoop:
         assert list(once.best_arrays) == list(fresh.best_arrays)
         for name, array in fresh.best_arrays.items():
             assert once.best_arrays[name].tobytes() == array.tobytes(), name
+
+    @pytest.mark.parametrize("epochs", [1, 4])
+    @pytest.mark.parametrize("model", MODELS)
+    def test_prepare_runs_twice_per_train_call(self, model, epochs, small_dataset, monkeypatch):
+        """Once for the training split and once for the validation split, whatever the epochs."""
+        calls = []
+        prepare = MODELS[model].prepare
+
+        def counted(self, batch):
+            calls.append(len(batch))
+            return prepare(self, batch)
+
+        monkeypatch.setattr(MODELS[model], "prepare", counted)
+        train_samples, val_samples = small_dataset
+        train(small_cfg(model=model, epochs=epochs), train_samples, val_samples)
+        assert calls == [len(train_samples), len(val_samples)]
+
+    def test_each_epoch_scores_through_one_evaluate_call(self, small_dataset, monkeypatch):
+        """The traced benchmark opens an eval unit at every ``training.evaluate`` call,
+        so train must score each epoch through it, on the prepared validation split."""
+        calls = []
+        evaluate_fn = training.evaluate
+
+        def counted(model, params, samples, threads=1, *, inputs=None):
+            calls.append((samples is val_samples, inputs is not None and len(inputs)))
+            return evaluate_fn(model, params, samples, threads, inputs=inputs)
+
+        monkeypatch.setattr(training, "evaluate", counted)
+        train_samples, val_samples = small_dataset
+        train(small_cfg(epochs=3), train_samples, val_samples)
+        assert calls == [(True, len(val_samples))] * 3
 
     def test_sgd_optimizer_path(self, small_dataset):
         train_samples, val_samples = small_dataset
