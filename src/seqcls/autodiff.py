@@ -662,8 +662,7 @@ class BnState:
         return cls(mean=np.zeros(channels), var=np.ones(channels))
 
 
-def batch_norm(x, gamma, beta, state: BnState, mode: str = "train",
-               momentum: float = BN_MOMENTUM, eps: float = EPS_BN) -> Value:
+def batch_norm(x, gamma, beta, state: BnState, mode: str = "train") -> Value:
     """Per-channel normalization over every batch/time position.
 
     Train mode normalizes with the batch statistics (biased variance) and
@@ -690,13 +689,13 @@ def batch_norm(x, gamma, beta, state: BnState, mode: str = "train",
         xhat = flat - mean
         out = np.square(xhat)
         var = out.sum(axis=0) / n
-        state.mean[:] = momentum * state.mean + (1.0 - momentum) * mean
-        state.var[:] = momentum * state.var + (1.0 - momentum) * var
+        state.mean[:] = BN_MOMENTUM * state.mean + (1.0 - BN_MOMENTUM) * mean
+        state.var[:] = BN_MOMENTUM * state.var + (1.0 - BN_MOMENTUM) * var
     else:
         xhat = flat - state.mean
         out = np.empty_like(flat)
         var = state.var
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + EPS_BN)
     xhat *= ivar
     np.multiply(gamma.data, xhat, out=out)
     out += beta.data

@@ -6,9 +6,10 @@ a dataset with a checkpoint), ``fuse`` (combine score tables), and
 ``gradcheck`` (finite-difference verification of the gradient engine).
 
 Exit codes: 0 success, 2 configuration, usage or data problem (an empty
-batch, or data that lacks a modality the model needs or holds a sequence of
-the wrong shape, included), 3 I/O or file format problem, 4 numeric failure
-(gradient verification failed, or training met a non-finite loss).
+batch, data that lacks a modality the model needs or holds a sequence of
+the wrong shape, or sizes too large for memory, included), 3 I/O or file
+format problem, 4 numeric failure (gradient verification failed, or
+training met a non-finite loss).
 """
 
 from __future__ import annotations
@@ -255,6 +256,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRADCHECK
+    except MemoryError as exc:  # sizes multiply, so no per-size bound rules this out
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

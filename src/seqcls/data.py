@@ -7,8 +7,9 @@ per-modality float32 feature sequences:
     per video:    u32 id_len | id (utf-8) | u32 label | u32 num_modalities
     per modality: u32 name_len | name (utf-8) | u32 T | u32 D | T*D float32
 
-Values are row-major with no padding between fields.  Readers raise
-``FormatError`` carrying the byte offset of the first offending field.
+Values are row-major with no padding between fields, and a video names
+each modality at most once.  Readers raise ``FormatError`` carrying the
+byte offset of the first offending field.
 
 The synthetic generator plants a class signal in a few frames of
 otherwise pure-noise sequences: every (class, modality) pair gets a fixed
@@ -130,10 +131,13 @@ def atomic_write(path, mode: str = "w"):
 
 
 def write_mmf(path, samples: list[VideoSample]) -> None:
-    """Write the container; labels are checked before the file is opened."""
+    """Write the container; labels and modality names are checked before the file is opened."""
     for s in samples:
         if s.label < 0:
             raise DataError(f"video {s.video_id!r} has negative label {s.label}")
+        names = [seq.modality for seq in s.sequences]
+        if len(set(names)) < len(names):
+            raise DataError(f"video {s.video_id!r} repeats a modality in {names}")
     with atomic_write(path, "wb") as fh:
         fh.write(MMF_MAGIC)
         fh.write(struct.pack("<II", MMF_VERSION, len(samples)))
@@ -227,9 +231,12 @@ def read_mmf(path) -> list[VideoSample]:
             (n,), pos = _u32s(blob, pos, "id length")
             vid, pos = _text(blob, pos, n, "video id")
             (label, num_modalities), pos = _u32s(blob, pos, "label", "modality count")
+            first = len(layout)
             for _ in range(num_modalities):
-                (n,), pos = _u32s(blob, pos, "name length")
-                name, pos = _text(blob, pos, n, "modality name")
+                (n,), name_off = _u32s(blob, pos, "name length")
+                name, pos = _text(blob, name_off, n, "modality name")
+                if any(entry[0] == name for entry in layout[first:]):
+                    raise FormatError(f"video {vid!r} repeats modality {name!r}", offset=name_off)
                 (t, d), pos = _u32s(blob, pos, "frame count", "feature dim")
                 if t < 1 or d < 1:
                     raise FormatError(f"modality {name!r} has empty extent {t}x{d}",

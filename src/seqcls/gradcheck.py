@@ -2,9 +2,14 @@
 
 Each case builds a small random instance, reduces it to a scalar with a
 fixed random cotangent, and compares analytic gradients against central
-differences.  One rule redraws a sample from the next substream: every
-failing coordinate is explained by the finite-difference step rather than
-the gradient (``FdReport``'s ``step_unfit``).  The step crossed a ReLU,
+differences.  ``CASES`` names every case's builder.  Most are rows of one
+table: the parameters' names and shapes, in draw order, and the op applied
+to them, which ``_op_case`` turns into a builder; the rest are written out,
+since their draws or their scalar do not fit that pattern.
+
+One rule redraws a sample from the next substream: every failing
+coordinate is explained by the finite-difference step rather than the
+gradient (``FdReport``'s ``step_unfit``).  The step crossed a ReLU,
 max-pool or clamp kink, where one-sided derivatives disagree (a step in a
 weight can move a pre-activation by more than the step itself, for
 instance through batch norm), or it met curvature that central
@@ -43,76 +48,18 @@ def _scalarized(gen, forward):
     return f
 
 
-def _case_add(gen):
-    a, b = _param(gen, 3, 4), _param(gen, 4)
-    s = _param(gen)
-    return _scalarized(gen, lambda: ad.add(ad.add(a, b), s)), [("a", a), ("b", b), ("s", s)]
+def _op_case(shapes: dict[str, tuple[int, ...]], op):
+    """A builder drawing one parameter per name and shape, in order, scalarizing op over them."""
+    def build(gen):
+        params = {name: _param(gen, *shape) for name, shape in shapes.items()}
+        return _scalarized(gen, lambda: op(**params)), list(params.items())
 
-
-def _case_mul(gen):
-    a, b = _param(gen, 3, 4), _param(gen, 4)
-    s = _param(gen)
-    return _scalarized(gen, lambda: ad.mul(ad.mul(a, b), s)), [("a", a), ("b", b), ("s", s)]
+    return build
 
 
 def _case_sum_all(gen):
     x = _param(gen, 2, 5)
-
-    def f():
-        return ad.sum_all(ad.mul(x, x))
-
-    return f, [("x", x)]
-
-
-def _case_relu(gen):
-    x = _param(gen, 3, 4)
-    return _scalarized(gen, lambda: ad.relu(x)), [("x", x)]
-
-
-def _case_reshape(gen):
-    x = _param(gen, 2, 6)
-    return _scalarized(gen, lambda: ad.reshape(x, (3, 4))), [("x", x)]
-
-
-def _case_concat(gen):
-    a, b, c = _param(gen, 2, 3), _param(gen, 1, 3), _param(gen, 3, 3)
-    return _scalarized(gen, lambda: ad.concat([a, b, c], axis=0)), [("a", a), ("b", b), ("c", c)]
-
-
-def _case_matmul(gen):
-    a, b = _param(gen, 3, 4), _param(gen, 4, 2)
-    return _scalarized(gen, lambda: ad.matmul(a, b)), [("a", a), ("b", b)]
-
-
-def _case_affine(gen):
-    x, w, b = _param(gen, 2, 5), _param(gen, 5, 3), _param(gen, 3)
-    return _scalarized(gen, lambda: ad.affine(x, w, b)), [("x", x), ("w", w), ("b", b)]
-
-
-def _case_row_dot(gen):
-    x, w = _param(gen, 2, 2, 3), _param(gen, 2, 3)
-    return _scalarized(gen, lambda: ad.row_dot(x, w)), [("x", x), ("w", w)]
-
-
-def _case_weighted_row_sum(gen):
-    wts, x = _param(gen, 2, 2, 3), _param(gen, 2, 3, 2)
-    return _scalarized(gen, lambda: ad.weighted_row_sum(wts, x)), [("wts", wts), ("x", x)]
-
-
-def _case_take_rows(gen):
-    # row 2 is taken twice and row 1 never, so backward must add repeats up
-    x = _param(gen, 4, 3)
-    return _scalarized(gen, lambda: ad.take_rows(x, [2, 0, 2, 3])), [("x", x)]
-
-
-def _case_softmax_sharp(gen):
-    x = _param(gen, 2, 1, 3)
-    return _scalarized(gen, lambda: ad.softmax_sharp(x, alpha=1.7)), [("x", x)]
-
-
-def _case_l2_normalize(gen):
-    v = _param(gen, 1, 1, 5)
-    return _scalarized(gen, lambda: ad.l2_normalize(v)), [("v", v)]
+    return (lambda: ad.sum_all(ad.mul(x, x))), [("x", x)]
 
 
 def _case_zero_pad_time(gen):
@@ -128,32 +75,6 @@ def _case_zero_pad_time(gen):
     return f, [("x", x)]
 
 
-def _case_adaptive_max_pool1d(gen):
-    x = _param(gen, 7, 3)
-    return _scalarized(gen, lambda: ad.adaptive_max_pool1d(x, 3)), [("x", x)]
-
-
-def _case_global_max_pool_time(gen):
-    x = _param(gen, 6, 4)
-    return _scalarized(gen, lambda: ad.global_max_pool_time(x)), [("x", x)]
-
-
-def _case_depthwise_conv1d(gen):
-    x, k = _param(gen, 6, 4), _param(gen, 3, 4)
-    return _scalarized(gen, lambda: ad.depthwise_conv1d(x, k)), [("x", x), ("k", k)]
-
-
-def _case_pointwise_conv1d(gen):
-    x, w, b = _param(gen, 6, 3), _param(gen, 3, 4), _param(gen, 4)
-    return _scalarized(gen, lambda: ad.pointwise_conv1d(x, w, b)), [("x", x), ("w", w), ("b", b)]
-
-
-def _case_batch_norm_train(gen):
-    x, g, b = _param(gen, 5, 3), _param(gen, 3), _param(gen, 3)
-    return (_scalarized(gen, lambda: ad.batch_norm(x, g, b, BnState.fresh(3), mode="train")),
-            [("x", x), ("gamma", g), ("beta", b)])
-
-
 def _case_batch_norm_infer(gen):
     x, g, b = _param(gen, 5, 3), _param(gen, 3), _param(gen, 3)
     state = BnState(mean=gen.normal(size=3), var=np.abs(gen.normal(size=3)) + 0.5)
@@ -164,11 +85,7 @@ def _case_batch_norm_infer(gen):
 def _case_cross_entropy(gen):
     logits = _param(gen, 4, 3)
     labels = [int(v) for v in gen.integers(0, 3, size=4)]
-
-    def f():
-        return ad.cross_entropy(logits, labels)
-
-    return f, [("logits", logits)]
+    return (lambda: ad.cross_entropy(logits, labels)), [("logits", logits)]
 
 
 def _case_satt_head(gen):
@@ -204,9 +121,42 @@ def _case_txn_net(gen):
     return _scalarized(gen, lambda: txn_forward(net, seqs, mode="infer")), net.parameters()
 
 
-# every _case_<name> builder above, under <name>
-CASES = {name.removeprefix("_case_"): build for name, build in globals().items()
-         if name.startswith("_case_")}
+# The ops call ad.<op> when they run, so wrappers installed on the autodiff
+# module see gradcheck's calls too.
+CASES = {
+    "add": _op_case({"a": (3, 4), "b": (4,), "s": ()}, lambda a, b, s: ad.add(ad.add(a, b), s)),
+    "mul": _op_case({"a": (3, 4), "b": (4,), "s": ()}, lambda a, b, s: ad.mul(ad.mul(a, b), s)),
+    "relu": _op_case({"x": (3, 4)}, lambda x: ad.relu(x)),
+    "reshape": _op_case({"x": (2, 6)}, lambda x: ad.reshape(x, (3, 4))),
+    "concat": _op_case({"a": (2, 3), "b": (1, 3), "c": (3, 3)},
+                       lambda a, b, c: ad.concat([a, b, c], axis=0)),
+    "matmul": _op_case({"a": (3, 4), "b": (4, 2)}, lambda a, b: ad.matmul(a, b)),
+    "affine": _op_case({"x": (2, 5), "w": (5, 3), "b": (3,)}, lambda x, w, b: ad.affine(x, w, b)),
+    "row_dot": _op_case({"x": (2, 2, 3), "w": (2, 3)}, lambda x, w: ad.row_dot(x, w)),
+    "weighted_row_sum": _op_case({"wts": (2, 2, 3), "x": (2, 3, 2)},
+                                 lambda wts, x: ad.weighted_row_sum(wts, x)),
+    # row 2 is taken twice and row 1 never, so backward must add repeats up
+    "take_rows": _op_case({"x": (4, 3)}, lambda x: ad.take_rows(x, [2, 0, 2, 3])),
+    "softmax_sharp": _op_case({"x": (2, 1, 3)}, lambda x: ad.softmax_sharp(x, alpha=1.7)),
+    "l2_normalize": _op_case({"v": (1, 1, 5)}, lambda v: ad.l2_normalize(v)),
+    "adaptive_max_pool1d": _op_case({"x": (7, 3)}, lambda x: ad.adaptive_max_pool1d(x, 3)),
+    "global_max_pool_time": _op_case({"x": (6, 4)}, lambda x: ad.global_max_pool_time(x)),
+    "depthwise_conv1d": _op_case({"x": (6, 4), "k": (3, 4)},
+                                 lambda x, k: ad.depthwise_conv1d(x, k)),
+    "pointwise_conv1d": _op_case({"x": (6, 3), "w": (3, 4), "b": (4,)},
+                                 lambda x, w, b: ad.pointwise_conv1d(x, w, b)),
+    "batch_norm_train": _op_case({"x": (5, 3), "gamma": (3,), "beta": (3,)},
+                                 lambda x, gamma, beta: ad.batch_norm(
+                                     x, gamma, beta, BnState.fresh(3), mode="train")),
+    "sum_all": _case_sum_all,
+    "zero_pad_time": _case_zero_pad_time,
+    "batch_norm_infer": _case_batch_norm_infer,
+    "cross_entropy": _case_cross_entropy,
+    "satt_head": _case_satt_head,
+    "satt_net": _case_satt_net,
+    "txn_block": _case_txn_block,
+    "txn_net": _case_txn_net,
+}
 
 
 def case_names() -> list[str]:

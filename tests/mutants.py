@@ -49,4 +49,23 @@ MUTANTS = (
            'flat[a:b] = np.frombuffer(blob, "<f4", b - a, offset + 4 * (a == starts[1]))',
            ("tests/test_bulk_io.py::TestReadMmfMatchesReference::"
             "test_valid_files_give_equal_bytes_shapes_and_ids",)),
+    Mutant("op-case-checks-one-parameter", "src/seqcls/gradcheck.py",
+           "lambda: op(**params)), list(params.items())",
+           "lambda: op(**params)), list(params.items())[:1]",
+           ("tests/test_gradcheck.py::"
+            "test_every_case_checks_exactly_the_leaves_its_scalar_reaches",)),
+    Mutant("depthwise-keeps-strided-gradient", "src/seqcls/autodiff.py",
+           "g = np.ascontiguousarray(g)",
+           "g = g",
+           ("tests/test_autodiff.py::TestOnePassOpsMatchReference::"
+            "test_depthwise_conv_non_contiguous_incoming_gradient",)),
+    Mutant("scores-lose-a-digit", "src/seqcls/fusion.py",
+           '",%.9g"',
+           '",%.8g"',
+           ("tests/test_bulk_io.py::TestScoreFilesMatchReference::test_write_gives_equal_bytes",)),
+    Mutant("read-mmf-allows-repeats", "src/seqcls/data.py",
+           "if any(entry[0] == name for entry in layout[first:]):",
+           "if False:",
+           ("tests/test_data.py::TestMmfErrors::"
+            "test_repeated_modality_read_fails_at_the_repeated_name",)),
 )

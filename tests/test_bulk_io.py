@@ -64,7 +64,11 @@ def ref_read_mmf(path) -> list[VideoSample]:
         num_modalities = cur.u32("modality count")
         seqs = []
         for _ in range(num_modalities):
-            name = cur.text(cur.u32("name length"), "modality name")
+            n = cur.u32("name length")
+            name_off = cur.pos
+            name = cur.text(n, "modality name")
+            if name in [q.modality for q in seqs]:
+                raise FormatError(f"video {vid!r} repeats modality {name!r}", offset=name_off)
             t = cur.u32("frame count")
             d = cur.u32("feature dim")
             if t < 1 or d < 1:

@@ -669,6 +669,28 @@ def test_negative_seed_exits_config_with_one_line(workspace, tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_out_of_memory_exits_config_with_one_line(workspace, tmp_path, capsys, monkeypatch,
+                                                  command):
+    """Sizes from a file can multiply past any memory; that is one line, not a traceback."""
+    def no_memory(*args, **kwargs):  # never allocates: a real one could wake the OOM killer
+        raise MemoryError("Unable to allocate 128. GiB for an array with shape (4, 4294967296)")
+
+    monkeypatch.setattr("seqcls.cli.train_from_files", no_memory)
+    monkeypatch.setattr("seqcls.cli.load_model", no_memory)
+    data, out = workspace["data"], tmp_path / "out"
+    argv = {"train": ["train", "--train", str(data / "train.mmf"), "--val",
+                      str(data / "val.mmf"), "--out", str(out), "--quiet"],
+            "eval": ["eval", "--checkpoint", str(workspace["run"] / "checkpoint.ckpt"),
+                     "--data", str(data / "val.mmf")]}[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory: Unable to allocate 128. GiB for an array "
+                   "with shape (4, 4294967296)\n")
+    assert not out.exists()
+
+
 class TestArgparse:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2

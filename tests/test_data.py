@@ -196,6 +196,42 @@ class TestMmfErrors:
             write_mmf(tmp_path / "bad.mmf", [sample("v0", 0, rgb=np.ones((2, 2))),
                                              sample("v1", -2, rgb=np.ones((2, 2)))])
 
+    def test_repeated_modality_rejected_before_anything_is_opened(self, tmp_path, monkeypatch):
+        """A video holding one modality twice would be scored on the last one alone."""
+        def no_write(*args, **kwargs):
+            raise AssertionError("write_mmf opened a file before checking modality names")
+
+        monkeypatch.setattr(data, "atomic_write", no_write)
+        twice = VideoSample("v1", 0, [FeatureSequence("rgb", np.ones((2, 2))),
+                                      FeatureSequence("flow", np.ones((2, 2))),
+                                      FeatureSequence("rgb", np.zeros((2, 2)))])
+        with pytest.raises(DataError, match="'v1' repeats a modality"):
+            write_mmf(tmp_path / "bad.mmf", [sample("v0", 0, rgb=np.ones((2, 2))), twice])
+
+    def test_repeated_modality_read_fails_at_the_repeated_name(self, tmp_path):
+        """Each video may name a modality once; errors still come in file order."""
+        def seq(name: bytes, value: float) -> bytes:
+            return (struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 1)
+                    + struct.pack("<f", value))
+
+        def video(vid: bytes, *seqs: bytes) -> bytes:
+            return (struct.pack("<I", len(vid)) + vid + struct.pack("<II", 0, len(seqs))
+                    + b"".join(seqs))
+
+        # v0's rgb does not count against v1's
+        head = b"MMF1" + struct.pack("<II", 1, 2) + video(b"v0", seq(b"rgb", 1.0))
+        v1 = video(b"v1", seq(b"rgb", 1.0), seq(b"flow", 2.0), seq(b"rgb", 3.0))
+        path = tmp_path / "twice.mmf"
+        path.write_bytes(head + v1)
+        with pytest.raises(FormatError, match="video 'v1' repeats modality 'rgb'") as exc:
+            read_mmf(path)
+        assert exc.value.offset == len(head) + len(v1) - len(seq(b"rgb", 3.0)) + 4
+        # a non-finite feature before the repeated name is reported first
+        path.write_bytes(head + video(b"v1", seq(b"rgb", 1.0), seq(b"flow", np.nan),
+                                      seq(b"rgb", 3.0)))
+        with pytest.raises(FormatError, match="non-finite feature in modality 'flow'"):
+            read_mmf(path)
+
 
 def _rank3_second_sequence() -> list[VideoSample]:
     broken = sample("v1", 1, rgb=np.ones((2, 2)))

@@ -58,6 +58,17 @@ def test_every_graph_op_has_a_case_and_every_case_an_op():
             and not any(_covers(c, fn) for fn in public)] == []
 
 
+@pytest.mark.parametrize("name", case_names())
+def test_every_case_checks_exactly_the_leaves_its_scalar_reaches(name):
+    """fd_check is handed each trainable leaf of the scalar's graph once, and nothing else."""
+    for seed in range(5):
+        f, params = CASES[name](ad.rng(seed, 0))
+        handed = [id(v) for _, v in params]
+        assert len(set(handed)) == len(handed), (name, seed)
+        reached = {id(node) for node in ad._topo_order(f()) if node._grad_fn is None}
+        assert set(handed) == reached, (name, seed)
+
+
 def test_batched_attention_cases_use_rank3_shapes():
     for name in ("row_dot", "weighted_row_sum", "softmax_sharp", "l2_normalize"):
         _, params = CASES[name](ad.rng(0, 0))

@@ -45,12 +45,10 @@ def test_detector_sees_unused_names_and_honours_all():
     assert unused_imports(source) == ["line 1: os", "line 3: c"]
 
 
-def unused_private_names(source: str, exempt_prefix: str | None = None) -> list[str]:
+def unused_private_names(source: str) -> list[str]:
     """Module-level private functions and constants that the module never reads.
 
-    A private name starts with one underscore.  Names starting with
-    ``exempt_prefix`` count as read: a module may collect them through
-    ``globals()``, which no syntax tree shows.
+    A private name starts with one underscore.
     """
     tree = ast.parse(source)
     defined: dict[str, int] = {}
@@ -65,18 +63,15 @@ def unused_private_names(source: str, exempt_prefix: str | None = None) -> list[
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [f"line {line}: {name}" for name, line in sorted(defined.items(), key=lambda kv: kv[1])
-            if name.startswith("_") and not name.startswith("__") and name not in read
-            and not (exempt_prefix and name.startswith(exempt_prefix))]
+            if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_private_helpers(path):
-    # gradcheck's CASES table collects its _case_* builders through globals()
-    exempt = "_case_" if path.name == "gradcheck.py" else None
-    assert unused_private_names(path.read_text(encoding="utf-8"), exempt) == []
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
-def test_detector_sees_unused_private_helpers_and_honours_the_exemption():
+def test_detector_sees_unused_private_helpers():
     source = ("_USED = 1\n_UNUSED = 2\n__dunder__ = 3\nPUBLIC = 4\n"
               "def _helper():\n    return _USED\n"
               "def _orphan(): pass\n"
@@ -84,4 +79,3 @@ def test_detector_sees_unused_private_helpers_and_honours_the_exemption():
               "def public():\n    _UNUSED = 5\n    return _helper()\n")
     assert unused_private_names(source) == ["line 2: _UNUSED", "line 7: _orphan",
                                             "line 8: _case_add"]
-    assert unused_private_names(source, "_case_") == ["line 2: _UNUSED", "line 7: _orphan"]
