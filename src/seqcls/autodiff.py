@@ -11,9 +11,10 @@ steps); every other node passes its flow on and keeps ``.grad`` None.
 that both run once over all of them.
 
 The operator set is exactly what the attention and temporal-convolution
-heads need.  The attention ops are batched: ``row_dot`` scores
-[B x T x D] frames against [H x D] head vectors, ``softmax_sharp`` and
-``l2_normalize`` act over the last axis at any rank, and
+heads need.  Every op takes ``Value``s; a constant array enters the graph
+as one ``Value(x)`` leaf.  The attention ops are batched: ``row_dot``
+scores [B x T x D] frames against [H x D] head vectors, ``softmax_sharp``
+and ``l2_normalize`` act over the last axis at any rank, and
 ``weighted_row_sum`` pools [B x T x D] with [B x H x T] weights.
 
 Everything is computed in 64-bit so central finite differences at step 1e-3
@@ -83,10 +84,6 @@ def _checked(arr: np.ndarray) -> np.ndarray:
     if arr.size == 0:
         raise ShapeError("all extents must be >= 1")
     return arr
-
-
-def _lift(x) -> Value:
-    return x if isinstance(x, Value) else Value(x)
 
 
 def _node(data, parents: Sequence[Value], grad_fn: GradFn, op: str, kink_side=None) -> Value:
@@ -224,8 +221,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Value:
-    a, b = _lift(a), _lift(b)
+def add(a: Value, b: Value) -> Value:
     out = a.data + b.data
 
     def grad_fn(g):
@@ -235,8 +231,7 @@ def add(a, b) -> Value:
     return _node(out, (a, b), grad_fn, "add")
 
 
-def mul(a, b) -> Value:
-    a, b = _lift(a), _lift(b)
+def mul(a: Value, b: Value) -> Value:
     out = a.data * b.data
 
     def grad_fn(g):
@@ -246,8 +241,7 @@ def mul(a, b) -> Value:
     return _node(out, (a, b), grad_fn, "mul")
 
 
-def sum_all(x) -> Value:
-    x = _lift(x)
+def sum_all(x: Value) -> Value:
 
     def grad_fn(g):
         return (np.full_like(x.data, float(g)),)
@@ -255,13 +249,12 @@ def sum_all(x) -> Value:
     return _node(x.data.sum(), (x,), grad_fn, "sum_all")
 
 
-def relu(x) -> Value:
+def relu(x: Value) -> Value:
     """Elementwise max(x, 0): x where x > 0, else +0.0, also for -0.0 and NaN.
 
     The mask x > 0 is rebuilt from the output when backward or the kink
     side asks for it.
     """
-    x = _lift(x)
     xd = x.data
     # fmax drops NaN as np.where(x > 0, x, 0) does; adding +0.0 turns -0.0 into +0.0
     out = np.fmax(xd, 0.0)
@@ -273,8 +266,7 @@ def relu(x) -> Value:
     return _node(out, (x,), grad_fn, "relu", kink_side=lambda: out > 0.0)
 
 
-def reshape(x, shape: tuple[int, ...]) -> Value:
-    x = _lift(x)
+def reshape(x: Value, shape: tuple[int, ...]) -> Value:
     if int(np.prod(shape)) != x.data.size:
         raise ShapeError(f"cannot reshape {x.data.shape} to {shape}")
 
@@ -284,8 +276,8 @@ def reshape(x, shape: tuple[int, ...]) -> Value:
     return _node(x.data.reshape(shape), (x,), grad_fn, "reshape")
 
 
-def concat(values: Sequence, axis: int = 0) -> Value:
-    vals = [_lift(v) for v in values]
+def concat(values: Sequence[Value], axis: int = 0) -> Value:
+    vals = list(values)
     if not vals:
         raise ConfigError("concat requires at least one value")
     ref = vals[0].data.shape
@@ -303,9 +295,8 @@ def concat(values: Sequence, axis: int = 0) -> Value:
     return _node(out, vals, grad_fn, "concat")
 
 
-def take_rows(x, index) -> Value:
+def take_rows(x: Value, index) -> Value:
     """Rows of x picked along axis 0: out[i] = x[index[i]]."""
-    x = _lift(x)
     index = np.asarray(index, dtype=np.intp)
     if x.data.ndim < 1 or index.ndim != 1 or index.size == 0:
         raise ShapeError("take_rows expects a value of rank >= 1 and a non-empty index vector")
@@ -325,8 +316,7 @@ def take_rows(x, index) -> Value:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b) -> Value:
-    a, b = _lift(a), _lift(b)
+def matmul(a: Value, b: Value) -> Value:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError("matmul expects rank-2 operands")
     if a.data.shape[1] != b.data.shape[0]:
@@ -339,18 +329,17 @@ def matmul(a, b) -> Value:
     return _node(a.data @ b.data, (a, b), grad_fn, "matmul")
 
 
-def affine(x, w, b) -> Value:
+def affine(x: Value, w: Value, b: Value) -> Value:
     """x @ w + b for a batch of rows x [B x D_in]."""
     return add(matmul(x, w), b)
 
 
-def row_dot(x, w) -> Value:
+def row_dot(x: Value, w: Value) -> Value:
     """Score every frame against every head vector.
 
     x [B x T x D] . w [H x D] -> [B x H x T].  One sequence against one
     vector, x [T x D] . w [D] -> [T], is the B = H = 1 case.
     """
-    x, w = _lift(x), _lift(w)
     if x.data.ndim == 2 and w.data.ndim == 1:
         t, d = x.data.shape
         return reshape(row_dot(reshape(x, (1, t, d)), reshape(w, (1, d))), (t,))
@@ -365,13 +354,12 @@ def row_dot(x, w) -> Value:
     return _node(out, (x, w), grad_fn, "row_dot")
 
 
-def weighted_row_sum(weights, x) -> Value:
+def weighted_row_sum(weights: Value, x: Value) -> Value:
     """Pool frames with per-head weights.
 
     weights [B x H x T], x [B x T x D] -> [B x H x D], where
     out[b, h] = sum_t weights[b, h, t] * x[b, t].
     """
-    weights, x = _lift(weights), _lift(x)
     wd, xd = weights.data, x.data
     if wd.ndim != 3 or xd.ndim != 3 or wd.shape[0] != xd.shape[0] or wd.shape[2] != xd.shape[1]:
         raise ShapeError(f"weighted_row_sum shapes disagree: {wd.shape} x {xd.shape}")
@@ -389,13 +377,12 @@ def weighted_row_sum(weights, x) -> Value:
 # ---------------------------------------------------------------------------
 
 
-def softmax_sharp(logits, alpha: float) -> Value:
+def softmax_sharp(logits: Value, alpha: float) -> Value:
     """softmax(alpha * logits) over the last axis, with max-subtraction.
 
     Any rank >= 1; every leading index is its own distribution.  alpha
     scales how peaked the distribution is.
     """
-    logits = _lift(logits)
     if logits.data.ndim == 0:
         raise ShapeError("softmax_sharp expects a value of rank >= 1")
     if not alpha > 0.0:
@@ -412,12 +399,11 @@ def softmax_sharp(logits, alpha: float) -> Value:
     return _node(y, (logits,), grad_fn, "softmax_sharp")
 
 
-def l2_normalize(v) -> Value:
+def l2_normalize(v: Value) -> Value:
     """v / max(||v||_2, 1e-12) over the last axis, at any rank >= 1.
 
     The clamp is treated as constant in backward.
     """
-    v = _lift(v)
     if v.data.ndim == 0:
         raise ShapeError("l2_normalize expects a value of rank >= 1")
     norm = np.sqrt(np.sum(v.data * v.data, axis=-1, keepdims=True))
@@ -436,12 +422,11 @@ def l2_normalize(v) -> Value:
 # ---------------------------------------------------------------------------
 
 
-def zero_pad_time(x, length: int) -> Value:
+def zero_pad_time(x: Value, length: int) -> Value:
     """Fix the time extent to `length`: truncate the tail or pad zero frames.
 
     Time is the second-to-last axis; input may be [T x C] or [B x T x C].
     """
-    x = _lift(x)
     if x.data.ndim < 2:
         raise ShapeError("zero_pad_time expects a rank-2 or rank-3 value")
     if length < 1:
@@ -498,13 +483,12 @@ def segment_max(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None, n
     return _max_time(segments), segments, lo
 
 
-def adaptive_max_pool1d(x, n: int) -> Value:
+def adaptive_max_pool1d(x: Value, n: int) -> Value:
     """``segment_max`` as a graph node; the input comes back unchanged at n == T.
 
     Backward routes each segment's gradient to the earliest argmax frame;
     the argmax, which is also the kink side, is computed on demand.
     """
-    x = _lift(x)
     out, segments, lo = segment_max(x.data, n)
     if segments is None:
         return x
@@ -519,13 +503,12 @@ def adaptive_max_pool1d(x, n: int) -> Value:
     return _node(out, (x,), grad_fn, "adaptive_max_pool1d", kink_side=argmax)
 
 
-def global_max_pool_time(x) -> Value:
+def global_max_pool_time(x: Value) -> Value:
     """Per-channel max over the whole time axis (earliest argmax wins ties).
 
     [T x C] -> [C]; [B x T x C] -> [B x C].  The argmax is computed only for
     backward or the kink side.
     """
-    x = _lift(x)
     if x.data.ndim < 2:
         raise ShapeError("global_max_pool_time expects a rank-2 or rank-3 value")
     xd = x.data
@@ -568,7 +551,7 @@ def _tap_sum(window: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     return out
 
 
-def depthwise_conv1d(x, kernels) -> Value:
+def depthwise_conv1d(x: Value, kernels: Value) -> Value:
     """Per-channel temporal cross-correlation with same-length zero padding.
 
     y[.., t, c] = sum_j kernels[j, c] * x[.., t + j - (k-1)/2, c], with
@@ -587,7 +570,6 @@ def depthwise_conv1d(x, kernels) -> Value:
     sign or payload bits can differ from the loop's where two NaNs meet in
     a sum; no artifact carries them, as training stops on a non-finite loss.
     """
-    x, kernels = _lift(x), _lift(kernels)
     if x.data.ndim < 2 or kernels.data.ndim != 2:
         raise ShapeError("depthwise_conv1d expects x[..xTxC] and kernels[kxC]")
     k, ck = kernels.data.shape
@@ -621,12 +603,11 @@ def depthwise_conv1d(x, kernels) -> Value:
     return _node(out, (x, kernels), grad_fn, "depthwise_conv1d")
 
 
-def pointwise_conv1d(x, w, bias) -> Value:
+def pointwise_conv1d(x: Value, w: Value, bias: Value) -> Value:
     """Per-timestep affine channel map: y[.., t, :] = x[.., t, :] @ w + bias.
 
     Input may be [T x C_in] or [B x T x C_in].
     """
-    x, w, bias = _lift(x), _lift(w), _lift(bias)
     if x.data.ndim < 2 or w.data.ndim != 2 or bias.data.ndim != 1:
         raise ShapeError("pointwise_conv1d expects x[..xTxC_in], w[C_inxC_out], bias[C_out]")
     if x.data.shape[-1] != w.data.shape[0] or w.data.shape[1] != bias.data.shape[0]:
@@ -662,7 +643,7 @@ class BnState:
         return cls(mean=np.zeros(channels), var=np.ones(channels))
 
 
-def batch_norm(x, gamma, beta, state: BnState, mode: str = "train") -> Value:
+def batch_norm(x: Value, gamma: Value, beta: Value, state: BnState, mode: str = "train") -> Value:
     """Per-channel normalization over every batch/time position.
 
     Train mode normalizes with the batch statistics (biased variance) and
@@ -672,7 +653,6 @@ def batch_norm(x, gamma, beta, state: BnState, mode: str = "train") -> Value:
     alike, and the rest runs in place on the output and one scratch buffer,
     with np.mean's and np.var's arithmetic, so the bits are theirs.
     """
-    x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
     if x.data.ndim not in (2, 3):
         raise ShapeError("batch_norm expects rank-2 or rank-3 input")
     c = x.data.shape[-1]
@@ -728,9 +708,8 @@ def batch_norm(x, gamma, beta, state: BnState, mode: str = "train") -> Value:
 # ---------------------------------------------------------------------------
 
 
-def cross_entropy(logits, labels) -> Value:
+def cross_entropy(logits: Value, labels) -> Value:
     """Mean over the batch of -log softmax(logits)[label], in the log domain."""
-    logits = _lift(logits)
     if logits.data.ndim != 2:
         raise ShapeError("cross_entropy expects rank-2 logits [B x K]")
     b, k = logits.data.shape

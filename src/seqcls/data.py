@@ -7,9 +7,9 @@ per-modality float32 feature sequences:
     per video:    u32 id_len | id (utf-8) | u32 label | u32 num_modalities
     per modality: u32 name_len | name (utf-8) | u32 T | u32 D | T*D float32
 
-Values are row-major with no padding between fields, and a video names
-each modality at most once.  Readers raise ``FormatError`` carrying the
-byte offset of the first offending field.
+Values are row-major with no padding between fields; a video names each
+modality at most once (``VideoSample`` refuses a repeat).  Readers raise
+``FormatError`` carrying the byte offset of the first offending field.
 
 The synthetic generator plants a class signal in a few frames of
 otherwise pure-noise sequences: every (class, modality) pair gets a fixed
@@ -26,7 +26,9 @@ Every ``SynthConfig`` field has exactly its default's type (modalities map
 str to int), checked by ``check_type``, which ``TrainConfig`` shares.
 
 Every artifact writer goes through ``atomic_write``, so a failed write
-leaves an existing file as it was and no half-written file behind.
+leaves an existing file as it was and no half-written file behind.  The
+labels and score-table writers first refuse, in ``check_line_ids``, an id
+that would not read back: one with a line break or leading whitespace.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ class VideoSample:
     video_id: str
     label: int
     sequences: list[FeatureSequence] = field(default_factory=list)
+
+    def __post_init__(self):
+        names = [s.modality for s in self.sequences]
+        if len(set(names)) < len(names):
+            raise DataError(f"video {self.video_id!r} repeats a modality in {names}")
 
     def by_modality(self) -> dict[str, np.ndarray]:
         return {s.modality: s.features for s in self.sequences}
@@ -131,13 +138,10 @@ def atomic_write(path, mode: str = "w"):
 
 
 def write_mmf(path, samples: list[VideoSample]) -> None:
-    """Write the container; labels and modality names are checked before the file is opened."""
+    """Write the container; labels are checked before the file is opened."""
     for s in samples:
         if s.label < 0:
             raise DataError(f"video {s.video_id!r} has negative label {s.label}")
-        names = [seq.modality for seq in s.sequences]
-        if len(set(names)) < len(names):
-            raise DataError(f"video {s.video_id!r} repeats a modality in {names}")
     with atomic_write(path, "wb") as fh:
         fh.write(MMF_MAGIC)
         fh.write(struct.pack("<II", MMF_VERSION, len(samples)))
@@ -366,7 +370,15 @@ def synth_generate(config: SynthConfig) -> tuple[list[VideoSample], list[VideoSa
 # ---------------------------------------------------------------------------
 
 
+def check_line_ids(ids, what: str) -> None:
+    """Raise DataError for an id that holds a line break or starts with whitespace."""
+    for vid in ids:
+        if "\n" in vid or "\r" in vid or vid[:1].isspace():
+            raise DataError(f"video id {vid!r} cannot be written to a {what}")
+
+
 def write_labels(path, samples: list[VideoSample]) -> None:
+    check_line_ids((s.video_id for s in samples), "labels file")
     with atomic_write(path) as fh:
         for s in samples:
             fh.write(f"{s.video_id},{s.label}\n")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value
-from .data import array_extent, atomic_write, modality_frames, read_text_lines
+from .data import array_extent, atomic_write, check_line_ids, modality_frames, read_text_lines
 from .errors import ConfigError, DataError, FormatError
 
 WEIGHT_SUM_TOL = 1e-9
@@ -155,9 +155,7 @@ def write_scores(path, table: ScoreTable) -> None:
     break or starts with whitespace, raises DataError before path is opened.
     """
     ids = list(table.rows)
-    for vid in ids:
-        if "\n" in vid or "\r" in vid or vid[:1].isspace():
-            raise DataError(f"video id {vid!r} cannot be written to a score table")
+    check_line_ids(ids, "score table")
     # an empty table builds no row format, whatever class count its header claims
     line = "%s" + ",%.9g" * table.num_classes + "\n" if ids else ""
     rows = _matrix(table, ids).tolist()

@@ -263,11 +263,13 @@ def batch_logits(model: str, params, batch: list[VideoSample], mode: str,
     """Logits [B x K] in batch order, from one forward graph for the batch.
 
     inputs are the batch's model inputs if they are prepared already;
-    otherwise the batch is prepared here.
+    otherwise the batch is prepared here.  model must name params' class.
     """
+    if MODELS.get(model) is not type(params):
+        raise ConfigError(f"model {model!r} does not name params of class {type(params).__name__}")
     if inputs is None:
         inputs = params.prepare([s.by_modality() for s in batch])
-    return MODELS[model].forward_batch(params, inputs, mode)
+    return params.forward_batch(inputs, mode)
 
 
 def snapshot_arrays(params) -> dict[str, np.ndarray]:

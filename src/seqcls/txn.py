@@ -10,10 +10,10 @@ concatenated and classified with an affine map.
 Every forward is batched over prepared inputs, each video's frames as
 checked by ``modality_frames`` in ``TxnParams.prepare``:
 ``txn_stream_forward`` cuts or zero-pads each video's frames to the clip
-length once, in NumPy, into one constant
-[B x pad_len x D] batch, max-pools its segments with ``ad.segment_max``
-(the frames are graph constants; no gradient flows into them, so the
-pooling is no graph node), and runs the stream over it once, so batch
+length once, in NumPy, into one [B x pad_len x D] batch, max-pools its
+segments with ``ad.segment_max`` (no gradient flows into the frames, so
+the pooling is no graph node), hands the pooled clip to the graph as one
+constant leaf, ``Value(x)``, and runs the stream over it once, so batch
 norm pools every batch x segment position and each training step folds
 exactly one batch statistic into the running averages.
 ``txn_forward`` is its B = 1 call.  One walker names the parameters and
@@ -134,7 +134,7 @@ def txn_stream_forward(params: TxnStreamParams, frames: list[np.ndarray], mode: 
     for row, f in zip(x, frames):
         row[:len(f)] = f[:cfg.pad_len]
     pooled, _, _ = ad.segment_max(x, cfg.num_segments)
-    h = ad.pointwise_conv1d(pooled, params.entry_w, params.entry_b)
+    h = ad.pointwise_conv1d(Value(pooled), params.entry_w, params.entry_b)
     for block in params.blocks:
         h = txn_block_forward(block, h, mode)
     return ad.global_max_pool_time(h)

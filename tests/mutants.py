@@ -68,4 +68,18 @@ MUTANTS = (
            "if False:",
            ("tests/test_data.py::TestMmfErrors::"
             "test_repeated_modality_read_fails_at_the_repeated_name",)),
+    Mutant("txn-clip-trainable", "src/seqcls/txn.py",
+           "Value(pooled)",
+           "Value(pooled, requires_grad=True)",
+           ("tests/test_training.py::TestGraphSize::test_default_step",)),
+    Mutant("depthwise-gradient-unreversed", "src/seqcls/autodiff.py",
+           "_tap_window(gpad, t)[..., ::-1, :, :]",
+           "_tap_window(gpad, t)",
+           ("tests/test_autodiff.py::TestOnePassOpsMatchReference::test_depthwise_conv",)),
+    Mutant("from-rows-skips-sum-check", "src/seqcls/fusion.py",
+           "\n                and np.all(np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL)",
+           "",
+           ("tests/test_fusion.py::TestFromRows::test_raises_the_first_per_row_error",
+            "tests/test_bulk_io.py::TestScoreFilesMatchReference::"
+            "test_mutated_files_raise_identical_errors")),
 )

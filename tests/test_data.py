@@ -51,6 +51,13 @@ class TestFeatureStructures:
         s = sample(rgb=np.ones((2, 3)), flow=np.zeros((2, 2)))
         assert list(s.by_modality()) == ["rgb", "flow"]
 
+    def test_repeated_modality_rejected_when_the_sample_is_built(self):
+        """A video holding one modality twice would be scored on the last one alone."""
+        seqs = [FeatureSequence("rgb", np.ones((2, 2))), FeatureSequence("flow", np.ones((2, 2))),
+                FeatureSequence("rgb", np.zeros((2, 2)))]
+        with pytest.raises(DataError, match=r"'v1' repeats a modality in \['rgb', 'flow', 'rgb'\]"):
+            VideoSample("v1", 0, seqs)
+
     def test_modality_dims_detects_conflicts(self):
         a = sample("a", rgb=np.ones((2, 3)))
         b = sample("b", rgb=np.ones((4, 5)))
@@ -195,18 +202,6 @@ class TestMmfErrors:
         with pytest.raises(DataError, match="negative label"):
             write_mmf(tmp_path / "bad.mmf", [sample("v0", 0, rgb=np.ones((2, 2))),
                                              sample("v1", -2, rgb=np.ones((2, 2)))])
-
-    def test_repeated_modality_rejected_before_anything_is_opened(self, tmp_path, monkeypatch):
-        """A video holding one modality twice would be scored on the last one alone."""
-        def no_write(*args, **kwargs):
-            raise AssertionError("write_mmf opened a file before checking modality names")
-
-        monkeypatch.setattr(data, "atomic_write", no_write)
-        twice = VideoSample("v1", 0, [FeatureSequence("rgb", np.ones((2, 2))),
-                                      FeatureSequence("flow", np.ones((2, 2))),
-                                      FeatureSequence("rgb", np.zeros((2, 2)))])
-        with pytest.raises(DataError, match="'v1' repeats a modality"):
-            write_mmf(tmp_path / "bad.mmf", [sample("v0", 0, rgb=np.ones((2, 2))), twice])
 
     def test_repeated_modality_read_fails_at_the_repeated_name(self, tmp_path):
         """Each video may name a modality once; errors still come in file order."""
@@ -354,6 +349,18 @@ class TestLabels:
         path.write_text("a,1\na,2\n")
         with pytest.raises(FormatError):
             read_labels(path)
+
+    @pytest.mark.parametrize("vid", [" x", "a\nb"])
+    def test_ids_that_would_not_read_back_are_refused_before_the_file_is_opened(
+            self, tmp_path, monkeypatch, vid):
+        """As in a score table: " x" would read back as "x", a line break splits the line."""
+        def no_write(*args, **kwargs):
+            raise AssertionError("write_labels opened a file before checking the ids")
+
+        monkeypatch.setattr(data, "atomic_write", no_write)
+        samples = [sample("a", 0, rgb=np.ones((1, 1))), sample(vid, 1, rgb=np.ones((1, 1)))]
+        with pytest.raises(DataError, match="cannot be written to a labels file"):
+            write_labels(tmp_path / "labels.csv", samples)
 
 
 class TestSynthGenerator:

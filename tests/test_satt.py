@@ -392,7 +392,6 @@ def _ref_ordersum(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def ref_row_dot(x, w) -> Value:
-    x, w = ad._lift(x), ad._lift(w)
     out = np.sum(x.data[:, None, :, :] * w.data[None, :, None, :], axis=-1)
 
     def grad_fn(g):
@@ -403,7 +402,6 @@ def ref_row_dot(x, w) -> Value:
 
 
 def ref_weighted_row_sum(weights, x) -> Value:
-    weights, x = ad._lift(weights), ad._lift(x)
     wd, xd = weights.data, x.data
     out = _ref_ordersum(xd[:, None, :, :] * wd[..., None], axis=-2)
 
@@ -415,7 +413,6 @@ def ref_weighted_row_sum(weights, x) -> Value:
 
 
 def ref_softmax_sharp(logits, alpha: float) -> Value:
-    logits = ad._lift(logits)
     z = alpha * (logits.data - logits.data.max(axis=-1, keepdims=True))
     e = np.exp(z)
     y = e / _ref_ordersum(e, axis=-1)[..., None]

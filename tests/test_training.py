@@ -289,6 +289,17 @@ class TestModelDispatch:
         logits = batch_logits("txn", params, train_samples[:5], "infer")
         assert logits.data.shape == (5, 3)
 
+    @pytest.mark.parametrize("name, model", [(n, m) for n in MODELS for m in MODELS if n != m])
+    def test_a_name_that_does_not_name_the_params_class_is_a_config_error(
+            self, name, model, small_dataset):
+        """Dispatch goes through the params handed in, so a wrong name is refused, not run."""
+        _, val = small_dataset
+        params = build_model(model, [("m", 4)], 3, model_kwargs(small_cfg(model=model)), rng(0))
+        with pytest.raises(ConfigError, match=f"model {name!r} does not name"):
+            batch_logits(name, params, val[:4], "infer")
+        with pytest.raises(ConfigError, match=f"model {name!r} does not name"):
+            evaluate(name, params, val[:4])
+
     @pytest.mark.parametrize("model", MODELS)
     def test_missing_modality_or_bad_dim_is_a_shape_error(self, model):
         params = build_model(model, [("rgb", 4), ("flow", 3)], 3,
