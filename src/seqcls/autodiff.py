@@ -43,18 +43,27 @@ BN_MOMENTUM = 0.9  # retention factor for batch-norm running statistics
 GradFn = Callable[[np.ndarray], tuple]
 
 
-def rng(*seeds: int) -> np.random.Generator:
-    """Deterministic generator (PCG64): identical seeds, identical stream.
+def check_seeds(*seeds: int) -> list[int]:
+    """The seeds as ints: each must be a non-negative integer (ConfigError),
+    and a float or a bool raises TypeError.
 
-    Extra integers select independent substreams, e.g. ``rng(seed, epoch)``.
-    Every seed must be a non-negative integer; a float or a bool raises TypeError.
+    It builds no generator, so it loads none of ``numpy.random``.
     """
     if any(isinstance(s, bool) for s in seeds):
         raise TypeError(f"a seed must be an integer, not a bool, got {seeds}")
     seeds = [operator.index(s) for s in seeds]
     if min(seeds, default=0) < 0:
         raise ConfigError(f"seed must be non-negative, got {min(seeds)}")
-    return np.random.default_rng(seeds)
+    return seeds
+
+
+def rng(*seeds: int) -> np.random.Generator:
+    """Deterministic generator (PCG64): identical seeds, identical stream.
+
+    Extra integers select independent substreams, e.g. ``rng(seed, epoch)``.
+    The seeds obey ``check_seeds``.
+    """
+    return np.random.default_rng(check_seeds(*seeds))
 
 
 class Value:

@@ -3,13 +3,15 @@
 Subcommands: ``synthgen`` (write a synthetic planted-signal dataset),
 ``train`` (fit a model, write checkpoint/metrics/scores), ``eval`` (score
 a dataset with a checkpoint), ``fuse`` (combine score tables), and
-``gradcheck`` (finite-difference verification of the gradient engine).
+``gradcheck`` (finite-difference verification of the gradient engine; its
+case-runs go to one worker per usable CPU and print the same lines as an
+in-process run, which ``taskset -c 0 seqcls gradcheck ...`` gives).
 
 Exit codes: 0 success, 2 configuration, usage or data problem (an empty
 batch, data that lacks a modality the model needs or holds a sequence of
 the wrong shape, or sizes too large for memory, included), 3 I/O or file
-format problem, 4 numeric failure (gradient verification failed, or
-training met a non-finite loss).
+format problem, 4 numeric failure (gradient verification failed or a
+gradcheck worker died, or training met a non-finite loss).
 """
 
 from __future__ import annotations

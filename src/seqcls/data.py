@@ -8,8 +8,9 @@ per-modality float32 feature sequences:
     per modality: u32 name_len | name (utf-8) | u32 T | u32 D | T*D float32
 
 Values are row-major with no padding between fields; a video names each
-modality at most once (``VideoSample`` refuses a repeat).  Readers raise
-``FormatError`` carrying the byte offset of the first offending field.
+modality at most once (``VideoSample`` refuses a repeat, and ``write_mmf``
+checks again).  Readers raise ``FormatError`` carrying the byte offset of
+the first offending field.
 
 The synthetic generator plants a class signal in a few frames of
 otherwise pure-noise sequences: every (class, modality) pair gets a fixed
@@ -76,6 +77,11 @@ class VideoSample:
     sequences: list[FeatureSequence] = field(default_factory=list)
 
     def __post_init__(self):
+        self.check_modalities()
+
+    def check_modalities(self) -> None:
+        """Raise DataError when a modality is named twice; ``write_mmf`` asks again,
+        since ``sequences`` can change after the sample is built."""
         names = [s.modality for s in self.sequences]
         if len(set(names)) < len(names):
             raise DataError(f"video {self.video_id!r} repeats a modality in {names}")
@@ -138,8 +144,9 @@ def atomic_write(path, mode: str = "w"):
 
 
 def write_mmf(path, samples: list[VideoSample]) -> None:
-    """Write the container; labels are checked before the file is opened."""
+    """Write the container; labels and modality names are checked before the file is opened."""
     for s in samples:
+        s.check_modalities()
         if s.label < 0:
             raise DataError(f"video {s.video_id!r} has negative label {s.label}")
     with atomic_write(path, "wb") as fh:

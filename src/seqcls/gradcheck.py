@@ -14,16 +14,25 @@ max-pool or clamp kink, where one-sided derivatives disagree (a step in a
 weight can move a pre-activation by more than the step itself, for
 instance through batch norm), or it met curvature that central
 differences at that step cannot resolve.
+
+``run_cases`` checks its arguments, then hands its (case, seed) runs to one
+forked worker per usable CPU, never more than there are runs, and returns
+their results in (case, seed) order, so its output is the same however
+many workers ran.  With one worker (one usable CPU, one run, no ``fork`` on
+the platform, or another thread running) the runs stay in process; run the
+command under ``taskset -c 0`` to take that path, e.g. to profile it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BnState, FdReport, Value, rng
+from .autodiff import BnState, FdReport, Value, check_seeds, rng
 from .errors import ConfigError, NumericError
 from .satt import AttentionGroupParams, SattHeadParams, SattNetParams, satt_head_forward, satt_net_forward
 from .txn import TxnBlockParams, TxnParams, TxnStreamConfig, named_parameters, txn_block_forward, txn_forward
@@ -174,19 +183,67 @@ class CaseResult:
         return f"{self.name} seed={self.seed} attempts={self.attempts} {self.report.summary()}"
 
 
+def _check(names, seeds, step: float, tol: float) -> None:
+    """Raise for an argument that no case-run could take: case, seed, step or tol."""
+    for name in names:
+        if name not in CASES:
+            raise ConfigError(f"unknown gradcheck case {name!r}; known: {', '.join(case_names())}")
+    check_seeds(*seeds)
+    # fd_check's own rule, applied before any case-run starts
+    if not 0.0 < step < np.inf:
+        raise ConfigError(f"finite-difference step must be positive and finite, got {step}")
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"tolerance must be non-negative and finite, got {tol}")
+
+
 def run_case(name: str, seed: int, step: float = 1e-3, tol: float = 1e-4) -> CaseResult:
     """Verify one case at one seed, redrawing samples the step cannot check."""
-    builder = CASES.get(name)
-    if builder is None:
-        raise ConfigError(f"unknown gradcheck case {name!r}; known: {', '.join(case_names())}")
+    _check([name], [seed], step, tol)
     for attempt in range(MAX_RESAMPLE):
-        f, params = builder(rng(seed, attempt))
+        f, params = CASES[name](rng(seed, attempt))
         report = ad.fd_check(f, params, step=step, tol=tol)
         if not report.step_unfit:
             return CaseResult(name=name, seed=seed, attempts=attempt + 1, report=report)
     raise NumericError(f"case {name!r}: the step could check none of {MAX_RESAMPLE} draws")
 
 
+def _run_task(task: tuple[str, int, float, float]) -> CaseResult:
+    # looks run_case up when it runs, so a wrapper installed on this module
+    # runs in the workers too; the pool pickles this function by its name
+    return run_case(*task)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say or cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def run_cases(names: list[str], seeds: list[int], step: float = 1e-3,
               tol: float = 1e-4) -> list[CaseResult]:
-    return [run_case(name, seed, step=step, tol=tol) for name in names for seed in seeds]
+    """Verify every case at every seed; results come in (case, seed) order.
+
+    Bad arguments raise before any worker starts.  The first error a
+    case-run raises is raised here, the runs not yet started are dropped,
+    and every worker has exited when this returns.  A worker that dies
+    raises ``NumericError`` "gradcheck worker died: ...".
+    """
+    _check(names, seeds, step, tol)
+    tasks = [(name, seed, step, tol) for name in names for seed in seeds]
+    workers = min(_usable_cpus(), len(tasks))
+    # fork copies only the calling thread: a lock another thread holds stays held in the copy
+    if workers < 2 or threading.active_count() > 1:
+        return [_run_task(task) for task in tasks]
+    # imported here, so that the other commands load none of the pool's modules
+    import multiprocessing
+    from concurrent import futures
+
+    with futures.ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            return list(pool.map(_run_task, tasks, chunksize=1))
+        except futures.BrokenExecutor as exc:
+            raise NumericError(f"gradcheck worker died: {exc}") from exc
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

@@ -82,4 +82,8 @@ MUTANTS = (
            ("tests/test_fusion.py::TestFromRows::test_raises_the_first_per_row_error",
             "tests/test_bulk_io.py::TestScoreFilesMatchReference::"
             "test_mutated_files_raise_identical_errors")),
+    Mutant("pool-returns-completion-order", "src/seqcls/gradcheck.py",
+           "list(pool.map(_run_task, tasks, chunksize=1))",
+           "[f.result() for f in futures.as_completed([pool.submit(_run_task, t) for t in tasks])]",
+           ("tests/test_gradcheck.py::TestWorkerPool::test_one_and_two_workers_give_the_same_bytes",)),
 )

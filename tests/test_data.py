@@ -203,6 +203,14 @@ class TestMmfErrors:
             write_mmf(tmp_path / "bad.mmf", [sample("v0", 0, rgb=np.ones((2, 2))),
                                              sample("v1", -2, rgb=np.ones((2, 2)))])
 
+    def test_modality_repeated_after_the_sample_is_built_is_refused_before_writing(self, tmp_path):
+        """The writer asks the sample's name check again, so the reader never refuses its file."""
+        s = sample("v1", 0, rgb=np.ones((2, 2)))
+        s.sequences.append(FeatureSequence("rgb", np.zeros((2, 2))))
+        with pytest.raises(DataError, match=r"'v1' repeats a modality in \['rgb', 'rgb'\]"):
+            write_mmf(tmp_path / "twice.mmf", [s])
+        assert list(tmp_path.iterdir()) == []
+
     def test_repeated_modality_read_fails_at_the_repeated_name(self, tmp_path):
         """Each video may name a modality once; errors still come in file order."""
         def seq(name: bytes, value: float) -> bytes:
