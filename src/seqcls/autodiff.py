@@ -764,6 +764,14 @@ class FdReport:
                 f"coords={self.coords_checked} worst={self.worst_param}")
 
 
+def _check_fd_args(step: float, tol: float) -> None:
+    """Raise ConfigError unless ``fd_check`` can take this step and tolerance."""
+    if not 0.0 < step < np.inf:
+        raise ConfigError(f"finite-difference step must be positive and finite, got {step}")
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"tolerance must be non-negative and finite, got {tol}")
+
+
 def fd_check(f: Callable[[], Value], params, step: float = 1e-3, tol: float = 1e-4) -> FdReport:
     """Compare analytic gradients of the scalar f() against central differences.
 
@@ -779,10 +787,7 @@ def fd_check(f: Callable[[], Value], params, step: float = 1e-3, tol: float = 1e
     the report says ``step_unfit`` and central differences at this step are
     no oracle for the sample.
     """
-    if not 0.0 < step < np.inf:
-        raise ConfigError(f"finite-difference step must be positive and finite, got {step}")
-    if not 0.0 <= tol < np.inf:
-        raise ConfigError(f"tolerance must be non-negative and finite, got {tol}")
+    _check_fd_args(step, tol)
     named = list(params)
     zero_grads(v for _, v in named)
     root = f()

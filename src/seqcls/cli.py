@@ -125,9 +125,10 @@ def _cmd_synthgen(args) -> int:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat 'key = value' utf-8 file; '#' starts a comment; unknown keys rejected."""
+    """Flat 'key = value' utf-8 file; '#' starts a comment; unknown or repeated keys rejected."""
     known = {f.name for f in dataclasses.fields(TrainConfig)}
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         lines = read_text_lines(path, "config file")
     except FormatError as exc:
@@ -142,6 +143,10 @@ def parse_config_file(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} already set at line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         out[key] = value
     return out
 

@@ -189,11 +189,7 @@ def _check(names, seeds, step: float, tol: float) -> None:
         if name not in CASES:
             raise ConfigError(f"unknown gradcheck case {name!r}; known: {', '.join(case_names())}")
     check_seeds(*seeds)
-    # fd_check's own rule, applied before any case-run starts
-    if not 0.0 < step < np.inf:
-        raise ConfigError(f"finite-difference step must be positive and finite, got {step}")
-    if not 0.0 <= tol < np.inf:
-        raise ConfigError(f"tolerance must be non-negative and finite, got {tol}")
+    ad._check_fd_args(step, tol)
 
 
 def run_case(name: str, seed: int, step: float = 1e-3, tol: float = 1e-4) -> CaseResult:

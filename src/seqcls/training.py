@@ -14,8 +14,11 @@ field), ``check_kwargs`` (the bounds on those values), ``from_kwargs``,
 ``sizes_from_arrays`` (the ``model_kwargs`` sizes and feature dims that a
 checkpoint's arrays fix), ``prepare`` (each video's per-modality frame
 arrays -> its model inputs, checked, with every parameter-free computation
-done), ``forward_batch`` (prepared inputs [B] -> logits [B x K], one
-graph), the named trainable leaves ``parameters()``,
+done: txn's pooled clips and meanpool's frame means, so their forwards only
+stack; satt's inputs are each sequence's frames and canonical order, which
+each forward gathers again, since storing reordered frames costs scoring
+about 12% more peak memory), ``forward_batch`` (prepared inputs [B] ->
+logits [B x K], one graph), the named trainable leaves ``parameters()``,
 ``checkpoint_arrays()`` (a checkpoint's arrays by name, in file order, as
 views of the model's storage) and its modalities.
 
@@ -48,11 +51,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Value, rng, zero_grads
+from .autodiff import Value, check_seeds, rng, zero_grads
 from .data import (
     VideoSample,
     array_extent,
     batch_iter,
+    check_line_ids,
     check_type,
     modality_dims,
     read_checkpoint,
@@ -115,8 +119,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_seeds(self.seed)
         MODELS[self.model].check_kwargs(model_kwargs(self))
 
 
@@ -416,6 +419,8 @@ def train(cfg: TrainConfig, train_samples: list[VideoSample],
         if dims.get(name) != d:
             raise DataError(f"validation modality {name!r} does not match training data")
     num_classes = 1 + max(s.label for s in train_samples + val_samples)
+    # refused before the first epoch, so no run writes a checkpoint and then fails on its scores
+    check_line_ids((s.video_id for s in val_samples), "score table")
 
     modalities = list(dims.items())
     kwargs = model_kwargs(cfg)

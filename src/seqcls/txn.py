@@ -7,17 +7,17 @@ temporal conv, pointwise channel mix, batch norm, relu).  A global
 temporal max pool reduces each stream to a vector; streams are
 concatenated and classified with an affine map.
 
-Every forward is batched over prepared inputs, each video's frames as
-checked by ``modality_frames`` in ``TxnParams.prepare``:
-``txn_stream_forward`` cuts or zero-pads each video's frames to the clip
-length once, in NumPy, into one [B x pad_len x D] batch, max-pools its
-segments with ``ad.segment_max`` (no gradient flows into the frames, so
-the pooling is no graph node), hands the pooled clip to the graph as one
-constant leaf, ``Value(x)``, and runs the stream over it once, so batch
-norm pools every batch x segment position and each training step folds
-exactly one batch statistic into the running averages.
-``txn_forward`` is its B = 1 call.  One walker names the parameters and
-batch-norm statistics, in checkpoint order.
+``TxnParams.prepare`` does every parameter-free step, once per video and
+stream: it checks the frames (``modality_frames``), cuts or zero-pads them
+to the clip length and max-pools the segments with ``ad.segment_max`` (no
+gradient flows into the frames, so the pooling is no graph node).  When
+the frames need neither, the clip is a view of them.  Every forward is
+batched over prepared inputs: ``txn_stream_forward`` only stacks its
+clips into one constant leaf, ``Value(np.stack(clips))``, and runs the
+stream over it once, so batch norm pools every batch x segment position
+and each training step folds exactly one batch statistic into the running
+averages.  ``txn_forward`` is its B = 1 call.  One walker names the
+parameters and batch-norm statistics, in checkpoint order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import ConfigError
 
 
 # the longest clip a stream pads to: pad_len shapes no stored array, so a
-# checkpoint's arrays cannot bound it, and a batch holds [B x pad_len x D]
+# checkpoint's arrays cannot bound it, and prepare pads a clip to [pad_len x D]
 MAX_PAD_LEN = 2 ** 16
 # the widest block, longest kernel and deepest stream a config may ask for: a
 # train config's sizes have no arrays behind them, and each layer allocates a
@@ -124,17 +124,17 @@ class TxnStreamParams:
                    blocks=blocks)
 
 
-def txn_stream_forward(params: TxnStreamParams, frames: list[np.ndarray], mode: str) -> Value:
-    """Stream vectors [B x C] of each video's checked frames [T x D].
+def _clip(cfg: TxnStreamConfig, frames: np.ndarray) -> np.ndarray:
+    """Checked frames [T x D] cut or zero-padded to pad_len, max-pooled to [num_segments x D]."""
+    x = frames[:cfg.pad_len]
+    if len(x) < cfg.pad_len:
+        x = np.concatenate([x, np.zeros((cfg.pad_len - len(x), cfg.feature_dim))])
+    return ad.segment_max(x, cfg.num_segments)[0]
 
-    The frames are cut or zero-padded to pad_len and pooled in NumPy.
-    """
-    cfg = params.config
-    x = np.zeros((len(frames), cfg.pad_len, cfg.feature_dim))
-    for row, f in zip(x, frames):
-        row[:len(f)] = f[:cfg.pad_len]
-    pooled, _, _ = ad.segment_max(x, cfg.num_segments)
-    h = ad.pointwise_conv1d(Value(pooled), params.entry_w, params.entry_b)
+
+def txn_stream_forward(params: TxnStreamParams, clips: list[np.ndarray], mode: str) -> Value:
+    """Stream vectors [B x C] of each video's prepared clip [num_segments x D]."""
+    h = ad.pointwise_conv1d(Value(np.stack(clips)), params.entry_w, params.entry_b)
     for block in params.blocks:
         h = txn_block_forward(block, h, mode)
     return ad.global_max_pool_time(h)
@@ -208,8 +208,9 @@ class TxnParams:
                    for m, _ in modalities}}
 
     def prepare(self, batch: list[dict[str, np.ndarray]]) -> list[tuple[np.ndarray, ...]]:
-        """Each video's checked frames [T x D], one array per stream."""
-        return list(zip(*[modality_frames(batch, s.config.modality, s.config.feature_dim)
+        """Each video's pooled clip [num_segments x D], one array per stream."""
+        return list(zip(*[[_clip(s.config, f) for f in
+                           modality_frames(batch, s.config.modality, s.config.feature_dim)]
                           for s in self.streams]))
 
     def forward_batch(self, inputs: list, mode: str) -> Value:
@@ -262,8 +263,8 @@ def txn_forward(params: TxnParams, sequences: dict[str, Value], mode: str = "tra
 def txn_forward_batch(params: TxnParams, inputs: list, mode: str = "train") -> Value:
     """Logits [B x K] for a batch's prepared inputs, with batch-level normalization statistics.
 
-    Each stream runs once over the padded batch, so train-mode batch norm
-    sees every video at once.
+    Each stream runs once over the batch's stacked clips, so train-mode
+    batch norm sees every video at once.
     """
     reps = [txn_stream_forward(s, [video[k] for video in inputs], mode)
             for k, s in enumerate(params.streams)]

@@ -69,9 +69,15 @@ MUTANTS = (
            ("tests/test_data.py::TestMmfErrors::"
             "test_repeated_modality_read_fails_at_the_repeated_name",)),
     Mutant("txn-clip-trainable", "src/seqcls/txn.py",
-           "Value(pooled)",
-           "Value(pooled, requires_grad=True)",
+           "pointwise_conv1d(Value(np.stack(clips)),",
+           "pointwise_conv1d(Value(np.stack(clips), requires_grad=True),",
            ("tests/test_training.py::TestGraphSize::test_default_step",)),
+    Mutant("txn-clip-cuts-tail", "src/seqcls/txn.py",
+           "x = frames[:cfg.pad_len]",
+           "x = frames[-cfg.pad_len:]",
+           ("tests/test_txn.py::TestPreparedClips::"
+            "test_matches_per_batch_pad_and_pool_oracle_bitwise",
+            "tests/test_txn.py::TestPreparedClips::test_default_clip_is_a_view_of_its_frames")),
     Mutant("depthwise-gradient-unreversed", "src/seqcls/autodiff.py",
            "_tap_window(gpad, t)[..., ::-1, :, :]",
            "_tap_window(gpad, t)",

@@ -1085,9 +1085,9 @@ class TestTxnAgainstTheOracles:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_frame_pooling_is_no_graph_node(self, monkeypatch):
-        """The input frames are constants, so txn pools them in NumPy: a train-mode graph
-        holds no adaptive_max_pool1d node, and its logits and gradients are the bytes of
-        one that pools through the oracle op."""
+        """The input frames are constants, so txn's prepare pools them in NumPy: a
+        train-mode graph holds no adaptive_max_pool1d node, and its logits and gradients
+        are the bytes of one that pools through the oracle op."""
         from seqcls.data import FeatureSequence, VideoSample
         from seqcls.training import TrainConfig, batch_logits, build_model, model_kwargs
 
@@ -1115,7 +1115,7 @@ class TestTxnAgainstTheOracles:
 
         monkeypatch.setattr(ad, "segment_max", oracle_pool)
         ref_logits, ref_grads, _ = step()
-        assert calls == [3, 3]  # one per stream
+        assert calls == [3] * 8  # one per video and stream, made in prepare
         assert_same_bits(logits, ref_logits)
         for g, r in zip(grads, ref_grads):
             assert_same_bits(g, r)

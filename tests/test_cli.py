@@ -161,6 +161,20 @@ class TestTrainCommand:
         assert "epoch 0, batch 2" in err
         assert not out.exists()
 
+    def test_validation_id_a_score_table_cannot_hold_exits_config_and_writes_nothing(
+            self, workspace, tmp_path, capsys):
+        samples = read_mmf(workspace["data"] / "val.mmf")
+        samples[1].video_id = "bad\nid"
+        write_mmf(tmp_path / "newline.mmf", samples)
+        out = tmp_path / "r"
+        code = main(["train", "--train", str(workspace["data"] / "train.mmf"),
+                     "--val", str(tmp_path / "newline.mmf"), "--out", str(out),
+                     "--model", "meanpool", "--epochs", "1", "--quiet"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: video id 'bad\\nid' cannot be written to a score table\n")
+        assert not out.exists()
+
     def test_diverging_run_prints_only_its_error_line(self, workspace, tmp_path):
         """In a process of its own, where no warnings filter applies, stderr is one line."""
         data = workspace["data"]
@@ -241,6 +255,18 @@ class TestConfigFile:
         cfg_path.write_text("lr = 0.1\nwarmup = 5\n")
         with pytest.raises(ConfigError, match=r"train.cfg:2"):
             parse_config_file(cfg_path)
+
+    def test_repeated_key_exits_config_naming_file_key_and_both_lines(self, workspace, tmp_path,
+                                                                      capsys):
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text("epochs = 1\nlr = 0.1\n\nepochs = 2\n")
+        data = workspace["data"]
+        code = main(["train", "--train", str(data / "train.mmf"), "--val", str(data / "val.mmf"),
+                     "--out", str(tmp_path / "run"), "--config", str(cfg_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}:4: config key 'epochs' already set at line 1\n")
+        assert not (tmp_path / "run").exists()
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg_path = tmp_path / "train.cfg"
@@ -432,12 +458,13 @@ class TestEvalCommand:
         """pad_len and num_segments shape no stored array, so the arrays cannot contradict
         them; build_model's bounds hold them before the model is built, at train and at eval.
 
-        The model is built for real here; only its forward, which would allocate
-        a [B x pad_len x D] batch, is refused.
+        The model is built for real here; only its prepare, which would allocate
+        a [pad_len x D] clip per video, and its forward are refused.
         """
         def refuse(*args, **kwargs):
-            raise AssertionError("txn forward ran with an unbounded clip length")
+            raise AssertionError("txn prepare or forward ran with an unbounded clip length")
 
+        monkeypatch.setattr(MODELS["txn"], "prepare", refuse)
         monkeypatch.setattr(MODELS["txn"], "forward_batch", refuse)
 
         def edit(arrays, meta):

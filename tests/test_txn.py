@@ -10,10 +10,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from seqcls import autodiff as ad
-from seqcls.autodiff import Value, rng
-from seqcls.data import modality_frames
+from seqcls.autodiff import Value, backward, rng, zero_grads
 from seqcls.errors import ShapeError
 from seqcls.gradcheck import run_cases
+from seqcls.training import TrainConfig, build_model, model_kwargs
 from seqcls.txn import (
     MAX_BLOCK_CHANNELS,
     MAX_KERNEL_SIZE,
@@ -134,8 +134,9 @@ class TestTxnBlock:
 class TestTxnStream:
     @staticmethod
     def batch(xs, modality="rgb"):
-        """The checked rgb frames of videos xs, as TxnParams.prepare hands them to a stream."""
-        return modality_frames([{modality: x} for x in xs], "rgb", 4)
+        """The clips TxnParams.prepare hands a small_config stream for videos xs."""
+        net = TxnParams.init([small_config()], 3, rng(0))
+        return [clips[0] for clips in net.prepare([{modality: x} for x in xs])]
 
     def test_output_shapes(self):
         gen = rng(42)
@@ -144,8 +145,8 @@ class TestTxnStream:
         assert out.data.shape == (3, 5)
         with pytest.raises(ShapeError):  # each video holds one sequence [T x D]
             txn_stream_forward(stream, self.batch([gen.normal(size=(2, 6, 4))]), "infer")
-        with pytest.raises(ShapeError):
-            txn_stream_forward(stream, [], "infer")
+        with pytest.raises(ShapeError):  # prepare refuses an empty batch
+            txn_stream_forward(stream, self.batch([]), "infer")
 
     def test_batched_infer_matches_per_sample_bitwise(self):
         """A ragged batch in infer mode equals each sample's own forward, bit for bit."""
@@ -321,3 +322,65 @@ class TestTxnNet:
         """The registry's block and net cases pass at the default tolerance."""
         for result in run_cases(["txn_block", "txn_net"], seeds=[0, 1]):
             assert result.report.passed, result.line()
+
+
+def per_batch_stream_oracle(params: TxnStreamParams, frames: list, mode: str) -> Value:
+    """The stream forward that padded and pooled each batch's checked frames [T x D] itself."""
+    cfg = params.config
+    x = np.zeros((len(frames), cfg.pad_len, cfg.feature_dim))
+    for row, f in zip(x, frames):
+        row[:len(f)] = f[:cfg.pad_len]
+    pooled, _, _ = ad.segment_max(x, cfg.num_segments)
+    h = ad.pointwise_conv1d(Value(pooled), params.entry_w, params.entry_b)
+    for block in params.blocks:
+        h = txn_block_forward(block, h, mode)
+    return ad.global_max_pool_time(h)
+
+
+class TestPreparedClips:
+    """prepare pads and pools each clip once; the stream forward only stacks the clips."""
+
+    @pytest.mark.parametrize("num_segments", [8, 3])  # pad_len is 8
+    @pytest.mark.parametrize("lengths", [((3, 9), (8, 4), (12, 8), (8, 15), (5, 2)),
+                                         ((5, 12),), ((12, 8),)])
+    def test_matches_per_batch_pad_and_pool_oracle_bitwise(self, num_segments, lengths):
+        """Logits, every parameter gradient and the batch-norm statistics equal the
+        per-batch path's bit for bit, with frame counts below, at and above pad_len."""
+        gen = rng(7)
+        batch = [{"rgb": gen.normal(size=(t, 4)), "flow": gen.normal(size=(u, 3))}
+                 for t, u in lengths]
+        labels = [i % 3 for i in range(len(batch))]
+        configs = [small_config(num_segments=num_segments),
+                   small_config(modality="flow", feature_dim=3, num_segments=num_segments)]
+        net, oracle = (TxnParams.init(configs, 3, rng(42)) for _ in range(2))
+        for p in (net, oracle):
+            p.classifier_w.data[...] = rng(9).normal(size=p.classifier_w.data.shape)
+
+        def oracle_logits(mode):
+            reps = [per_batch_stream_oracle(s, [video[s.config.modality] for video in batch], mode)
+                    for s in oracle.streams]
+            return ad.affine(ad.concat(reps, axis=1), oracle.classifier_w, oracle.classifier_b)
+
+        def logits_and_grads(params, logits):
+            zero_grads(v for _, v in params.parameters())
+            backward(ad.cross_entropy(logits, labels))
+            return [logits.data] + [v.grad.copy() for _, v in params.parameters()]
+
+        for mode in ("train", "train", "infer"):
+            got = logits_and_grads(net, txn_forward_batch(net, net.prepare(batch), mode))
+            expected = logits_and_grads(oracle, oracle_logits(mode))
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes()
+            for (name, a), (_, b) in zip(net.checkpoint_arrays(), oracle.checkpoint_arrays()):
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_default_clip_is_a_view_of_its_frames(self):
+        """At pad_len == num_segments a clip copies no frames unless it must pad."""
+        net = build_model("txn", [("rgb", 4)], 3, model_kwargs(TrainConfig(model="txn")), rng(0))
+        pad_len = net.streams[0].config.pad_len
+        frames = [rng(t).normal(size=(t, 4)) for t in (pad_len, pad_len + 15, pad_len - 10)]
+        clips = [video[0] for video in net.prepare([{"rgb": x} for x in frames])]
+        assert [c.shape for c in clips] == [(pad_len, 4)] * 3
+        assert [np.shares_memory(c, x) for c, x in zip(clips, frames)] == [True, True, False]
+        assert_array_equal(clips[1], frames[1][:pad_len])
+        assert_array_equal(clips[2], np.concatenate([frames[2], np.zeros((10, 4))]))
