@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 
@@ -165,11 +166,26 @@ def make_train_config(file_values: dict[str, str], flag_values: dict[str, str]) 
     return TrainConfig(**merged)
 
 
+def _check_out(path: str, directory: bool) -> None:
+    """Raise the OSError that making the output directory, or writing the output file, ends in."""
+    parent = path if directory else os.path.dirname(path) or "."
+    while directory and not os.path.lexists(parent):  # makedirs makes every missing level
+        parent = os.path.dirname(parent) or "."
+    code = (errno.ENOENT if not path
+            else errno.EISDIR if not directory and os.path.isdir(path)
+            else 0 if os.path.isdir(parent)
+            else errno.EEXIST if parent == path
+            else errno.ENOTDIR if os.path.lexists(parent) else errno.ENOENT)
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_train(args) -> int:
     file_values = parse_config_file(args.config) if args.config else {}
     flag_values = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
                    if getattr(args, f.name) is not None}
     cfg = make_train_config(file_values, flag_values)
+    _check_out(args.out, directory=True)
     progress = None if args.quiet else lambda line: print(line, flush=True)
     result = train_from_files(cfg, args.train_path, args.val_path, progress=progress)
 
@@ -187,6 +203,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.out:
+        _check_out(args.out, directory=False)
     model, params, _ = load_model(args.checkpoint)
     samples = read_mmf(args.data)
     table = evaluate(model, params, samples, threads=args.threads)

@@ -16,11 +16,11 @@ checkpoint's arrays fix), ``prepare`` (each video's per-modality frame
 arrays -> its model inputs, checked, with every parameter-free computation
 done: txn's pooled clips and meanpool's frame means, so their forwards only
 stack; satt's inputs are each sequence's frames and canonical order, which
-each forward gathers again, since storing reordered frames costs scoring
-about 12% more peak memory), ``forward_batch`` (prepared inputs [B] ->
-logits [B x K], one graph), the named trainable leaves ``parameters()``,
-``checkpoint_arrays()`` (a checkpoint's arrays by name, in file order, as
-views of the model's storage) and its modalities.
+each forward gathers again, since a reordered copy of every frame raises a
+satt training run's peak memory by about 11%), ``forward_batch`` (prepared
+inputs [B] -> logits [B x K], one graph), the named trainable leaves
+``parameters()``, ``checkpoint_arrays()`` (a checkpoint's arrays by name, in
+file order, as views of the model's storage) and its modalities.
 
 Every ``TrainConfig`` field has exactly its default's type (an int is never
 a float or a bool), which ``check_type`` tests before any range, the seed
@@ -31,7 +31,8 @@ one check of its shape (class count, modalities and ``model_kwargs``); the
 constructors behind ``from_kwargs`` check nothing.
 
 Each split is prepared once, by its holder: ``train`` prepares both splits
-per call, and ``evaluate`` only samples handed to it without their inputs.
+per call, and ``evaluate`` prepares samples handed to it without their
+inputs chunk by chunk, as it scores them.
 
 ``train`` packs the model's parameters into one flat arena
 (``autodiff.pack``): each parameter's values and gradient are views of one
@@ -331,8 +332,9 @@ def evaluate(model: str, params, samples: list[VideoSample], threads: int = 1, *
 
     Samples are sorted by their (modality, T) pairs, ties in dataset order,
     and scored in chunks of EVAL_CHUNK cut from that order, one forward graph
-    per chunk on its slice of ``inputs``, the samples' prepared inputs (one
-    ``prepare`` call's if None); one softmax and one validation cover the
+    per chunk on its slice of ``inputs``, the samples' prepared inputs (if
+    None, each chunk is prepared as it is scored, so scoring holds one
+    chunk's inputs at a time); one softmax and one validation cover the
     table.  Rows equal those of chunks cut in dataset order bit for bit,
     except that a chunk of one video (N % EVAL_CHUNK == 1) runs its affine
     map as a matrix-vector product, whose last bit can differ from a matrix
@@ -345,15 +347,13 @@ def evaluate(model: str, params, samples: list[VideoSample], threads: int = 1, *
         raise ConfigError(f"threads must be >= 1, got {threads}")
     if not samples:
         raise DataError("nothing to evaluate")
-    if inputs is None:
-        inputs = params.prepare([s.by_modality() for s in samples])
     counts = [sorted((q.modality, len(q.features)) for q in s.sequences) for s in samples]
     order = sorted(range(len(samples)), key=counts.__getitem__)
     logits = np.empty((len(samples), params.num_classes))
     for start in range(0, len(order), EVAL_CHUNK):
         rows = order[start:start + EVAL_CHUNK]
-        logits[rows] = batch_logits(model, params, [samples[i] for i in rows], "infer",
-                                    [inputs[i] for i in rows]).data
+        part = None if inputs is None else [inputs[i] for i in rows]
+        logits[rows] = batch_logits(model, params, [samples[i] for i in rows], "infer", part).data
     return ScoreTable.from_rows(params.num_classes, [s.video_id for s in samples],
                                 softmax_scores(logits))
 

@@ -78,6 +78,10 @@ MUTANTS = (
            ("tests/test_txn.py::TestPreparedClips::"
             "test_matches_per_batch_pad_and_pool_oracle_bitwise",
             "tests/test_txn.py::TestPreparedClips::test_default_clip_is_a_view_of_its_frames")),
+    Mutant("depthwise-forward-reverses-taps", "src/seqcls/autodiff.py",
+           "out = _tap_sum(xwin, kernels.data)",
+           "out = _tap_sum(xwin[..., ::-1, :, :], kernels.data[::-1])",
+           ("tests/test_autodiff.py::TestOnePassOpsMatchReference::test_depthwise_conv",)),
     Mutant("depthwise-gradient-unreversed", "src/seqcls/autodiff.py",
            "_tap_window(gpad, t)[..., ::-1, :, :]",
            "_tap_window(gpad, t)",

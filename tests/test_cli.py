@@ -9,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqcls
 
+from seqcls import cli
 from seqcls.autodiff import rng
 from seqcls.cli import (
     EXIT_CONFIG,
@@ -27,7 +29,7 @@ from seqcls.data import read_checkpoint, read_labels, read_mmf, write_checkpoint
 from seqcls.errors import ConfigError
 from seqcls.fusion import read_scores
 from seqcls.satt import MAX_NUM_HEADS
-from seqcls.training import MODELS, MetricsReport, TrainConfig, build_model
+from seqcls.training import EVAL_CHUNK, MODELS, MetricsReport, TrainConfig, build_model
 from seqcls.txn import MAX_BLOCK_CHANNELS, MAX_KERNEL_SIZE, MAX_NUM_BLOCKS
 
 SMALL_GEN = ["--classes", "3", "--videos-per-class", "5", "--frames", "6",
@@ -231,6 +233,35 @@ class TestTrainCommand:
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and err.startswith("error:") and "missing.mmf" not in err
 
+    @pytest.mark.parametrize("out, text", [
+        ("taken", "[Errno 17] File exists"), ("taken/sub", "[Errno 20] Not a directory"),
+        ("taken/sub/deeper", "[Errno 20] Not a directory"),
+        ("", "[Errno 2] No such file or directory")])
+    def test_unusable_out_exits_io_before_any_data_is_read(self, workspace, tmp_path, capsys,
+                                                           monkeypatch, out, text):
+        """An --out that no directory can be made at is refused before training."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("data read before --out was checked")
+
+        monkeypatch.setattr(cli, "train_from_files", refuse)
+        (tmp_path / "taken").write_text("keep")
+        data = workspace["data"]
+        path = str(tmp_path / out) if out else out
+        code = main(["train", "--train", str(data / "train.mmf"), "--val", str(data / "val.mmf"),
+                     "--out", path, "--quiet"])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err == f"error: {text}: {path!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert (tmp_path / "taken").read_text() == "keep"
+
+    def test_out_check_creates_nothing(self, tmp_path):
+        """Existing directories and paths under them pass; nothing is made."""
+        for path in (tmp_path, tmp_path / "new", tmp_path / "new" / "deeper" / ""):
+            cli._check_out(str(path), directory=True)
+        cli._check_out(str(tmp_path / "s.csv"), directory=False)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_flag_value_exits_config(self, workspace, tmp_path):
         data = workspace["data"]
         code = main(["train", "--train", str(data / "train.mmf"),
@@ -339,6 +370,53 @@ class TestEvalCommand:
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and err.startswith("error:") and "flow" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("out, text", [
+        (".", "[Errno 21] Is a directory"), ("absent/s.csv", "[Errno 2] No such file or directory"),
+        ("taken/s.csv", "[Errno 20] Not a directory")])
+    def test_unusable_out_exits_io_before_any_data_is_read(self, workspace, tmp_path, capsys,
+                                                           monkeypatch, out, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("data read before --out was checked")
+
+        for name in ("load_model", "read_mmf", "evaluate"):
+            monkeypatch.setattr(cli, name, refuse)
+        (tmp_path / "taken").write_text("keep")
+        path = tmp_path / out
+        code = main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.ckpt"),
+                     "--data", str(workspace["data"] / "val.mmf"), "--out", str(path)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"error: {text}: {str(path)!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    @pytest.mark.parametrize("model", ["satt", "txn", "meanpool"])
+    @pytest.mark.parametrize("fault", ["missing flow", "wrong rgb dim"])
+    def test_bad_video_in_a_late_chunk_exits_config_and_writes_nothing(
+            self, two_modality_runs, tmp_path, capsys, model, fault):
+        """Scoring prepares chunk by chunk, so the fault surfaces after earlier
+        chunks were scored: still exit 2 with one line, and no score file."""
+        data = two_modality_runs / "data"
+        samples = []
+        for copy in range(3):
+            for s in read_mmf(data / "train.mmf") + read_mmf(data / "val.mmf"):
+                s.video_id = f"{s.video_id}.{copy}"
+                samples.append(s)
+        assert len(samples) > 2 * EVAL_CHUNK
+        bad = samples[-1]  # frame counts tie, so it is scored in the last chunk
+        if fault == "missing flow":
+            bad.sequences = [q for q in bad.sequences if q.modality != "flow"]
+        else:
+            rgb = next(q for q in bad.sequences if q.modality == "rgb")
+            rgb.features = np.zeros((len(rgb.features), 5))
+        write_mmf(tmp_path / "late.mmf", samples)
+        out = tmp_path / "s.csv"
+        code = main(["eval", "--checkpoint", str(two_modality_runs / model / "checkpoint.ckpt"),
+                     "--data", str(tmp_path / "late.mmf"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert ("flow" if fault == "missing flow" else "expected [T x 4]") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["late.mmf"]
 
     @staticmethod
     def eval_rewritten(runs, model, tmp_path, edit) -> int:

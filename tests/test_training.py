@@ -609,8 +609,8 @@ class TestLengthOrderedEvaluate:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_prepared_inputs_give_the_bytes_of_samples_alone(self, model, monkeypatch, tmp_path):
-        """Handing evaluate the split's inputs, preparing them in evaluate with one
-        call, and preparing each chunk on its own all write the same score file."""
+        """Handing evaluate the split's inputs, letting evaluate prepare each chunk,
+        and preparing each chunk inside batch_logits all write the same score file."""
         samples = wide_ragged_set(2 * EVAL_CHUNK + 1)
         params = ragged_params(model)
         paths = [tmp_path / name for name in ("handed.csv", "alone.csv", "per_chunk.csv")]
@@ -624,22 +624,30 @@ class TestLengthOrderedEvaluate:
         assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
     @pytest.mark.parametrize("model", MODELS)
-    def test_prepare_runs_once_per_call_without_inputs(self, model, monkeypatch):
+    def test_prepare_runs_once_per_chunk_without_inputs(self, model, monkeypatch):
+        """Without inputs each chunk is prepared as it is scored, and every sample
+        exactly once; with inputs nothing is prepared."""
         samples = wide_ragged_set(3 * EVAL_CHUNK + 5)
         params = ragged_params(model)
         inputs = params.prepare([s.by_modality() for s in samples])
-        calls = []
+        position = {id(s.sequences[0].features): i for i, s in enumerate(samples)}
+        batches = []
         prepare = MODELS[model].prepare
 
         def counted(self, batch):
-            calls.append(len(batch))
+            batches.append([position[id(next(iter(frames.values())))] for frames in batch])
             return prepare(self, batch)
 
         monkeypatch.setattr(MODELS[model], "prepare", counted)
         evaluate(model, params, samples)
-        assert calls == [len(samples)]
+        assert [len(b) for b in batches] == [EVAL_CHUNK] * 3 + [5]
+        assert sorted(i for b in batches for i in b) == list(range(len(samples)))
+        counts = [sorted((q.modality, len(q.features)) for q in samples[i].sequences)
+                  for b in batches for i in b]
+        assert counts == sorted(counts)  # in scoring order: frame-count order
+        batches.clear()
         evaluate(model, params, samples, inputs=inputs)
-        assert calls == [len(samples)]
+        assert batches == []
 
     @pytest.mark.parametrize("model", MODELS)
     def test_missing_modality_is_a_shape_error(self, model):
