@@ -10,19 +10,22 @@ steps); every other node passes its flow on and keeps ``.grad`` None.
 ``pack`` turns a model's trainable leaves into views of one flat leaf, so
 that both run once over all of them.
 
-The operator set is exactly what the attention and temporal-convolution
-heads need.  Every op takes ``Value``s; a constant array enters the graph
-as one ``Value(x)`` leaf.  The attention ops are batched: ``row_dot``
-scores [B x T x D] frames against [H x D] head vectors, ``softmax_sharp``
-and ``l2_normalize`` act over the last axis at any rank, and
-``weighted_row_sum`` pools [B x T x D] with [B x H x T] weights.
+The operator set is what the models need, plus ``matmul`` and
+``zero_pad_time``, which the benchmark's per-op metrics still name.  Every
+model's classifier is one ``pointwise_conv1d`` node on rows [B x R].  Every
+op takes ``Value``s; a constant array enters the graph as one ``Value(x)``
+leaf.  The attention ops are batched: ``row_dot`` scores [B x T x D] frames
+against [H x D] head vectors, ``softmax_sharp`` and ``l2_normalize`` act
+over the last axis at any rank, and ``weighted_row_sum`` pools [B x T x D]
+with [B x H x T] weights.
 
 Everything is computed in 64-bit so central finite differences at step 1e-3
 are a meaningful oracle; ``fd_check`` is the verification harness.  Its
 kink bookkeeping (the side of its kink each ReLU/max/clamp node sits on) is
 computed on demand: ops hand ``_node`` a thunk, and only ``_kink_sides``
-evaluates it, so training and evaluation never pay for it.  A grad_fn skips
-the gradient of any parent that does not require one.
+evaluates it, so training and evaluation never pay for it.  A grad_fn returns
+a gradient for exactly the parents that require one, so every node that
+``backward`` reaches has a flow.
 """
 
 from __future__ import annotations
@@ -186,14 +189,12 @@ def backward(root: Value) -> None:
         return
     flows: dict[int, np.ndarray] = {id(root): np.ones(())}
     for node in reversed(_topo_order(root)):
-        g = flows.pop(id(node), None)
-        if g is None:
-            continue
+        g = flows.pop(id(node))
         if node._grad_fn is None:
             node.grad += g
             continue
         for parent, pg in zip(node._parents, node._grad_fn(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None:
                 continue
             acc = flows.get(id(parent))
             flows[id(parent)] = pg if acc is None else acc + pg
@@ -336,11 +337,6 @@ def matmul(a: Value, b: Value) -> Value:
                 a.data.T @ g if b.requires_grad else None)
 
     return _node(a.data @ b.data, (a, b), grad_fn, "matmul")
-
-
-def affine(x: Value, w: Value, b: Value) -> Value:
-    """x @ w + b for a batch of rows x [B x D_in]."""
-    return add(matmul(x, w), b)
 
 
 def row_dot(x: Value, w: Value) -> Value:
@@ -613,12 +609,13 @@ def depthwise_conv1d(x: Value, kernels: Value) -> Value:
 
 
 def pointwise_conv1d(x: Value, w: Value, bias: Value) -> Value:
-    """Per-timestep affine channel map: y[.., t, :] = x[.., t, :] @ w + bias.
+    """The affine map over the last axis: y[.., :] = x[.., :] @ w + bias.
 
-    Input may be [T x C_in] or [B x T x C_in].
+    It serves txn's per-timestep channel maps on [T x C_in] or
+    [B x T x C_in], and every model's classifier on rows [B x R].
     """
     if x.data.ndim < 2 or w.data.ndim != 2 or bias.data.ndim != 1:
-        raise ShapeError("pointwise_conv1d expects x[..xTxC_in], w[C_inxC_out], bias[C_out]")
+        raise ShapeError("pointwise_conv1d expects x[..xC_in] of rank >= 2, w[C_inxC_out], bias[C_out]")
     if x.data.shape[-1] != w.data.shape[0] or w.data.shape[1] != bias.data.shape[0]:
         raise ShapeError(
             f"pointwise_conv1d shapes disagree: {x.data.shape} x {w.data.shape} + {bias.data.shape}")

@@ -281,4 +281,4 @@ class MeanPoolParams:
 
 def mean_pool_forward(params: MeanPoolParams, inputs: list[np.ndarray]) -> Value:
     """Logits [B x K] from each video's prepared frame means [R], graph constants."""
-    return ad.affine(Value(np.stack(inputs)), params.classifier_w, params.classifier_b)
+    return ad.pointwise_conv1d(Value(np.stack(inputs)), params.classifier_w, params.classifier_b)

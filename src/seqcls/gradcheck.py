@@ -140,7 +140,6 @@ CASES = {
     "concat": _op_case({"a": (2, 3), "b": (1, 3), "c": (3, 3)},
                        lambda a, b, c: ad.concat([a, b, c], axis=0)),
     "matmul": _op_case({"a": (3, 4), "b": (4, 2)}, lambda a, b: ad.matmul(a, b)),
-    "affine": _op_case({"x": (2, 5), "w": (5, 3), "b": (3,)}, lambda x, w, b: ad.affine(x, w, b)),
     "row_dot": _op_case({"x": (2, 2, 3), "w": (2, 3)}, lambda x, w: ad.row_dot(x, w)),
     "weighted_row_sum": _op_case({"wts": (2, 2, 3), "x": (2, 3, 2)},
                                  lambda wts, x: ad.weighted_row_sum(wts, x)),

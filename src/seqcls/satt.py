@@ -268,8 +268,8 @@ def satt_representations(params: SattNetParams, inputs: list) -> Value:
 
 def satt_forward_batch(params: SattNetParams, inputs: list) -> Value:
     """Logits [B x K] for a batch of videos' prepared inputs."""
-    return ad.affine(satt_representations(params, inputs), params.classifier_w,
-                     params.classifier_b)
+    rows = satt_representations(params, inputs)
+    return ad.pointwise_conv1d(rows, params.classifier_w, params.classifier_b)
 
 
 def satt_net_forward(params: SattNetParams, sequences: dict[str, Value]) -> Value:

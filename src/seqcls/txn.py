@@ -268,4 +268,4 @@ def txn_forward_batch(params: TxnParams, inputs: list, mode: str = "train") -> V
     """
     reps = [txn_stream_forward(s, [video[k] for video in inputs], mode)
             for k, s in enumerate(params.streams)]
-    return ad.affine(ad.concat(reps, axis=1), params.classifier_w, params.classifier_b)
+    return ad.pointwise_conv1d(ad.concat(reps, axis=1), params.classifier_w, params.classifier_b)

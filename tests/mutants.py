@@ -96,4 +96,16 @@ MUTANTS = (
            "list(pool.map(_run_task, tasks, chunksize=1))",
            "[f.result() for f in futures.as_completed([pool.submit(_run_task, t) for t in tasks])]",
            ("tests/test_gradcheck.py::TestWorkerPool::test_one_and_two_workers_give_the_same_bytes",)),
+    Mutant("read-scores-lets-a-parse-error-win", "src/seqcls/fusion.py",
+           "_checked_table(k, ids, rows, linenos)  # a bad row before the fault wins",
+           "pass",
+           ("tests/test_bulk_io.py::TestScoreFilesMatchReference::"
+            "test_bad_row_wins_over_a_later_parse_error",
+            "tests/test_bulk_io.py::TestScoreFilesMatchReference::"
+            "test_mutated_files_raise_identical_errors")),
+    Mutant("classifier-bias-gradient-reads-one-row", "src/seqcls/autodiff.py",
+           "g.reshape(-1, cout).sum(axis=0) if bias.requires_grad else None",
+           "g.reshape(-1, cout)[0] if bias.requires_grad else None",
+           ("tests/test_autodiff.py::TestOnePassOpsMatchReference::"
+            "test_classifier_matches_the_matmul_add_composite",)),
 )

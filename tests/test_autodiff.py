@@ -121,6 +121,15 @@ class TestBackward:
         with pytest.raises(UsageError):
             backward(ad.mul(x, x))
 
+    def test_graph_without_trainable_leaf_is_a_no_op(self):
+        """A root no trainable leaf reaches returns at once; no gradient moves."""
+        w = Value(np.ones(3), requires_grad=True)
+        w.grad[...] = 3.0
+        c = Value(np.arange(3.0))
+        assert backward(ad.sum_all(ad.mul(c, c))) is None
+        assert_array_equal(w.grad, 3.0)
+        assert c.grad is None
+
     def test_forward_only_graph_allocates_no_intermediate_grads(self):
         """Only requires_grad leaves own a buffer."""
         gen = np.random.default_rng(42)
@@ -208,14 +217,6 @@ class TestLinearOps:
         assert_allclose(ad.matmul(Value(a), Value(b)).data, a @ b)
         with pytest.raises(ShapeError):
             ad.matmul(Value(a), Value(a))
-
-    def test_affine_takes_a_batch_of_rows(self):
-        gen = np.random.default_rng(42)
-        w, b = gen.normal(size=(4, 2)), gen.normal(size=2)
-        x = gen.normal(size=(3, 4))
-        assert_allclose(ad.affine(Value(x), Value(w), Value(b)).data, x @ w + b)
-        with pytest.raises(ShapeError):
-            ad.affine(Value(x[0]), Value(w), Value(b))
 
     def test_row_dot_matches_matvec(self):
         gen = np.random.default_rng(42)
@@ -521,6 +522,15 @@ class TestConvolutions:
         x, w, b = gen.normal(size=(6, 3)), gen.normal(size=(3, 4)), gen.normal(size=4)
         assert_allclose(ad.pointwise_conv1d(Value(x), Value(w), Value(b)).data, x @ w + b)
 
+    def test_pointwise_takes_a_batch_of_rows(self):
+        """The classifier's form: rows [B x R]; one row alone (rank 1) is refused."""
+        gen = np.random.default_rng(42)
+        w, b = gen.normal(size=(4, 2)), gen.normal(size=2)
+        x = gen.normal(size=(3, 4))
+        assert_allclose(ad.pointwise_conv1d(Value(x), Value(w), Value(b)).data, x @ w + b)
+        with pytest.raises(ShapeError):
+            ad.pointwise_conv1d(Value(x[0]), Value(w), Value(b))
+
 
 class TestBatchNorm:
     def test_train_forward_standardizes(self):
@@ -598,6 +608,38 @@ class TestCrossEntropy:
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(DataError):
             ad.cross_entropy(Value(np.zeros((2, 3))), [0, 3])
+
+
+def _ones(*shape):
+    return Value(np.ones(shape))
+
+
+class TestGuards:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: ad.concat([]), ConfigError),
+        (lambda: ad.take_rows(Value(np.float64(1.0)), [0]), ShapeError),
+        (lambda: ad.take_rows(_ones(3, 2), []), ShapeError),
+        (lambda: ad.matmul(_ones(3), _ones(3, 2)), ShapeError),
+        (lambda: ad.zero_pad_time(_ones(3), 4), ShapeError),
+        (lambda: ad.zero_pad_time(_ones(3, 2), 0), ConfigError),
+        (lambda: ad.adaptive_max_pool1d(_ones(3), 1), ShapeError),
+        (lambda: ad.global_max_pool_time(_ones(3)), ShapeError),
+        (lambda: ad.depthwise_conv1d(_ones(3), _ones(3, 1)), ShapeError),
+        (lambda: ad.depthwise_conv1d(_ones(5, 2), _ones(3, 3)), ShapeError),
+        (lambda: ad.pointwise_conv1d(_ones(2, 3), _ones(3, 4), _ones(1, 4)), ShapeError),
+        (lambda: ad.pointwise_conv1d(_ones(2, 3), _ones(3, 4), _ones(5)), ShapeError),
+        (lambda: ad.batch_norm(_ones(4), _ones(4), _ones(4), BnState.fresh(4)), ShapeError),
+        (lambda: ad.batch_norm(_ones(5, 3), _ones(3), _ones(4), BnState.fresh(3)), ShapeError),
+        (lambda: ad.cross_entropy(_ones(3), [0]), ShapeError),
+        (lambda: ad.cross_entropy(_ones(2, 3), [0, 1, 2]), ShapeError),
+    ], ids=["concat-nothing", "take_rows-rank0", "take_rows-empty-index", "matmul-rank1",
+            "zero_pad_time-rank1", "zero_pad_time-length0", "adaptive_max_pool1d-rank1",
+            "global_max_pool_time-rank1", "depthwise_conv1d-rank1", "depthwise_conv1d-channels",
+            "pointwise_conv1d-bias-rank2", "pointwise_conv1d-shapes", "batch_norm-rank1",
+            "batch_norm-beta-shape", "cross_entropy-rank1", "cross_entropy-label-shape"])
+    def test_bad_input_raises(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 class TestFdCheck:
@@ -985,6 +1027,18 @@ class TestOnePassOpsMatchReference:
             for trainable in ([True, True, True], [False, True, True], [True, False, False]):
                 assert_same_run(run_op(ad.pointwise_conv1d, [x, w, b], trainable),
                                 run_op(ref_pointwise_conv1d, [x, w, b], trainable))
+
+    @pytest.mark.parametrize("rows", [1, 2, 16])
+    def test_classifier_matches_the_matmul_add_composite(self, rows):
+        """Every model's classifier is one pointwise_conv1d node on rows [B x R]; its
+        logits and gradients are the bytes of the two-node add(matmul(x, w), b) it
+        replaced, also at B = 1, where the product is a matrix-vector one."""
+        gen = np.random.default_rng(rows)
+        x, w, b = gen.normal(size=(rows, 24)), gen.normal(size=(24, 10)), gen.normal(size=10)
+        for trainable in ([True, True, True], [False, True, True]):
+            assert_same_run(run_op(ad.pointwise_conv1d, [x, w, b], trainable),
+                            run_op(lambda x, w, b: ad.add(ad.matmul(x, w), b), [x, w, b],
+                                   trainable))
 
 
 class TestGradientsNothingUses:

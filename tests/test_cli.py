@@ -82,10 +82,12 @@ class TestSynthgen:
         assert main(["synthgen", "--out", str(out)] + SMALL_GEN) == EXIT_OK
         assert "12 train and 3 val" in capsys.readouterr().out
 
-    def test_bad_modality_spec_exits_config(self, tmp_path, capsys):
-        code = main(["synthgen", "--out", str(tmp_path / "x"), "--modalities", "rgb16"])
+    @pytest.mark.parametrize("spec", ["rgb16", "rgb:x"])
+    def test_bad_modality_spec_exits_config(self, tmp_path, capsys, spec):
+        code = main(["synthgen", "--out", str(tmp_path / "x"), "--modalities", spec])
         assert code == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: bad modality")
 
     def test_repeated_modality_exits_config_with_one_line(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -649,6 +651,15 @@ class TestEvalCommand:
         assert code == EXIT_IO
         assert err.count("\n") == 1 and f"duplicate array name {name!r}" in err
 
+    def test_checkpoint_metadata_that_is_not_json_exits_io(self, workspace, tmp_path, capsys):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"CKP1" + struct.pack("<II", 1, 3) + b"{x}" + struct.pack("<I", 0))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path), "--data", str(workspace["data"] / "val.mmf")])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err == "error: metadata is not valid json (at byte offset 12)\n"
+
     def test_missing_checkpoint_exits_io(self, workspace, tmp_path):
         data = workspace["data"]
         code = main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
@@ -757,6 +768,12 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--op", "relu", "--seeds", "0", flag]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("seeds", ["a", "", "0,,1"])
+def test_bad_gradcheck_seeds_exit_config_with_one_line(capsys, seeds):
+    assert main(["gradcheck", "--op", "relu", f"--seeds={seeds}"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: bad seeds {seeds!r}\n"
 
 
 @pytest.mark.parametrize("command", ["synthgen", "train", "gradcheck"])

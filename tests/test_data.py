@@ -64,6 +64,8 @@ class TestFeatureStructures:
         with pytest.raises(DataError):
             modality_dims([a, b])
         assert modality_dims([a]) == {"rgb": 3}
+        with pytest.raises(DataError, match="no modalities present"):
+            modality_dims([VideoSample("e", 0, [])])
 
 
 class TestMmfRoundTrip:
@@ -423,6 +425,8 @@ class TestSynthGenerator:
             SynthConfig(signal_frames=31)
         with pytest.raises(ConfigError):
             SynthConfig(modalities={"rgb": 1})
+        with pytest.raises(ConfigError, match="at least one modality"):
+            SynthConfig(modalities={})
         with pytest.raises(ConfigError):
             SynthConfig(noise_std=-0.1)
         # every field has exactly its default's type, checked before any range
@@ -506,6 +510,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as exc:
             read_checkpoint(path)
         assert exc.value.offset == 0
+
+    def test_metadata_that_is_not_json_rejected_at_its_offset(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"CKP1" + struct.pack("<II", 1, 3) + b"{x}" + struct.pack("<I", 0))
+        with pytest.raises(FormatError, match="metadata is not valid json") as exc:
+            read_checkpoint(path)
+        assert exc.value.offset == 12
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"

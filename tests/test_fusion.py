@@ -245,6 +245,8 @@ class TestTopKAccuracy:
         assert str(fast.value) == str(ref.value)
 
     def test_validation(self):
+        with pytest.raises(DataError, match="empty score table"):
+            top_k_accuracy(ScoreTable(2), {}, 1)
         t = self.table_from({"a": [0.5, 0.5]})
         with pytest.raises(ConfigError):
             top_k_accuracy(t, {"a": 0}, 0)

@@ -610,7 +610,7 @@ def per_block_logits(params, batch):
     if len(reps) > 1:
         order = [i for rows in blocks.values() for i in rows]
         rep = ad.take_rows(ad.concat(reps, axis=0), np.argsort(order))
-    return ad.affine(rep, params.classifier_w, params.classifier_b)
+    return ad.add(ad.matmul(rep, params.classifier_w), params.classifier_b)
 
 
 class TestPreparedInputs:

@@ -276,7 +276,8 @@ class TestTxnNet:
                 for block in s.blocks:
                     h = txn_block_forward(block, h, mode)
                 reps.append(ad.global_max_pool_time(h))
-            return ad.affine(ad.concat(reps, axis=1), oracle.classifier_w, oracle.classifier_b)
+            return ad.add(ad.matmul(ad.concat(reps, axis=1), oracle.classifier_w),
+                          oracle.classifier_b)
 
         for mode in ("train", "train", "infer"):
             assert_array_equal(txn_forward_batch(net, self.prepared(net, batch), mode).data,
@@ -359,7 +360,8 @@ class TestPreparedClips:
         def oracle_logits(mode):
             reps = [per_batch_stream_oracle(s, [video[s.config.modality] for video in batch], mode)
                     for s in oracle.streams]
-            return ad.affine(ad.concat(reps, axis=1), oracle.classifier_w, oracle.classifier_b)
+            return ad.add(ad.matmul(ad.concat(reps, axis=1), oracle.classifier_w),
+                          oracle.classifier_b)
 
         def logits_and_grads(params, logits):
             zero_grads(v for _, v in params.parameters())
