@@ -229,7 +229,7 @@ def _cmd_fuse(args) -> int:
         weights = [1.0 / len(tables)] * len(tables)
     fused = late_fuse(tables, weights)
     write_scores(args.out, fused)
-    print(f"fused {len(tables)} tables over {len(fused.rows)} videos into {args.out}")
+    print(f"fused {len(tables)} tables over {len(fused.ids)} videos into {args.out}")
     if args.labels:
         labels = read_labels(args.labels)
         top_k = min(5, fused.num_classes)

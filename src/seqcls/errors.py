@@ -14,7 +14,11 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    """Input data is structurally valid but semantically unusable."""
+    """Input data is structurally valid but semantically unusable; ``row`` indexes a bad table row."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class NumericError(ValueError):

@@ -1,10 +1,12 @@
 """Score tables, late fusion, top-k accuracy, and the mean-pool baseline.
 
-A score table maps each video id to a probability vector over classes.
-Late fusion combines the tables of several models with convex weights; it
-is written in delta form, ``p0 + sum_i w_i * (p_i - p0)``, which equals
-the weighted average exactly in real arithmetic and returns a table
-unchanged, bit for bit, when every input table agrees.
+A score table is a list of video ids and one probability matrix [N x K],
+checked once when it is built.  Late fusion combines the tables of several
+models with convex weights; it is written in delta form,
+``p0 + sum_i w_i * (p_i - p0)``, which equals the weighted average exactly
+in real arithmetic and returns a table unchanged, bit for bit, when every
+input table agrees.  Weights may sum to 1 within 1e-9, which can push a
+row at the edge of the sum rule past it; the fused table refuses it.
 
 The mean-pool baseline has the heads' model interface (``training.MODELS``);
 it takes frame means in NumPy and scores a batch with one affine map.
@@ -12,7 +14,7 @@ it takes frame means in NumPy and scores a batch with one affine map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,49 +27,51 @@ WEIGHT_SUM_TOL = 1e-9
 PROB_SUM_TOL = 1e-6
 
 
-@dataclass
 class ScoreTable:
-    """Per-video class probabilities; every row sums to 1 within tolerance.
+    """Per-video class probabilities: ``ids`` [N] and one float64 matrix ``probs`` [N x K].
 
-    ``add`` checks and stores one row; ``from_rows`` builds a table from a
-    matrix [N x K] with one vectorized check, and raises the error ``add``
-    would raise for the first offending video.
+    The constructor is the one way to build a table, and it checks: every
+    row holds K finite scores in [0, 1] that sum to 1 within PROB_SUM_TOL,
+    and no id repeats.  One vectorized gate covers the matrix; a table that
+    fails it raises the DataError of its first offending video, whose index
+    is the error's ``row``.
     """
 
-    num_classes: int
-    rows: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def add(self, video_id: str, probs) -> None:
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.shape != (self.num_classes,):
-            raise DataError(
-                f"video {video_id!r}: expected {self.num_classes} scores, got {probs.shape}")
-        if not np.all(np.isfinite(probs)):
-            raise DataError(f"video {video_id!r}: scores must be finite")
-        if probs.min() < 0.0 or probs.max() > 1.0:
-            raise DataError(f"video {video_id!r}: scores must lie in [0, 1]")
-        if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
-            raise DataError(f"video {video_id!r}: scores sum to {probs.sum():.9f}, not 1")
-        if video_id in self.rows:
-            raise DataError(f"duplicate video id {video_id!r}")
-        self.rows[video_id] = probs
-
-    @classmethod
-    def from_rows(cls, num_classes: int, video_ids: list[str], probs) -> "ScoreTable":
-        """A table whose rows are views of probs [N x K], in video_ids order."""
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.ndim != 2 or len(probs) != len(video_ids):
-            raise DataError(f"{len(video_ids)} video ids but scores of shape {probs.shape}")
-        table = cls(num_classes=num_classes, rows=dict(zip(video_ids, probs)))
+    def __init__(self, num_classes: int, ids: list[str], probs):
+        # in C order each row sum of the gate is the scan's, bit for bit
+        probs = np.ascontiguousarray(probs, dtype=np.float64)
+        if probs.ndim != 2 or len(probs) != len(ids) or not ids and probs.shape[1] != num_classes:
+            raise DataError(f"{len(ids)} video ids but scores of shape {probs.shape}")
+        self.num_classes, self.ids, self.probs = num_classes, list(ids), probs
         # NaN fails the range test, so finiteness needs no pass of its own
-        if not (probs.shape[1] == num_classes and len(table.rows) == len(video_ids)
+        if not (probs.shape[1] == num_classes and len(set(self.ids)) == len(self.ids)
                 and np.all((probs >= 0.0) & (probs <= 1.0))
                 and np.all(np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL)):
-            # replay the per-row checks to raise for the first offending video
-            table = cls(num_classes=num_classes)
-            for vid, row in zip(video_ids, probs):
-                table.add(vid, row)
-        return table
+            self._raise_first_fault()
+
+    def _raise_first_fault(self) -> None:
+        """Raise for the first video that breaks a rule, its rules checked in the order above."""
+        seen = set()
+        for i, (vid, row) in enumerate(zip(self.ids, self.probs)):
+            if row.shape != (self.num_classes,):
+                fault = f"video {vid!r}: expected {self.num_classes} scores, got {row.shape}"
+            elif not np.all(np.isfinite(row)):
+                fault = f"video {vid!r}: scores must be finite"
+            elif row.min() < 0.0 or row.max() > 1.0:
+                fault = f"video {vid!r}: scores must lie in [0, 1]"
+            elif abs(float(row.sum()) - 1.0) > PROB_SUM_TOL:
+                fault = f"video {vid!r}: scores sum to {row.sum():.9f}, not 1"
+            elif vid in seen:
+                fault = f"duplicate video id {vid!r}"
+            else:
+                seen.add(vid)
+                continue
+            raise DataError(fault, row=i)
+
+    @property
+    def rows(self) -> dict[str, np.ndarray]:
+        """Each video's row of ``probs``, a view, keyed by id in table order."""
+        return dict(zip(self.ids, self.probs))
 
 
 def softmax_scores(logits: np.ndarray) -> np.ndarray:
@@ -83,10 +87,10 @@ def softmax_scores(logits: np.ndarray) -> np.ndarray:
 
 
 def late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
-    """Convex combination of aligned score tables.
+    """Convex combination of score tables, in the first table's id order.
 
     Weights must be non-negative, finite and sum to 1 within 1e-9.  All tables
-    must cover the same video ids with the same class count.
+    must cover the same video ids, in any order, with the same class count.
     """
     if not tables:
         raise ConfigError("late_fuse requires at least one table")
@@ -97,28 +101,24 @@ def late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
     if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
         raise ConfigError(f"weights sum to {sum(weights)!r}, expected 1")
     first = tables[0]
-    ids = set(first.rows)
+    ids = set(first.ids)
     for t in tables[1:]:
         if t.num_classes != first.num_classes:
             raise DataError(
                 f"class counts disagree: {first.num_classes} vs {t.num_classes}")
-        if set(t.rows) != ids:
-            missing = ids.symmetric_difference(t.rows)
+        if set(t.ids) != ids:
+            missing = ids.symmetric_difference(t.ids)
             raise DataError(f"video ids disagree across tables, e.g. {sorted(missing)[:3]}")
     # delta form: exact no-op when all tables carry identical rows
-    ids = list(first.rows)
-    p0 = _matrix(first, ids)
+    p0 = first.probs
     p = p0.copy()
     for t, w in zip(tables[1:], weights[1:]):
-        p += w * (_matrix(t, ids) - p0)
-    return ScoreTable(num_classes=first.num_classes, rows=dict(zip(ids, np.clip(p, 0.0, 1.0))))
-
-
-def _matrix(table: ScoreTable, ids: list[str]) -> np.ndarray:
-    """The rows of the given video ids stacked into one matrix [N x K]."""
-    if not ids:
-        return np.empty((0, table.num_classes))
-    return np.stack([table.rows[vid] for vid in ids])
+        q = t.probs
+        if t.ids != first.ids:
+            at = {vid: i for i, vid in enumerate(t.ids)}
+            q = q[[at[vid] for vid in first.ids]]
+        p += w * (q - p0)
+    return ScoreTable(first.num_classes, first.ids, np.clip(p, 0.0, 1.0))
 
 
 def top_k_accuracy(table: ScoreTable, labels: dict[str, int], k: int) -> float:
@@ -129,18 +129,18 @@ def top_k_accuracy(table: ScoreTable, labels: dict[str, int], k: int) -> float:
     """
     if not 1 <= k <= table.num_classes:
         raise ConfigError(f"k must lie in [1, {table.num_classes}], got {k}")
-    if not table.rows:
+    if not table.ids:
         raise DataError("empty score table")
-    for vid in table.rows:
+    for vid in table.ids:
         if vid not in labels:
             raise DataError(f"video {vid!r} missing from labels")
         label = labels[vid]
         if not 0 <= label < table.num_classes:
             raise DataError(f"video {vid!r} label {label} outside [0, {table.num_classes})")
-    y = np.array([labels[vid] for vid in table.rows])
-    topk = np.argsort(-_matrix(table, list(table.rows)), axis=1, kind="stable")[:, :k]
+    y = np.array([labels[vid] for vid in table.ids])
+    topk = np.argsort(-table.probs, axis=1, kind="stable")[:, :k]
     hits = int(np.count_nonzero(topk == y[:, None]))
-    return hits / len(table.rows)
+    return hits / len(table.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +154,13 @@ def write_scores(path, table: ScoreTable) -> None:
     An id that ``read_scores`` could not give back, one that holds a line
     break or starts with whitespace, raises DataError before path is opened.
     """
-    ids = list(table.rows)
-    check_line_ids(ids, "score table")
+    check_line_ids(table.ids, "score table")
     # an empty table builds no row format, whatever class count its header claims
-    line = "%s" + ",%.9g" * table.num_classes + "\n" if ids else ""
-    rows = _matrix(table, ids).tolist()
+    line = "%s" + ",%.9g" * table.num_classes + "\n" if table.ids else ""
+    rows = table.probs.tolist()
     with atomic_write(path) as fh:
         fh.write(f"#classes={table.num_classes}\n"
-                 + "".join(line % (vid, *row) for vid, row in zip(ids, rows)))
+                 + "".join(line % (vid, *row) for vid, row in zip(table.ids, rows)))
 
 
 def read_scores(path) -> ScoreTable:
@@ -210,15 +209,9 @@ def _checked_table(k: int, ids: list[str], rows: list[list[float]],
                    linenos: list[int]) -> ScoreTable:
     """One table of the parsed rows; a bad row raises FormatError naming its line."""
     try:
-        return ScoreTable.from_rows(k, ids, np.array(rows, dtype=np.float64).reshape(-1, k))
-    except DataError:
-        table = ScoreTable(num_classes=k)
-        for lineno, vid, row in zip(linenos, ids, rows):
-            try:
-                table.add(vid, row)
-            except DataError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-        raise
+        return ScoreTable(k, ids, np.array(rows, dtype=np.float64).reshape(-1, k))
+    except DataError as exc:
+        raise FormatError(f"line {linenos[exc.row]}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

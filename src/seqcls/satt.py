@@ -23,9 +23,10 @@ the group representation [B x H*D].  Videos of a batch may differ in
 length: ``satt_representations`` groups the videos whose
 per-modality frame counts agree, runs each group as one block without any
 padding or mask, and puts the rows back in input order.  The single-video
-entry point is a B = 1 call of the same path, so its numbers equal the
-batched ones bit for bit; the single-head entry point is a B = H = 1 call,
-whose one-row products may round differently from a group's.  The network's
+entry point is a B = 1 call of the same path, but its numbers can differ
+from the video's row in a batch in their last bits, since matrix products
+round by batch size (``training.evaluate`` says where that reaches a score
+table); the single-head entry point is a B = H = 1 call.  The network's
 frames are graph constants, checked by ``modality_frames`` in
 ``SattNetParams.prepare``, and each block's frames are one leaf; only
 ``satt_head_forward`` keeps its sequence in the graph, so a gradient check

@@ -354,8 +354,7 @@ def evaluate(model: str, params, samples: list[VideoSample], threads: int = 1, *
         rows = order[start:start + EVAL_CHUNK]
         part = None if inputs is None else [inputs[i] for i in rows]
         logits[rows] = batch_logits(model, params, [samples[i] for i in rows], "infer", part).data
-    return ScoreTable.from_rows(params.num_classes, [s.video_id for s in samples],
-                                softmax_scores(logits))
+    return ScoreTable(params.num_classes, [s.video_id for s in samples], softmax_scores(logits))
 
 
 # ---------------------------------------------------------------------------

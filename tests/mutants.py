@@ -86,12 +86,23 @@ MUTANTS = (
            "_tap_window(gpad, t)[..., ::-1, :, :]",
            "_tap_window(gpad, t)",
            ("tests/test_autodiff.py::TestOnePassOpsMatchReference::test_depthwise_conv",)),
-    Mutant("from-rows-skips-sum-check", "src/seqcls/fusion.py",
+    Mutant("table-gate-skips-sum-check", "src/seqcls/fusion.py",
            "\n                and np.all(np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_TOL)",
            "",
-           ("tests/test_fusion.py::TestFromRows::test_raises_the_first_per_row_error",
+           ("tests/test_fusion.py::TestConstructorGate::test_raises_the_first_per_row_error",
             "tests/test_bulk_io.py::TestScoreFilesMatchReference::"
             "test_mutated_files_raise_identical_errors")),
+    Mutant("table-scan-checks-repeats-first", "src/seqcls/fusion.py",
+           "            if row.shape != (self.num_classes,):",
+           "            if vid in seen:\n"
+           "                fault = f\"duplicate video id {vid!r}\"\n"
+           "            elif row.shape != (self.num_classes,):",
+           ("tests/test_fusion.py::TestConstructorGate::"
+            "test_error_row_is_the_index_of_the_first_bad_video",)),
+    Mutant("late-fuse-skips-realignment", "src/seqcls/fusion.py",
+           "q = q[[at[vid] for vid in first.ids]]",
+           "q = q",
+           ("tests/test_bulk_io.py::TestLateFuseMatchesReference::test_rows_are_bit_identical",)),
     Mutant("pool-returns-completion-order", "src/seqcls/gradcheck.py",
            "list(pool.map(_run_task, tasks, chunksize=1))",
            "[f.result() for f in futures.as_completed([pool.submit(_run_task, t) for t in tasks])]",

@@ -4,8 +4,9 @@
 ``ref_late_fuse`` are the earlier implementations, kept as oracles: one
 cursor call and one ``struct.unpack`` per header field, one conversion and
 one finiteness check per sequence, one ``format`` per score and one
-``ScoreTable.add`` per row.  On valid input the current code must give the
-same bytes; on corrupt input the same exception class, message and offset.
+``score_oracle.add_row`` per row.  On valid input the current code must give
+the same bytes; on corrupt input the same exception class, message and
+offset.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import struct
 import numpy as np
 import pytest
 
+from score_oracle import RefTable, add_row, per_row_table
 from seqcls.data import FeatureSequence, VideoSample, read_mmf, write_mmf
 from seqcls.errors import ConfigError, DataError, FormatError
 from seqcls.fusion import ScoreTable, late_fuse, read_scores, write_scores
@@ -96,7 +98,7 @@ def ref_write_scores(path, table: ScoreTable) -> None:
             fh.write(vid + "," + ",".join(format(p, ".9g") for p in probs) + "\n")
 
 
-def ref_read_scores(path) -> ScoreTable:
+def ref_read_scores(path) -> RefTable:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("#classes="):
@@ -107,7 +109,7 @@ def ref_read_scores(path) -> ScoreTable:
             raise FormatError(f"bad class count in header {header!r}") from exc
         if k < 2:
             raise FormatError(f"class count must be >= 2, got {k}")
-        table = ScoreTable(num_classes=k)
+        table = RefTable(k, {})
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -120,13 +122,13 @@ def ref_read_scores(path) -> ScoreTable:
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-numeric score") from exc
             try:
-                table.add(parts[0], probs)
+                add_row(table, parts[0], probs)
             except DataError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
     return table
 
 
-def ref_late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
+def ref_late_fuse(tables: list[ScoreTable], weights: list[float]) -> RefTable:
     if not tables:
         raise ConfigError("late_fuse requires at least one table")
     if len(weights) != len(tables):
@@ -143,13 +145,13 @@ def ref_late_fuse(tables: list[ScoreTable], weights: list[float]) -> ScoreTable:
         if set(t.rows) != ids:
             missing = ids.symmetric_difference(t.rows)
             raise DataError(f"video ids disagree across tables, e.g. {sorted(missing)[:3]}")
-    fused = ScoreTable(num_classes=first.num_classes)
+    fused = []
     for vid in first.rows:
         p = first.rows[vid].copy()
         for t, w in zip(tables[1:], weights[1:]):
             p += w * (t.rows[vid] - first.rows[vid])
-        fused.rows[vid] = np.clip(p, 0.0, 1.0)
-    return fused
+        fused.append(np.clip(p, 0.0, 1.0))
+    return per_row_table(first.num_classes, list(first.rows), fused)
 
 
 def outcome(reader, path):
@@ -293,11 +295,11 @@ def score_tables() -> list[ScoreTable]:
     for n in (0, 7, 50):
         e = gen.exponential(size=(n, 4)) ** 3
         probs = np.concatenate([fixed, e / e.sum(axis=1, keepdims=True)])
-        tables.append(ScoreTable.from_rows(4, [f"s{n}_{i}" for i in range(len(probs))], probs))
+        tables.append(ScoreTable(4, [f"s{n}_{i}" for i in range(len(probs))], probs))
     return tables
 
 
-def assert_same_table(got: ScoreTable, want: ScoreTable) -> None:
+def assert_same_table(got: ScoreTable, want: RefTable) -> None:
     assert got.num_classes == want.num_classes
     assert list(got.rows) == list(want.rows)
     for vid in want.rows:
@@ -383,13 +385,13 @@ class TestLateFuseMatchesReference:
         for _ in range(3):
             e = gen.exponential(size=(60, 5)) ** 4
             e[::7] = 0.2  # ties shared by every table
-            tables.append(ScoreTable.from_rows(5, ids, e / e.sum(axis=1, keepdims=True)))
-        shuffled = ScoreTable(5, {vid: tables[2].rows[vid] for vid in reversed(ids)})
+            tables.append(ScoreTable(5, ids, e / e.sum(axis=1, keepdims=True)))
+        shuffled = ScoreTable(5, ids[::-1], tables[2].probs[::-1])
         for group, weights in [(tables[:2], [0.5, 0.5]), (tables, [0.2, 0.3, 0.5]),
                                ([tables[0], shuffled], [0.7, 0.3]), (tables, [0.0, 1.0, 0.0]),
                                ([tables[1]] * 3, [1 / 3] * 3), (tables[:1], [1.0])]:
             assert_same_table(late_fuse(group, weights), ref_late_fuse(group, weights))
 
     def test_empty_tables_fuse_to_an_empty_table(self):
-        a, b = ScoreTable(3), ScoreTable(3)
+        a, b = ScoreTable(3, [], np.empty((0, 3))), ScoreTable(3, [], np.empty((0, 3)))
         assert_same_table(late_fuse([a, b], [0.5, 0.5]), ref_late_fuse([a, b], [0.5, 0.5]))

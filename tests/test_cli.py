@@ -737,6 +737,17 @@ class TestFuseCommand:
         assert code == EXIT_IO
         assert err.count("\n") == 1 and err.startswith("error: labels file is not valid utf-8")
 
+    def test_fused_row_past_the_sum_tolerance_exits_config(self, tmp_path, capsys):
+        """Weights may sum to 1 + 9e-10, which pushes a row at the edge of the sum rule past it."""
+        a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "f.csv"
+        a.write_text("#classes=2\nv,0.5,0.5\n")
+        b.write_text("#classes=2\nv,0.5000005,0.5000005\n")
+        code = main(["fuse", "--scores", str(a), str(b), "--weights", "0,1.0000000009",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: video 'v': scores sum to 1.000001")
+        assert not out.exists()
+
     def test_unreadable_scores_exit_io(self, tmp_path):
         bad = tmp_path / "bad.csv"
         for text in ("no header\n", "#classes=2\nv0,nan,nan\n"):

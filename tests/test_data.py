@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import stat
 import struct
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import seqcls.data as data
+import seqcls.fusion as fusion
 from seqcls.data import (
     FeatureSequence,
     SynthConfig,
@@ -244,31 +246,52 @@ def _rank3_second_sequence() -> list[VideoSample]:
     return [sample("v0", 0, rgb=np.ones((2, 2))), broken]
 
 
-# each writer with an input it fails on after it has written some bytes
+# each writer with an input it fails on inside its atomic_write block; an id
+# with a lone surrogate passes every id check but cannot be encoded as utf-8
 _FAILING_WRITES = {
     "write_mmf": lambda path: write_mmf(path, _rank3_second_sequence()),
     "write_checkpoint": lambda path: write_checkpoint(
         path, {"ok": np.ones(3), "rank4": np.ones((1, 1, 1, 1))}, {"model": "x"}),
-    "write_labels": lambda path: write_labels(path, [sample("a", 0), None]),
+    "write_labels": lambda path: write_labels(path, [sample("a", 0), sample("b\udc80", 1)]),
     "write_scores": lambda path: write_scores(
-        path, ScoreTable(num_classes=2, rows={"a": np.array([0.5, 0.5]), "b": None})),
+        path, ScoreTable(2, ["a", "b\udc80"], [[0.5, 0.5], [0.5, 0.5]])),
 }
+
+
+@pytest.fixture
+def atomic_blocks(monkeypatch) -> list:
+    """The paths whose atomic_write block the writers entered, in order."""
+    entered = []
+    real = data.atomic_write
+
+    @contextlib.contextmanager
+    def spy(path, mode="w"):
+        with real(path, mode) as fh:
+            entered.append(path)
+            yield fh
+
+    for module in (data, fusion):
+        monkeypatch.setattr(module, "atomic_write", spy)
+    return entered
 
 
 class TestAtomicWrite:
     @pytest.mark.parametrize("writer", sorted(_FAILING_WRITES))
-    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, writer):
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, writer,
+                                                                 atomic_blocks):
         target = tmp_path / "artifact"
         target.write_bytes(b"old bytes\n")
         with pytest.raises(Exception):
             _FAILING_WRITES[writer](target)
+        assert atomic_blocks == [target]
         assert target.read_bytes() == b"old bytes\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
 
     @pytest.mark.parametrize("writer", sorted(_FAILING_WRITES))
-    def test_failed_first_write_leaves_nothing(self, tmp_path, writer):
+    def test_failed_first_write_leaves_nothing(self, tmp_path, writer, atomic_blocks):
         with pytest.raises(Exception):
             _FAILING_WRITES[writer](tmp_path / "artifact")
+        assert atomic_blocks == [tmp_path / "artifact"]
         assert list(tmp_path.iterdir()) == []
 
     def test_success_replaces_the_target_with_plain_open_permissions(self, tmp_path):

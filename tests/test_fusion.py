@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import seqcls.fusion as fusion
+from score_oracle import per_row_table
 from seqcls.autodiff import rng
 from seqcls.errors import ConfigError, DataError, FormatError, ShapeError
 from seqcls.fusion import (
@@ -22,41 +23,36 @@ from seqcls.fusion import (
 
 
 def random_table(gen, ids, k=4) -> ScoreTable:
-    table = ScoreTable(num_classes=k)
-    for vid in ids:
-        table.add(vid, softmax_scores(gen.normal(size=k)))
-    return table
+    return ScoreTable(k, ids, softmax_scores(gen.normal(size=(len(ids), k))))
 
 
 class TestScoreTable:
     def test_accepts_valid_distribution(self):
-        t = ScoreTable(num_classes=3)
-        t.add("v0", [0.2, 0.3, 0.5])
+        t = ScoreTable(3, ["v0"], [[0.2, 0.3, 0.5]])
+        assert t.ids == ["v0"]
         assert_allclose(t.rows["v0"], [0.2, 0.3, 0.5])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(DataError):
-            ScoreTable(num_classes=3).add("v0", [0.5, 0.5])
+            ScoreTable(3, ["v0"], [[0.5, 0.5]])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DataError):
-            ScoreTable(num_classes=2).add("v0", [1.2, -0.2])
+            ScoreTable(2, ["v0"], [[1.2, -0.2]])
 
     def test_rejects_bad_sum(self):
         with pytest.raises(DataError):
-            ScoreTable(num_classes=2).add("v0", [0.6, 0.6])
+            ScoreTable(2, ["v0"], [[0.6, 0.6]])
 
     @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 0.5], [np.inf, 0.0]])
     def test_rejects_non_finite(self, probs):
         """NaN fails every range comparison, so it needs its own check."""
         with pytest.raises(DataError, match="finite"):
-            ScoreTable(num_classes=2).add("v0", probs)
+            ScoreTable(2, ["v0"], [probs])
 
     def test_rejects_duplicate_id(self):
-        t = ScoreTable(num_classes=2)
-        t.add("v0", [0.5, 0.5])
         with pytest.raises(DataError):
-            t.add("v0", [0.5, 0.5])
+            ScoreTable(2, ["v0", "v0"], [[0.5, 0.5], [0.5, 0.5]])
 
     def test_softmax_scores_is_stable(self):
         """Huge logits do not overflow and still form a distribution."""
@@ -65,54 +61,80 @@ class TestScoreTable:
         assert abs(p.sum() - 1.0) <= 1e-12
 
 
-class TestFromRows:
-    """``from_rows`` checks a whole matrix at once and must behave like one
-    ``add`` per row in order: the same rows, and the same first error."""
+# (video index, "row" or "id", the row or id it gets) on a table of 8 valid rows
+FAULT_PATTERNS = [
+    [(5, "row", [np.nan, 0.5, 0.5]), (2, "row", [0.6, 0.6, 0.6])],
+    [(4, "row", [1.5, -0.25, -0.25]), (1, "id", "v0")],
+    [(3, "id", "v1"), (6, "row", [np.inf, 0.0, 0.0])],
+    [(7, "row", [0.2, 0.2, 0.2])],
+    [(0, "row", [-0.0, np.nan, 1.0])],
+    [(6, "id", "v2")],
+]
 
-    @staticmethod
-    def per_row(num_classes, ids, probs) -> ScoreTable:
-        table = ScoreTable(num_classes=num_classes)
-        for vid, row in zip(ids, probs):
-            table.add(vid, row)
-        return table
 
-    def test_equals_per_row_adds(self):
+def faulty_rows(faults) -> tuple[list[str], np.ndarray]:
+    ids = [f"v{i}" for i in range(8)]
+    probs = np.full((8, 3), 1.0 / 3.0)
+    for i, kind, value in faults:
+        if kind == "id":
+            ids[i] = value
+        else:
+            probs[i] = value
+    return ids, probs
+
+
+class TestConstructorGate:
+    """The constructor checks a whole matrix at once and must behave like
+    the per-row oracle: the same rows, and the same first error."""
+
+    def test_equals_the_per_row_oracle(self):
         gen = rng(3)
         ids = [f"v{i}" for i in range(50)]
         probs = softmax_scores(gen.normal(size=(50, 6)))
-        fast, ref = ScoreTable.from_rows(6, ids, probs), self.per_row(6, ids, probs)
-        assert list(fast.rows) == ids
+        fast, ref = ScoreTable(6, ids, probs), per_row_table(6, ids, probs)
+        assert fast.ids == list(fast.rows) == ids
+        assert fast.probs.dtype == np.float64 and fast.probs.shape == (50, 6)
         for vid in ids:
             assert fast.rows[vid].tobytes() == ref.rows[vid].tobytes()
 
-    @pytest.mark.parametrize("faults", [
-        {5: ("row", [np.nan, 0.5, 0.5]), 2: ("row", [0.6, 0.6, 0.6])},
-        {4: ("row", [1.5, -0.25, -0.25]), 1: ("id", "v0")},
-        {3: ("id", "v1"), 6: ("row", [np.inf, 0.0, 0.0])},
-        {7: ("row", [0.2, 0.2, 0.2])},
-        {0: ("row", [-0.0, np.nan, 1.0])},
-        {6: ("id", "v2")},
-    ])
+    @pytest.mark.parametrize("faults", FAULT_PATTERNS)
     def test_raises_the_first_per_row_error(self, faults):
-        ids = [f"v{i}" for i in range(8)]
-        probs = np.full((8, 3), 1.0 / 3.0)
-        for i, (kind, value) in faults.items():
-            if kind == "id":
-                ids[i] = value
-            else:
-                probs[i] = value
+        ids, probs = faulty_rows(faults)
         with pytest.raises(DataError) as ref:
-            self.per_row(3, ids, probs)
+            per_row_table(3, ids, probs)
         with pytest.raises(DataError) as fast:
-            ScoreTable.from_rows(3, ids, probs)
+            ScoreTable(3, ids, probs)
+        assert str(fast.value) == str(ref.value)
+
+    # the last pattern gives one video a repeated id and a bad sum: the row rules come first
+    @pytest.mark.parametrize("faults", FAULT_PATTERNS + [
+        [(4, "id", "v1"), (4, "row", [0.6, 0.6, 0.6]), (6, "row", [np.nan, 0.5, 0.5])]])
+    def test_error_row_is_the_index_of_the_first_bad_video(self, faults):
+        ids, probs = faulty_rows(faults)
+
+        def oracle_fails(n):
+            try:
+                per_row_table(3, ids[:n], probs[:n])
+            except DataError:
+                return True
+            return False
+
+        first = next(i for i in range(len(ids)) if oracle_fails(i + 1))
+        with pytest.raises(DataError) as ref:
+            per_row_table(3, ids, probs)
+        with pytest.raises(DataError) as fast:
+            ScoreTable(3, ids, probs)
+        assert fast.value.row == first
         assert str(fast.value) == str(ref.value)
 
     def test_rejects_wrong_class_count_and_row_count(self):
         probs = np.full((2, 2), 0.5)
         with pytest.raises(DataError, match="expected 3 scores"):
-            ScoreTable.from_rows(3, ["a", "b"], probs)
+            ScoreTable(3, ["a", "b"], probs)
         with pytest.raises(DataError, match="3 video ids"):
-            ScoreTable.from_rows(2, ["a", "b", "c"], probs)
+            ScoreTable(2, ["a", "b", "c"], probs)
+        with pytest.raises(DataError, match="0 video ids"):
+            ScoreTable(3, [], np.empty((0, 2)))
 
 
 class TestSoftmaxScoresMatrix:
@@ -172,13 +194,22 @@ class TestLateFuse:
             late_fuse([random_table(gen, ["a"], k=3), random_table(gen, ["a"], k=4)],
                       [0.5, 0.5])
 
+    def test_refuses_a_fused_row_past_the_sum_tolerance(self):
+        """Weights may sum to 1 + 1e-9, which can push a row at the edge of the
+        table's sum rule past it; the fused table refuses that row."""
+        x = 0.5 + 5e-7  # rounds below: [x, x] sums to 1 + 9.99999999918e-7
+        a = ScoreTable(2, ["v"], [[0.5 - 4.999999e-7] * 2])
+        b = ScoreTable(2, ["v"], [[x, x]])
+        row = a.probs[0] + (1.0 + 0.9e-9) * (b.probs[0] - a.probs[0])
+        assert abs(row.sum() - 1.0) > fusion.PROB_SUM_TOL
+        with pytest.raises(DataError, match=r"^video 'v': scores sum to 1\.000001000") as exc:
+            late_fuse([a, b], [0.0, 1.0 + 0.9e-9])
+        assert exc.value.row == 0
+
 
 class TestTopKAccuracy:
     def table_from(self, rows: dict[str, list[float]]) -> ScoreTable:
-        t = ScoreTable(num_classes=len(next(iter(rows.values()))))
-        for vid, probs in rows.items():
-            t.add(vid, probs)
-        return t
+        return ScoreTable(len(next(iter(rows.values()))), list(rows), list(rows.values()))
 
     def test_hand_worked_case(self):
         t = self.table_from({"a": [0.6, 0.3, 0.1], "b": [0.2, 0.3, 0.5],
@@ -229,7 +260,7 @@ class TestTopKAccuracy:
         counts[counts.sum(axis=1) == 0] = 1.0
         counts[:5] = 1.0  # all classes tied
         ids = [f"v{i}" for i in range(len(counts))]
-        table = ScoreTable.from_rows(k, ids, counts / counts.sum(axis=1, keepdims=True))
+        table = ScoreTable(k, ids, counts / counts.sum(axis=1, keepdims=True))
         labels = {vid: int(gen.integers(0, k)) for vid in ids}
         for top in range(1, k + 1):
             assert top_k_accuracy(table, labels, top) == self.ref_top_k_accuracy(table, labels, top)
@@ -246,7 +277,7 @@ class TestTopKAccuracy:
 
     def test_validation(self):
         with pytest.raises(DataError, match="empty score table"):
-            top_k_accuracy(ScoreTable(2), {}, 1)
+            top_k_accuracy(ScoreTable(2, [], np.empty((0, 2))), {}, 1)
         t = self.table_from({"a": [0.5, 0.5]})
         with pytest.raises(ConfigError):
             top_k_accuracy(t, {"a": 0}, 0)
@@ -311,7 +342,7 @@ class TestScoreFiles:
 
     @pytest.mark.parametrize("vid", ["a,b", ",", "a,,b", "0.5,0.5", "x\ty", "ends ", "é,1"])
     def test_ids_with_commas_round_trip(self, tmp_path, vid):
-        table = ScoreTable.from_rows(2, [vid, "plain"], np.array([[0.25, 0.75], [1.0, 0.0]]))
+        table = ScoreTable(2, [vid, "plain"], np.array([[0.25, 0.75], [1.0, 0.0]]))
         path = tmp_path / "scores.csv"
         write_scores(path, table)
         back = read_scores(path)
@@ -321,7 +352,7 @@ class TestScoreFiles:
     @pytest.mark.parametrize("vid", ["a\nb", "a\rb", "a\r\n", " lead", "\tlead", "\x0blead"])
     def test_ids_it_cannot_give_back_are_refused_before_opening(self, tmp_path, monkeypatch,
                                                                  vid):
-        table = ScoreTable.from_rows(2, ["ok", vid], np.array([[0.5, 0.5], [0.5, 0.5]]))
+        table = ScoreTable(2, ["ok", vid], np.array([[0.5, 0.5], [0.5, 0.5]]))
         path = tmp_path / "scores.csv"
         path.write_text("old")
 

@@ -84,7 +84,7 @@ def test_detector_sees_unused_private_helpers():
 
 # The lines of src/seqcls/*.py that the package may hold.  A change that
 # needs more raises this number and says why in CHANGES.md.
-SRC_LINE_CEILING = 3289
+SRC_LINE_CEILING = 3286
 
 
 def test_src_stays_under_its_line_ceiling():

@@ -12,9 +12,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from seqcls.autodiff import Value, backward, cross_entropy, rng, zero_grads
 import seqcls.autodiff as ad
 import seqcls.training as training
+from score_oracle import RefTable, add_row
 from seqcls.data import FeatureSequence, SynthConfig, VideoSample, modality_dims, synth_generate, write_mmf
 from seqcls.errors import ConfigError, DataError, ShapeError
-from seqcls.fusion import ScoreTable, softmax_scores, write_scores
+from seqcls.fusion import softmax_scores, write_scores
 from seqcls.satt import satt_net_forward
 from seqcls.training import (
     EVAL_CHUNK,
@@ -543,14 +544,14 @@ def ref_softmax_scores(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def ref_evaluate(model: str, params, samples: list[VideoSample]) -> ScoreTable:
+def ref_evaluate(model: str, params, samples: list[VideoSample]) -> RefTable:
     """The evaluation the length-ordered one replaces: chunks of EVAL_CHUNK in
-    dataset order, then one softmax and one checked ``add`` per row."""
-    table = ScoreTable(num_classes=params.num_classes)
+    dataset order, then one softmax and one checked ``add_row`` per row."""
+    table = RefTable(params.num_classes, {})
     for start in range(0, len(samples), EVAL_CHUNK):
         chunk = samples[start:start + EVAL_CHUNK]
         for s, row in zip(chunk, batch_logits(model, params, chunk, "infer").data):
-            table.add(s.video_id, ref_softmax_scores(row))
+            add_row(table, s.video_id, ref_softmax_scores(row))
     return table
 
 
